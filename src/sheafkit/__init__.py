@@ -7,5 +7,3 @@ defining universal property by exhaustive search at this scale.
 """
 
 __version__ = "0.1.0"
-
-from .kernel import BACKEND as KERNEL_BACKEND  # noqa: F401

@@ -356,7 +356,14 @@ def _h_cocycle_equiv(ds, args):
     return res.equivalent, details, [args.left, args.right]
 
 
+def _check_certify(args):
+    # a negative size would check no test cone and still pass
+    if args.certify < 0:
+        raise UsageError(f"--certify takes a test apex size of at least 0, got {args.certify}")
+
+
 def _h_limit(ds, args):
+    _check_certify(args)
     D = ds.diagram(args.diagram)
     res = limit(D)
     details = {
@@ -372,6 +379,7 @@ def _h_limit(ds, args):
 
 
 def _h_colimit(ds, args):
+    _check_certify(args)
     D = ds.diagram(args.diagram)
     res = colimit(D)
     details = {

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import UsageError
+
 DEFAULT_BOUND = 2_000_000
 
 # Hom-sets larger than this make category validation itself intractable.
@@ -24,5 +26,8 @@ def enumeration_bound(override: int | None = None) -> int:
         return override
     env = os.environ.get("WORKBENCH_BOUND")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"WORKBENCH_BOUND must be an integer, got {env!r}") from None
     return DEFAULT_BOUND

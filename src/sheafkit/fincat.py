@@ -424,31 +424,15 @@ def enumerate_naturals(F: Presheaf, G: Presheaf, bound: int | None = None) -> tu
                 f"natural-transformation search space exceeds bound {limit}"
             )
 
-    obj_index = {u: i for i, u in enumerate(base.objects)}
-    f_index = {u: {x: i for i, x in enumerate(F.value[u])} for u in base.objects}
-    g_index = {u: {x: i for i, x in enumerate(G.value[u])} for u in base.objects}
-    mors = []
-    for f in base.morphisms:
-        if base.is_identity(f):
-            continue
-        u, v = base.tgt[f], base.src[f]
-        ftab = [f_index[v][F.restrict[f][x]] for x in F.value[u]]
-        gtab = [g_index[v][G.restrict[f][y]] for y in G.value[u]]
-        mors.append((obj_index[u], obj_index[v], ftab, gtab))
-
-    fams = kernel.natural_families(
-        [len(F.value[u]) for u in base.objects],
-        [len(G.value[u]) for u in base.objects],
-        mors,
+    arrows = [
+        (base.tgt[f], base.src[f], F.restrict[f], G.restrict[f])
+        for f in base.morphisms
+        if not base.is_identity(f)
+    ]
+    return tuple(
+        NaturalTransformation(F, G, comp)
+        for comp in kernel.label_families(base.objects, F.value, G.value, arrows)
     )
-    out = []
-    for fam in fams:
-        comp = {
-            u: {x: G.value[u][fam[i][j]] for j, x in enumerate(F.value[u])}
-            for i, u in enumerate(base.objects)
-        }
-        out.append(NaturalTransformation(F, G, comp))
-    return tuple(out)
 
 
 def presheaves_isomorphic(F: Presheaf, G: Presheaf, bound: int | None = None) -> bool:

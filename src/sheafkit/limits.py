@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from . import kernel
 from .config import enumeration_bound
 from .errors import (
     CodomainMismatch,
@@ -109,8 +110,6 @@ def diagram_naturals(F: Diagram, G: Diagram, bound: int | None = None):
     """
     if not F.shape.same(G.shape):
         raise ShapeMismatch("diagrams live on different shapes")
-    from . import kernel
-
     shape = F.shape
     limit_ = enumeration_bound(bound)
     candidates = 1
@@ -119,31 +118,27 @@ def diagram_naturals(F: Diagram, G: Diagram, bound: int | None = None):
         candidates *= gj ** fj if fj else 1
         if candidates > limit_:
             raise IntractableSize(f"natural-family search space exceeds bound {limit_}")
-    obj_index = {j: i for i, j in enumerate(shape.objects)}
-    f_index = {j: {x: i for i, x in enumerate(F.value[j])} for j in shape.objects}
-    g_index = {j: {x: i for i, x in enumerate(G.value[j])} for j in shape.objects}
-    mors = []
-    for f in shape.morphisms:
-        if shape.is_identity(f):
-            continue
-        a, b = shape.src[f], shape.tgt[f]
-        ftab = [f_index[b][F.action[f][x]] for x in F.value[a]]
-        gtab = [g_index[b][G.action[f][y]] for y in G.value[a]]
-        mors.append((obj_index[a], obj_index[b], ftab, gtab))
-    fams = kernel.natural_families(
-        [len(F.value[j]) for j in shape.objects],
-        [len(G.value[j]) for j in shape.objects],
-        mors,
-    )
-    out = []
-    for fam in fams:
-        out.append(
-            {
-                j: {x: G.value[j][fam[i][k]] for k, x in enumerate(F.value[j])}
-                for i, j in enumerate(shape.objects)
-            }
-        )
-    return out
+    return _naturals(F, G)
+
+
+def _naturals(F: Diagram, G: Diagram):
+    """All F => G, unbounded; callers check the bound their search needs."""
+    shape = F.shape
+    arrows = [
+        (shape.src[f], shape.tgt[f], F.action[f], G.action[f])
+        for f in shape.morphisms
+        if not shape.is_identity(f)
+    ]
+    return kernel.label_families(shape.objects, F.value, G.value, arrows)
+
+
+_POINT = "*"  # the one element of the terminal diagram Δ₁
+
+
+def _constant(shape: FinCategory, values: tuple) -> Diagram:
+    """Δ_values: every object goes to ``values``, every arrow to the identity."""
+    ident = {x: x for x in values}
+    return Diagram(shape, {j: values for j in shape.objects}, {f: ident for f in shape.morphisms})
 
 
 # -- limits ------------------------------------------------------------------------
@@ -160,40 +155,16 @@ class ConeResult:
 def limit(D: Diagram) -> ConeResult:
     """Apex = all compatible families, legs = projections.
 
-    Families are tuples indexed by the shape objects in canonical order;
-    they are found by backtracking with early compatibility pruning, so
-    chains of length n cost O(|apex|·n), not the full product.
+    Families are tuples indexed by the shape objects in canonical order.
+    They are the natural transformations Δ₁ => D out of the terminal
+    diagram, so the kernel prunes them as they are built.
     """
-    shape = D.shape
-    objs = shape.objects
+    objs = D.shape.objects
+    apex = tuple(
+        tuple(cone[j][_POINT] for j in objs)
+        for cone in _naturals(_constant(D.shape, (_POINT,)), D)
+    )
     pos = {j: i for i, j in enumerate(objs)}
-    stage_mors = [[] for _ in objs]
-    for f in shape.morphisms:
-        if shape.is_identity(f):
-            continue
-        a, b = pos[shape.src[f]], pos[shape.tgt[f]]
-        stage_mors[max(a, b)].append(f)
-    found: list[tuple] = []
-    pick: list = [None] * len(objs)
-
-    def ok(stage: int) -> bool:
-        for f in stage_mors[stage]:
-            if D.action[f][pick[pos[shape.src[f]]]] != pick[pos[shape.tgt[f]]]:
-                return False
-        return True
-
-    def rec(stage: int) -> None:
-        if stage == len(objs):
-            found.append(tuple(pick))
-            return
-        for x in D.value[objs[stage]]:
-            pick[stage] = x
-            if ok(stage):
-                rec(stage + 1)
-        pick[stage] = None
-
-    rec(0)
-    apex = tuple(found)
     legs = {j: {t: t[pos[j]] for t in apex} for j in objs}
     return ConeResult(D, apex, legs)
 
@@ -286,40 +257,8 @@ def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) 
 
 
 def _cones_from(T, D: Diagram):
-    """All cones (legs T -> D(j)) over a test apex, by pruned backtracking."""
-    shape = D.shape
-    objs = shape.objects
-    if not objs:
-        yield {}
-        return
-    pos = {j: i for i, j in enumerate(objs)}
-    stage_mors = [[] for _ in objs]
-    for f in shape.morphisms:
-        if shape.is_identity(f):
-            continue
-        a, b = pos[shape.src[f]], pos[shape.tgt[f]]
-        stage_mors[max(a, b)].append(f)
-    legs: list = [None] * len(objs)
-
-    def ok(stage):
-        for f in stage_mors[stage]:
-            la = legs[pos[shape.src[f]]]
-            lb = legs[pos[shape.tgt[f]]]
-            if any(D.action[f][la[t]] != lb[t] for t in T):
-                return False
-        return True
-
-    def rec(stage):
-        if stage == len(objs):
-            yield {objs[i]: dict(legs[i]) for i in range(len(objs))}
-            return
-        for choice in product(D.value[objs[stage]], repeat=len(T)):
-            legs[stage] = dict(zip(T, choice))
-            if ok(stage):
-                yield from rec(stage + 1)
-        legs[stage] = None
-
-    yield from rec(0)
+    """All cones (legs T -> D(j)) over a test apex: the naturals Δ_T => D."""
+    return _naturals(_constant(D.shape, T), D)
 
 
 def certify_colimit(res: ConeResult, max_apex: int = 3, bound: int | None = None) -> Certificate:
@@ -352,48 +291,8 @@ def certify_colimit(res: ConeResult, max_apex: int = 3, bound: int | None = None
 
 
 def _cocones_into(T, D: Diagram):
-    shape = D.shape
-    objs = shape.objects
-    if not objs:
-        yield {}
-        return
-    pos = {j: i for i, j in enumerate(objs)}
-    stage_mors = [[] for _ in objs]
-    for f in shape.morphisms:
-        if shape.is_identity(f):
-            continue
-        a, b = pos[shape.src[f]], pos[shape.tgt[f]]
-        stage_mors[max(a, b)].append(f)
-    legs: list = [None] * len(objs)
-
-    def ok(stage):
-        for f in stage_mors[stage]:
-            la = legs[pos[shape.src[f]]]
-            lb = legs[pos[shape.tgt[f]]]
-            if any(lb[D.action[f][x]] != la[x] for x in D.value[shape.src[f]]):
-                return False
-        return True
-
-    def rec(stage):
-        if stage == len(objs):
-            yield {objs[i]: dict(legs[i]) for i in range(len(objs))}
-            return
-        dom = D.value[objs[stage]]
-        if not dom:
-            legs[stage] = {}
-            if ok(stage):
-                yield from rec(stage + 1)
-            legs[stage] = None
-            return
-        if not T:
-            return  # no function from a nonempty set into the empty apex
-        for choice in product(T, repeat=len(dom)):
-            legs[stage] = dict(zip(dom, choice))
-            if ok(stage):
-                yield from rec(stage + 1)
-        legs[stage] = None
-
-    yield from rec(0)
+    """All cocones (legs D(j) -> T) into a test apex: the naturals D => Δ_T."""
+    return _naturals(D, _constant(D.shape, T))
 
 
 # -- named special cases -------------------------------------------------------------

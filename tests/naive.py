@@ -3,7 +3,9 @@
 These deliberately do not share code with the library: no kernel, no
 pruning, no canonical ordering tricks.  Each one enumerates the full
 candidate space and filters by the defining condition, so library
-results can be checked against them on small fixtures.
+results can be checked against them on small fixtures.  The one
+exception, ``naive_natural_families``, drops a candidate once a whole
+slot contradicts the earlier ones, so that kernel-sized cases stay fast.
 """
 
 from __future__ import annotations
@@ -35,6 +37,40 @@ def naive_naturals(F, G):
         if ok:
             found.append(comp)
     return found
+
+
+def naive_natural_families(f_sizes, g_sizes, morphisms):
+    """Reference for ``kernel.natural_families``, same contract and order.
+
+    Fixes one whole slot function at a time, in lexicographic order, and
+    checks a constraint once both of its slots are fixed; no constraint
+    ever narrows an element's domain.
+    """
+    n = len(f_sizes)
+    by_stage = [[] for _ in range(n)]
+    for p, q, ftab, gtab in morphisms:
+        by_stage[max(p, q)].append((p, q, ftab, gtab))
+    out = []
+    assign: list = [None] * n
+
+    def consistent(stage):
+        return all(
+            assign[q][ftab[x]] == gtab[assign[p][x]]
+            for p, q, ftab, gtab in by_stage[stage]
+            for x in range(f_sizes[p])
+        )
+
+    def rec(stage):
+        if stage == n:
+            out.append(tuple(assign))
+            return
+        for func in product(range(g_sizes[stage]), repeat=f_sizes[stage]):
+            assign[stage] = func
+            if consistent(stage):
+                rec(stage + 1)
+
+    rec(0)
+    return out
 
 
 def naive_limit(D):

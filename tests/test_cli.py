@@ -46,6 +46,13 @@ def test_usage_error_in_sections_exits_two():
     assert "NAME=VALUE" in text
 
 
+def test_negative_certify_is_a_usage_error():
+    for command in ("limit", "colimit"):
+        code, text = invoke(command, "--diagram", "z2-tower4", "--certify", "-1")
+        assert code == 2
+        assert text.startswith("usage error:") and "--certify" in text
+
+
 def test_pullback_fixture_c2_lists_the_four_pairs():
     code, text = invoke("pullback", "--fixture", "c2", "--format", "json")
     assert code == 0

@@ -163,3 +163,16 @@ def test_enumeration_bound_env_override(monkeypatch):
     with pytest.raises(IntractableSize):
         enumerate_naturals(F, F)
     assert enumeration_bound(1000) == 1000  # explicit argument wins
+
+
+def test_malformed_enumeration_bound_env_is_a_usage_error(monkeypatch):
+    from sheafkit.cli import run
+    from sheafkit.config import enumeration_bound
+    from sheafkit.errors import UsageError
+
+    monkeypatch.setenv("WORKBENCH_BOUND", "abc")
+    with pytest.raises(UsageError, match="WORKBENCH_BOUND"):
+        enumeration_bound()
+    code, text = run(["limit", "--diagram", "z2-tower4", "--certify", "2"])
+    assert code == 2
+    assert "WORKBENCH_BOUND" in text

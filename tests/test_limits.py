@@ -94,6 +94,23 @@ def test_two_object_discrete_limit_is_product():
     assert certify_limit(res).ok
 
 
+def test_limit_and_certificates_on_seeded_diagrams():
+    rng = random.Random(7)
+    for _ in range(25):
+        D = random_forest_diagram(rng)
+        lim = limit(D)
+        # the kernel emits compatible families in lexicographic order
+        assert list(lim.apex) == naive_limit(D)
+        lcert = certify_limit(lim, max_apex=2)
+        assert lcert.ok
+        # every cone over a test apex of size s is a function into the limit
+        assert lcert.cones_checked == sum(len(lim.apex) ** s for s in range(3))
+        colim = colimit(D)
+        ccert = certify_colimit(colim, max_apex=2)
+        assert ccert.ok
+        assert ccert.cones_checked == sum(s ** len(colim.apex) for s in range(3))
+
+
 def test_certify_limit_rejects_corrupted_apex():
     shape = discrete_category(["p", "q"])
     D = diagram(shape, {"p": ("0", "1"), "q": ("x",)}, {})
