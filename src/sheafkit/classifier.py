@@ -51,12 +51,13 @@ def subobject(F: Presheaf, parts) -> Subobject:
     full: dict[Label, frozenset] = {}
     for u in base.objects:
         chosen = frozenset(parts.get(u, ()))
+        sections = set(F.value[u])
         for x in chosen:
-            if x not in set(F.value[u]):
+            if x not in sections:
                 raise DanglingReference(f"part at {u!r} names unknown section {x!r}")
         full[u] = chosen
     for u in parts:
-        if u not in set(base.objects):
+        if u not in base.object_set:
             raise DanglingReference(f"part at unknown object {u!r}")
     for f in base.morphisms:
         u, v = base.tgt[f], base.src[f]
@@ -215,7 +216,7 @@ def _is_j_closed_sieve(J: GrothendieckTopology, S: Sieve) -> bool:
     for f in C.into(S.apex):
         if f in S.arrows:
             continue
-        if pullback_sieve(C, f, S) in set(J.covers[C.src[f]]):
+        if J.has(pullback_sieve(C, f, S)):
             return False
     return True
 

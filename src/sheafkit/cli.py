@@ -17,7 +17,7 @@ import time
 from . import __version__
 from .classifier import classify_round_trip, heyting_report, omega, omega_open_iso
 from .documents import load_documents
-from .errors import UsageError, WorkbenchError
+from .errors import MalformedDocument, UsageError, WorkbenchError
 from .fincat import enumerate_naturals, yoneda_presheaf
 from .labels import label_key, show_label
 from .limits import (
@@ -108,6 +108,8 @@ def _render_text(report) -> str:
 def _h_validate_category(ds, args):
     try:
         C = ds.category(args.category)
+    except MalformedDocument:
+        raise  # a load error, not a verdict on the category
     except WorkbenchError as err:
         return False, {"error": str(err)}, [args.category]
     return True, {
@@ -650,11 +652,11 @@ def run(argv=None) -> tuple[int, str]:
     try:
         ds = load_documents(args.docs)
         verdict, details, input_names = HANDLERS[args.command](ds, args)
+        inputs = [{"name": n, "digest": ds.digest(n)} for n in input_names]
     except UsageError as err:
         return 2, f"usage error: {err}\n"
     except WorkbenchError as err:
         return 2, f"error: {type(err).__name__}: {err}\n"
-    inputs = [{"name": n, "digest": ds.digest(n)} for n in input_names]
     options = {"seed": args.seed, "bound": args.bound, "format": args.format}
     report = _report(args.command, inputs, options, verdict, details)
     if args.timing:

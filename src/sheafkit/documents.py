@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
+    MalformedDocument,
     ParseError,
     SemanticError,
     UnresolvedReference,
@@ -66,6 +67,63 @@ def _check_header(doc: dict, where: str) -> None:
         raise SemanticError(f"{where}: unknown kind {doc.get('kind')!r}")
     if not isinstance(doc.get("name"), str) or not doc["name"]:
         raise SemanticError(f"{where}: missing document name")
+
+
+def _entries(doc: dict, key: str, where: str, required: bool = True) -> list:
+    """The list under ``key``; a missing or non-list field names the document."""
+    if key not in doc:
+        if required:
+            raise MalformedDocument(f'{where}: missing field "{key}"')
+        return []
+    if not isinstance(doc[key], list):
+        raise MalformedDocument(f'{where}: "{key}" must be a list')
+    return doc[key]
+
+
+def _check_labels(entries, where: str) -> None:
+    """Every label in a list or dict of entries must hash; JSON arrays and
+    objects do not, and cannot name anything.
+
+    The entries are hashed in one pass; only when that fails are they
+    searched, to name the first bad one.
+    """
+    is_map = isinstance(entries, dict)
+    try:
+        frozenset(entries.values() if is_map else entries)
+    except TypeError:
+        for key, entry in entries.items() if is_map else enumerate(entries):
+            for label in entry if isinstance(entry, tuple) else (entry,):
+                if isinstance(label, (list, dict)):
+                    kind = "array" if isinstance(label, list) else "object"
+                    at = f"{where}.{key}" if is_map else f"{where}[{key}]"
+                    raise MalformedDocument(f"{at}: a JSON {kind} is not a label") from None
+        raise
+
+
+def _category_tables(doc: dict, where: str):
+    """Field and type checks for a category document, ahead of the axioms."""
+    objects = _entries(doc, "objects", where)
+    rows = _entries(doc, "morphisms", where)
+    for i, m in enumerate(rows):
+        if not isinstance(m, dict):
+            raise MalformedDocument(f'{where}: morphisms[{i}] must be an object with "name", "src" and "tgt"')
+        for key in ("name", "src", "tgt"):
+            if key not in m:
+                raise MalformedDocument(f'{where}: morphisms[{i}] has no "{key}"')
+    identities = doc.get("identities")
+    if not isinstance(identities, dict):
+        raise MalformedDocument(f'{where}: "identities" must map each object to its identity morphism')
+    triples = _entries(doc, "compose", where, required=False)
+    for i, entry in enumerate(triples):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise MalformedDocument(f"{where}: compose[{i}] must be a [g, f, g∘f] triple")
+    morphisms = [(m["name"], m["src"], m["tgt"]) for m in rows]
+    compose = [tuple(entry) for entry in triples]
+    _check_labels(objects, f"{where}: objects")
+    _check_labels(morphisms, f"{where}: morphisms")
+    _check_labels(identities, f"{where}: identities")
+    _check_labels(compose, f"{where}: compose")
+    return objects, morphisms, identities, {(g, f): gf for g, f, gf in compose}
 
 
 @dataclass
@@ -127,12 +185,7 @@ class DocumentSet:
         doc = self._doc(name, ("category",))
 
         def build():
-            return validate_category(
-                doc["objects"],
-                [(m["name"], m["src"], m["tgt"]) for m in doc["morphisms"]],
-                doc["identities"],
-                {(g, f): gf for g, f, gf in doc.get("compose", [])},
-            )
+            return validate_category(*_category_tables(doc, f"{self.origin[name]}: {name}"))
 
         return self._memo(("category", name), build)
 

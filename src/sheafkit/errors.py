@@ -121,5 +121,9 @@ class SemanticError(WorkbenchError):
     """A document parsed but failed semantic validation."""
 
 
+class MalformedDocument(SemanticError):
+    """A document misses a field or gives one the wrong JSON type."""
+
+
 class UsageError(WorkbenchError):
     """Bad command-line usage."""

@@ -5,6 +5,12 @@ and restriction maps.  Validation is exhaustive: associativity over all
 composable triples, functoriality over all composable pairs.  Everything
 is immutable after validation and ordered canonically, so enumerations
 are deterministic.
+
+Each category is indexed once, on first use: its object and morphism
+sets and its morphisms by target and by (source, target), each list in
+``morphisms`` order.  ``hom`` and ``into`` are dict lookups, and every
+validator finds the arrows it must check through these indexes, so
+validation stays exhaustive without rescanning the morphism list.
 """
 
 from __future__ import annotations
@@ -44,11 +50,27 @@ class FinCategory:
             raise MissingComposite(f"no composite for ({g!r}, {f!r})") from None
 
     def hom(self, a: Label, b: Label) -> tuple[Label, ...]:
-        return tuple(m for m in self.morphisms if self.src[m] == a and self.tgt[m] == b)
+        return self._by_ends.get((a, b), ())
 
     def into(self, u: Label) -> tuple[Label, ...]:
         """All morphisms with codomain u."""
-        return tuple(m for m in self.morphisms if self.tgt[m] == u)
+        return self._by_target.get(u, ())
+
+    @cached_property
+    def object_set(self) -> frozenset:
+        return frozenset(self.objects)
+
+    @cached_property
+    def morphism_set(self) -> frozenset:
+        return frozenset(self.morphisms)
+
+    @cached_property
+    def _by_target(self) -> dict[Label, tuple[Label, ...]]:
+        return _group(self.morphisms, lambda m: self.tgt[m])
+
+    @cached_property
+    def _by_ends(self) -> dict[tuple[Label, Label], tuple[Label, ...]]:
+        return _group(self.morphisms, lambda m: (self.src[m], self.tgt[m]))
 
     def is_identity(self, m: Label) -> bool:
         return self.identity.get(self.src[m]) == m
@@ -64,6 +86,14 @@ class FinCategory:
 
     def same(self, other: "FinCategory") -> bool:
         return self is other or self.signature == other.signature
+
+
+def _group(items, key) -> dict:
+    """Items grouped by key; each group keeps the order of ``items``."""
+    groups: dict = {}
+    for m in items:
+        groups.setdefault(key(m), []).append(m)
+    return {k: tuple(v) for k, v in groups.items()}
 
 
 def validate_category(
@@ -124,12 +154,11 @@ def validate_category(
             )
         table[(g, f)] = gf
 
-    by_tgt: dict[Label, list[Label]] = {u: [] for u in objs}
-    for m in mors:
-        by_tgt[tgt[m]].append(m)
+    cat = FinCategory(objs, mors, src, tgt, ident, table)
+    into = cat.into
 
     for g in mors:
-        for f in by_tgt[src[g]]:
+        for f in into(src[g]):
             if (g, f) not in table:
                 raise MissingComposite(f"composable pair ({g!r}, {f!r}) has no entry")
 
@@ -147,15 +176,15 @@ def validate_category(
             raise IdentityViolation(f"{f!r}∘id != {f!r}")
 
     for h in mors:
-        for g in by_tgt[src[h]]:
+        for g in into(src[h]):
             hg = table[(h, g)]
-            for f in by_tgt[src[g]]:
+            for f in into(src[g]):
                 if table[(hg, f)] != table[(h, table[(g, f)])]:
                     raise AssociativityViolation(
                         f"(h∘g)∘f != h∘(g∘f) for (h, g, f) = ({h!r}, {g!r}, {f!r})"
                     )
 
-    return FinCategory(objs, mors, src, tgt, ident, table)
+    return cat
 
 
 # -- standard small categories ----------------------------------------------
@@ -223,13 +252,13 @@ def fin_functor(source: FinCategory, target: FinCategory, on_objects, on_morphis
     for a in source.objects:
         if a not in on_objects:
             raise DanglingReference(f"functor misses object {a!r}")
-        if on_objects[a] not in set(target.objects):
+        if on_objects[a] not in target.object_set:
             raise DanglingReference(f"functor image {on_objects[a]!r} not in target")
     for f in source.morphisms:
         if f not in on_morphisms:
             raise DanglingReference(f"functor misses morphism {f!r}")
         ff = on_morphisms[f]
-        if ff not in set(target.morphisms):
+        if ff not in target.morphism_set:
             raise DanglingReference(f"functor image {ff!r} not in target")
         if target.src[ff] != on_objects[source.src[f]] or target.tgt[ff] != on_objects[source.tgt[f]]:
             raise NotNatural(f"functor breaks endpoints at {f!r}")
@@ -237,9 +266,7 @@ def fin_functor(source: FinCategory, target: FinCategory, on_objects, on_morphis
         if on_morphisms[source.identity[u]] != target.identity[on_objects[u]]:
             raise IdentityViolation(f"functor breaks identity at {u!r}")
     for g in source.morphisms:
-        for f in source.morphisms:
-            if source.tgt[f] != source.src[g]:
-                continue
+        for f in source.into(source.src[g]):
             if on_morphisms[source.compose(g, f)] != target.compose(on_morphisms[g], on_morphisms[f]):
                 raise AssociativityViolation(f"functor breaks composition at ({g!r}, {f!r})")
     return FinFunctor(source, target, on_objects, on_morphisms)
@@ -291,8 +318,9 @@ def presheaf(base: FinCategory, value, restrict) -> Presheaf:
             raise DanglingReference(f"presheaf misses value set at {u!r}")
         vals[u] = canon(value[u])
     for u in value:
-        if u not in set(base.objects):
+        if u not in base.object_set:
             raise DanglingReference(f"presheaf value at unknown object {u!r}")
+    members = {u: set(vals[u]) for u in base.objects}
 
     rest: dict[Label, dict[Label, Label]] = {}
     for f in base.morphisms:
@@ -306,12 +334,12 @@ def presheaf(base: FinCategory, value, restrict) -> Presheaf:
         for x in vals[u]:
             if x not in tab:
                 raise DanglingReference(f"restriction along {f!r} misses {x!r}")
-            if tab[x] not in set(vals[v]):
+            if tab[x] not in members[v]:
                 raise DanglingReference(
                     f"restriction along {f!r} sends {x!r} outside F({v!r})"
                 )
         for x in tab:
-            if x not in set(vals[u]):
+            if x not in members[u]:
                 raise DanglingReference(f"restriction along {f!r} defined on unknown {x!r}")
         rest[f] = tab
 
@@ -320,11 +348,8 @@ def presheaf(base: FinCategory, value, restrict) -> Presheaf:
         for x in vals[u]:
             if rest[i][x] != x:
                 raise NotNatural(f"restrict(id_{u!r}) moves {x!r}")
-    by_tgt: dict[Label, list[Label]] = {u: [] for u in base.objects}
-    for m in base.morphisms:
-        by_tgt[base.tgt[m]].append(m)
     for f in base.morphisms:
-        for g in by_tgt[base.src[f]]:
+        for g in base.into(base.src[f]):
             fg = base.compose(f, g)
             for x in vals[base.tgt[f]]:
                 if rest[fg][x] != rest[g][rest[f][x]]:
@@ -337,7 +362,7 @@ def presheaf(base: FinCategory, value, restrict) -> Presheaf:
 
 def yoneda_presheaf(base: FinCategory, at: Label) -> Presheaf:
     """h_A with h_A(X) = Hom(X, A) and restriction by precomposition."""
-    if at not in set(base.objects):
+    if at not in base.object_set:
         raise UnknownObject(f"no object {at!r}")
     value = {x: base.hom(x, at) for x in base.objects}
     restrict = {}
@@ -374,10 +399,11 @@ def natural_transformation(F: Presheaf, G: Presheaf, components) -> NaturalTrans
     comp: dict[Label, dict[Label, Label]] = {}
     for u in F.base.objects:
         tab = dict(components.get(u, {}))
+        targets = set(G.value[u])
         for x in F.value[u]:
             if x not in tab:
                 raise NotNatural(f"component at {u!r} misses {x!r}")
-            if tab[x] not in set(G.value[u]):
+            if tab[x] not in targets:
                 raise NotNatural(f"component at {u!r} sends {x!r} outside target")
         comp[u] = {x: tab[x] for x in F.value[u]}
     base = F.base
@@ -456,7 +482,7 @@ def presheaves_isomorphic(F: Presheaf, G: Presheaf, bound: int | None = None) ->
 def yoneda_to_element(eta: NaturalTransformation, at: Label) -> Label:
     """Φ(η) = η_A(id_A) for η: h_A => F."""
     base = eta.source.base
-    if at not in set(base.objects):
+    if at not in base.object_set:
         raise UnknownObject(f"no object {at!r}")
     ident = base.identity[at]
     if ident not in eta.components[at]:
@@ -467,9 +493,9 @@ def yoneda_to_element(eta: NaturalTransformation, at: Label) -> Label:
 def yoneda_from_element(F: Presheaf, at: Label, x: Label) -> NaturalTransformation:
     """Ψ(x): h_A => F with components f |-> F(f)(x)."""
     base = F.base
-    if at not in set(base.objects):
+    if at not in base.object_set:
         raise UnknownObject(f"no object {at!r}")
-    if x not in set(F.value[at]):
+    if x not in F.value[at]:
         raise DanglingReference(f"{x!r} is not a section of F({at!r})")
     h = yoneda_presheaf(base, at)
     comp = {u: {f: F.restrict[f][x] for f in h.value[u]} for u in base.objects}

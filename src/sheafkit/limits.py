@@ -19,6 +19,7 @@ from .errors import (
     IntractableSize,
     NotNatural,
     ShapeMismatch,
+    UsageError,
 )
 from .fincat import FinCategory, FinFunctor, to_point_functor, validate_category
 from .labels import Label, canon, label_key
@@ -40,13 +41,14 @@ def set_fun(dom, cod, table) -> SetFun:
     dom = canon(dom)
     cod = canon(cod)
     table = dict(table)
+    cod_set, dom_set = set(cod), set(dom)
     for x in dom:
         if x not in table:
             raise DanglingReference(f"function misses {x!r}")
-        if table[x] not in set(cod):
+        if table[x] not in cod_set:
             raise DanglingReference(f"function sends {x!r} outside its codomain")
     for x in table:
-        if x not in set(dom):
+        if x not in dom_set:
             raise DanglingReference(f"function defined on unknown {x!r}")
     return SetFun(dom, cod, table)
 
@@ -71,6 +73,7 @@ def diagram(shape: FinCategory, value, action) -> Diagram:
         if j not in value:
             raise DanglingReference(f"diagram misses value at {j!r}")
         vals[j] = canon(value[j])
+    members = {j: set(vals[j]) for j in shape.objects}
     act: dict[Label, dict[Label, Label]] = {}
     for f in shape.morphisms:
         a, b = shape.src[f], shape.tgt[f]
@@ -83,7 +86,7 @@ def diagram(shape: FinCategory, value, action) -> Diagram:
         for x in vals[a]:
             if x not in tab:
                 raise DanglingReference(f"action along {f!r} misses {x!r}")
-            if tab[x] not in set(vals[b]):
+            if tab[x] not in members[b]:
                 raise DanglingReference(f"action along {f!r} sends {x!r} outside D({b!r})")
         act[f] = {x: tab[x] for x in vals[a]}
     for j in shape.objects:
@@ -91,11 +94,8 @@ def diagram(shape: FinCategory, value, action) -> Diagram:
         for x in vals[j]:
             if act[i][x] != x:
                 raise NotNatural(f"action of id_{j!r} moves {x!r}")
-    by_tgt: dict[Label, list[Label]] = {j: [] for j in shape.objects}
-    for m in shape.morphisms:
-        by_tgt[shape.tgt[m]].append(m)
     for g in shape.morphisms:
-        for f in by_tgt[shape.src[g]]:
+        for f in shape.into(shape.src[g]):
             gf = shape.compose(g, f)
             for x in vals[shape.src[f]]:
                 if act[gf][x] != act[g][act[f][x]]:
@@ -221,6 +221,11 @@ class Certificate:
     failures: tuple[str, ...]
 
 
+def _check_size(name: str, size: int) -> None:
+    if size < 0:
+        raise UsageError(f"{name} must be at least 0, got {size}")
+
+
 def _test_apexes(max_size: int):
     for size in range(max_size + 1):
         yield tuple(f"t{i}" for i in range(size))
@@ -228,6 +233,7 @@ def _test_apexes(max_size: int):
 
 def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) -> Certificate:
     """Check every test cone (apex size <= max_apex) has a unique mediating map."""
+    _check_size("max_apex", max_apex)
     D = res.diagram
     shape = D.shape
     limit_ = enumeration_bound(bound)
@@ -263,6 +269,7 @@ def _cones_from(T, D: Diagram):
 
 def certify_colimit(res: ConeResult, max_apex: int = 3, bound: int | None = None) -> Certificate:
     """Check every test cocone factors uniquely through the colimit."""
+    _check_size("max_apex", max_apex)
     D = res.diagram
     shape = D.shape
     limit_ = enumeration_bound(bound)
@@ -516,6 +523,7 @@ def kan_certificate(
     size <= value_bound, every comparison transformation, and asserts the
     unique factorization through the (co)unit.
     """
+    _check_size("value_bound", value_bound)
     K, F = result.along, result.source
     B = K.target
     failures = []

@@ -406,7 +406,7 @@ def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context) -> boo
     if set(env) != names:
         raise IllSorted(f"environment must assign exactly the context variables {sorted(names)}")
     for v, s in context:
-        if env[v] not in set(model.sorts[s].value[u]):
+        if env[v] not in model.sorts[s].value[u]:
             raise IllSorted(f"environment value for {v!r} is not a section of {s!r} over {u!r}")
     return Evaluator(model, context, phi).forces(u, phi, env)
 

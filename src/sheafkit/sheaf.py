@@ -66,18 +66,17 @@ def matching_family(F: Presheaf, S: Sieve, assignment) -> MatchingFamily:
     if not C.same(S.category):
         raise BaseMismatch("sieve and presheaf live over different categories")
     assignment = dict(assignment)
+    sections = {u: set(F.value[u]) for u in C.objects}
     for f in S.arrows:
         if f not in assignment:
             raise IncompatibleFamily(f"family misses the arrow {f!r}")
-        if assignment[f] not in set(F.value[C.src[f]]):
+        if assignment[f] not in sections[C.src[f]]:
             raise IncompatibleFamily(f"value at {f!r} is not a section over its domain")
     for f in assignment:
         if f not in S.arrows:
             raise IncompatibleFamily(f"family assigns to {f!r} outside the sieve")
     for f in S.arrows:
-        for g in C.morphisms:
-            if C.tgt[g] != C.src[f]:
-                continue
+        for g in C.into(C.src[f]):
             fg = C.compose(f, g)
             if assignment[fg] != F.restrict[g][assignment[f]]:
                 raise IncompatibleFamily(
@@ -98,7 +97,7 @@ def matching_families(F: Presheaf, S: Sieve, bound: int | None = None) -> tuple[
 
 def induced_family(F: Presheaf, S: Sieve, x: Label) -> MatchingFamily:
     """The family f |-> F(f)(x) induced by a section x over the apex."""
-    if x not in set(F.value[S.apex]):
+    if x not in F.value[S.apex]:
         raise DanglingReference(f"{x!r} is not a section over {S.apex!r}")
     return MatchingFamily(F, S, {f: F.restrict[f][x] for f in S.arrows})
 
@@ -343,8 +342,8 @@ def presheaf_diagram(shape: FinCategory, node, edge) -> PresheafDiagram:
     from .fincat import identity_natural
 
     for g in shape.morphisms:
-        for f in shape.morphisms:
-            if shape.tgt[f] != shape.src[g] or shape.is_identity(f) or shape.is_identity(g):
+        for f in shape.into(shape.src[g]):
+            if shape.is_identity(f) or shape.is_identity(g):
                 continue
             gf = shape.compose(g, f)
             left = compose_naturals(edge[g], edge[f])

@@ -8,6 +8,7 @@ form (covering families per object) is accepted and saturated on load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .config import enumeration_bound
@@ -43,18 +44,16 @@ class Sieve:
 
 def sieve(category: FinCategory, apex: Label, arrows) -> Sieve:
     """Validate precomposition closure and build the sieve."""
-    if apex not in set(category.objects):
+    if apex not in category.object_set:
         raise DanglingReference(f"no object {apex!r}")
     arrows = frozenset(arrows)
     for f in arrows:
-        if f not in set(category.morphisms):
+        if f not in category.morphism_set:
             raise DanglingReference(f"sieve names unknown morphism {f!r}")
         if category.tgt[f] != apex:
             raise CodomainMismatch(f"{f!r} does not end at {apex!r}")
     for f in arrows:
-        for g in category.morphisms:
-            if category.tgt[g] != category.src[f]:
-                continue
+        for g in category.into(category.src[f]):
             if category.compose(f, g) not in arrows:
                 raise SemanticError(
                     f"not a sieve: contains {f!r} but not {f!r}∘{g!r}"
@@ -66,15 +65,14 @@ def generate_sieve(category: FinCategory, apex: Label, family) -> Sieve:
     """Smallest precomposition-closed set of arrows into apex containing the family."""
     family = list(family)
     for f in family:
-        if f not in set(category.morphisms):
+        if f not in category.morphism_set:
             raise DanglingReference(f"unknown morphism {f!r}")
         if category.tgt[f] != apex:
             raise CodomainMismatch(f"{f!r} does not end at {apex!r}")
     closed = set()
     for f in family:
-        for g in category.morphisms:
-            if category.tgt[g] == category.src[f]:
-                closed.add(category.compose(f, g))
+        for g in category.into(category.src[f]):
+            closed.add(category.compose(f, g))
     return Sieve(category, apex, frozenset(closed))
 
 
@@ -106,17 +104,11 @@ def all_sieves(category: FinCategory, apex: Label, bound: int | None = None) -> 
     found = []
     for mask in range(2 ** len(incoming)):
         arrows = frozenset(m for i, m in enumerate(incoming) if mask >> i & 1)
-        ok = True
-        for f in arrows:
-            for g in category.morphisms:
-                if category.tgt[g] != category.src[f]:
-                    continue
-                if category.compose(f, g) not in arrows:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            category.compose(f, g) in arrows
+            for f in arrows
+            for g in category.into(category.src[f])
+        ):
             found.append(Sieve(category, apex, arrows))
     return tuple(sorted(found, key=Sieve.key))
 
@@ -132,7 +124,12 @@ class GrothendieckTopology:
         return self.covers[u]
 
     def has(self, S: Sieve) -> bool:
-        return S in set(self.covers[S.apex])
+        return S in self._listed[S.apex]
+
+    @cached_property
+    def _listed(self) -> dict[Label, frozenset]:
+        """The covering sieves at each object, as a set."""
+        return {u: frozenset(sieves) for u, sieves in self.covers.items()}
 
     def covers_with(self, u: Label, arrows: frozenset) -> bool:
         """Does the (upward-closed) family of covering sieves reach below ``arrows``?
@@ -163,13 +160,14 @@ def validate_topology(J: GrothendieckTopology, bound: int | None = None) -> Topo
     Violations are report content, not exceptions.
     """
     C = J.category
+    listed = J._listed
     violations = []
     checked = 0
     for u in C.objects:
         if u not in J.covers:
             violations.append(TopologyViolation("maximality", u, "object missing from the cover table"))
             continue
-        if maximal_sieve(C, u) not in set(J.covers[u]):
+        if maximal_sieve(C, u) not in listed[u]:
             violations.append(TopologyViolation("maximality", u, "maximal sieve is not covering"))
     for u in C.objects:
         for S in J.covers.get(u, ()):
@@ -179,7 +177,7 @@ def validate_topology(J: GrothendieckTopology, bound: int | None = None) -> Topo
             for f in C.into(u):
                 checked += 1
                 pb = pullback_sieve(C, f, S)
-                if pb not in set(J.covers.get(C.src[f], ())):
+                if pb not in listed.get(C.src[f], ()):
                     violations.append(
                         TopologyViolation(
                             "stability", u,
@@ -187,14 +185,13 @@ def validate_topology(J: GrothendieckTopology, bound: int | None = None) -> Topo
                         )
                     )
     for u in C.objects:
-        listed = set(J.covers.get(u, ()))
         for S in all_sieves(C, u, bound):
-            if S in listed:
+            if S in listed.get(u, ()):
                 continue
             for R in J.covers.get(u, ()):
                 checked += 1
                 if all(
-                    pullback_sieve(C, f, S) in set(J.covers.get(C.src[f], ()))
+                    pullback_sieve(C, f, S) in listed.get(C.src[f], ())
                     for f in R.arrows
                 ):
                     violations.append(
@@ -222,7 +219,7 @@ def saturate_topology(category: FinCategory, families, bound: int | None = None)
     sieves_at = {u: all_sieves(category, u, bound) for u in category.objects}
     covering: dict[Label, set] = {u: {maximal_sieve(category, u)} for u in category.objects}
     for u, fams in families.items():
-        if u not in set(category.objects):
+        if u not in category.object_set:
             raise DanglingReference(f"covering family at unknown object {u!r}")
         for fam in fams:
             covering[u].add(generate_sieve(category, u, fam))
@@ -262,14 +259,15 @@ class FiniteSpace:
 
 def finite_space(points, opens) -> FiniteSpace:
     pts = canon(points)
+    point_set = frozenset(pts)
     fam = {frozenset(o) for o in opens}
     for o in fam:
         for p in o:
-            if p not in set(pts):
+            if p not in point_set:
                 raise DanglingReference(f"open set names unknown point {p!r}")
     if frozenset() not in fam:
         raise SemanticError("opens must contain the empty set")
-    if frozenset(pts) not in fam:
+    if point_set not in fam:
         raise SemanticError("opens must contain the full point set")
     for a, b in combinations(fam, 2):
         if a | b not in fam:

@@ -55,11 +55,12 @@ def group_sheaf(G: Presheaf, mult, unit=None, inverse=None) -> GroupSheaf:
             else:
                 raise DanglingReference(f"group table missing at {u!r}")
         tab = mult[u]
+        elem_set = set(elems)
         for a in elems:
             for b in elems:
                 if (a, b) not in tab:
                     raise DanglingReference(f"product {a!r}·{b!r} missing at {u!r}")
-                if tab[(a, b)] not in set(elems):
+                if tab[(a, b)] not in elem_set:
                     raise DanglingReference(f"product {a!r}·{b!r} escapes the section set at {u!r}")
         for a in elems:
             for b in elems:
@@ -129,11 +130,12 @@ def torsor_candidate(P: Presheaf, G: GroupSheaf, action) -> TorsorCandidate:
     action = {u: dict(tab) for u, tab in action.items()}
     for u in base.objects:
         tab = action.setdefault(u, {})
+        points = set(P.value[u])
         for p in P.value[u]:
             for g in G.sections.value[u]:
                 if (p, g) not in tab:
                     raise DanglingReference(f"action misses ({p!r}, {g!r}) at {u!r}")
-                if tab[(p, g)] not in set(P.value[u]):
+                if tab[(p, g)] not in points:
                     raise DanglingReference(f"action escapes the section set at {u!r}")
         for p in P.value[u]:
             if tab[(p, G.unit[u])] != p:
@@ -267,7 +269,7 @@ def cocycle(site: Site, G: GroupSheaf, target: Label, cover, values) -> Cocycle:
         raise SemanticError("cocycles live on open-cover sites")
     cover = tuple(cover)
     for u in cover + (target,):
-        if u not in set(site.category.objects):
+        if u not in site.category.object_set:
             raise DanglingReference(f"cover names unknown open {u!r}")
         if u != target and not site.open_of[u] <= site.open_of[target]:
             raise CoverMismatch(f"cover member {u!r} is not contained in {target!r}")
@@ -294,7 +296,7 @@ def cocycle(site: Site, G: GroupSheaf, target: Label, cover, values) -> Cocycle:
                 vals[(i, j)] = G.inv(uij, vals[(j, i)])
             if (i, j) not in vals:
                 raise DanglingReference(f"cocycle misses the pair ({i}, {j})")
-            if vals[(i, j)] not in set(G.sections.value[uij]):
+            if vals[(i, j)] not in G.sections.value[uij]:
                 raise DanglingReference(
                     f"g_{i}{j} is not a section of the group over {uij!r}"
                 )
@@ -353,7 +355,7 @@ def extract_cocycle(T: TorsorCandidate, site: Site, target: Label, L: LocalSecti
     C = site.category
     P, G = T.space, T.group
     for i, u in enumerate(L.cover):
-        if L.sections[i] not in set(P.value[u]):
+        if L.sections[i] not in P.value[u]:
             raise DanglingReference(f"chosen section over {u!r} does not exist")
     values: dict[tuple[int, int], Label] = {}
     n = len(L.cover)
@@ -395,7 +397,7 @@ def restrict_group(G: GroupSheaf, sub: Site) -> GroupSheaf:
 
 def _lift_arrow(big, f):
     # slice arrows carry the same labels as in the full opens poset
-    if f in set(big.morphisms):
+    if f in big.morphism_set:
         return f
     raise DanglingReference(f"arrow {f!r} not found in the ambient site")
 
@@ -503,7 +505,7 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
         # g_ki already lives on U_k ∩ U_i, which is the k-th piece of a
         # section over U_i
         s_i = tuple(c.values[(k, i)] for k in range(n))
-        if s_i not in set(P.value[ui]):
+        if s_i not in P.value[ui]:
             raise SemanticError(f"canonical section over {ui!r} is not a glued section")
         canonical[i] = s_i
     return GluedTorsor(sl, T, LocalSections(c.cover, canonical))

@@ -128,6 +128,31 @@ def naive_matching_families(F, sieve_arrows, base):
     return out
 
 
+def naive_hom(C, a, b):
+    """Hom(a, b) by a scan of the morphism list, in its order."""
+    return tuple(m for m in C.morphisms if C.src[m] == a and C.tgt[m] == b)
+
+
+def naive_into(C, u):
+    """The morphisms ending at u by a scan of the morphism list, in its order."""
+    return tuple(m for m in C.morphisms if C.tgt[m] == u)
+
+
+def naive_is_sieve(C, arrows):
+    """Closure under precomposition, checked against every morphism of C."""
+    return all(
+        C.compose(f, g) in arrows
+        for f in arrows
+        for g in C.morphisms
+        if C.tgt[g] == C.src[f]
+    )
+
+
+def naive_sieves(C, u):
+    """Every precomposition-closed subset of the arrows into u."""
+    return [s for s in _subsets(naive_into(C, u)) if naive_is_sieve(C, s)]
+
+
 def naive_stable_subsets(F):
     """All restriction-stable part families of a presheaf."""
     base = F.base

@@ -12,6 +12,22 @@ from sheafkit.fincat import poset_category
 from sheafkit.limits import diagram
 
 
+def random_poset(rng: random.Random, max_objs: int = 6):
+    """A random finite poset on mixed int, str and tuple labels.
+
+    The labels are drawn in random order, so the canonical order of
+    objects and arrows is unrelated to the order the relation was built in.
+    """
+    pool = [0, 1, 7, "a", "b", "m", "z", ("t", 1)]
+    labels = rng.sample(pool, rng.randint(0, max_objs))
+    below = {x: {x} for x in labels}
+    for i, x in enumerate(labels):
+        for y in labels[:i]:
+            if rng.random() < 0.4:
+                below[x] |= below[y]
+    return poset_category(labels, lambda a, b: a in below[b])
+
+
 def random_forest_diagram(rng: random.Random, max_objs: int = 4, max_elems: int = 4):
     n = rng.randint(1, max_objs)
     names = [f"n{i}" for i in range(n)]

@@ -1,12 +1,27 @@
 """CLI contract: subcommands, exit codes, deterministic reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import sheafkit
 from sheafkit.cli import SUBCOMMANDS, build_parser, run
 
 
 def invoke(*argv):
     return run(list(argv))
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree():
+    src = str(Path(sheafkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["yoneda", "--category", "arrow", "--at", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "sheafkit", *argv], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == run(argv)
 
 
 def test_every_spec_subcommand_is_registered():
@@ -35,6 +50,11 @@ def test_load_error_exits_two():
     code, text = invoke("omega", "--site", "no-such-site")
     assert code == 2
     assert "no-such-site" in text
+
+
+def test_validate_category_of_an_unknown_name_exits_two():
+    code, text = invoke("validate-category", "--category", "no-such-category")
+    assert (code, text) == (2, "error: UnresolvedReference: no document named 'no-such-category'\n")
 
 
 def test_usage_error_in_sections_exits_two():

@@ -176,3 +176,44 @@ def test_malformed_enumeration_bound_env_is_a_usage_error(monkeypatch):
     code, text = run(["limit", "--diagram", "z2-tower4", "--certify", "2"])
     assert code == 2
     assert "WORKBENCH_BOUND" in text
+
+
+# -- malformed category documents end in exit code 2, never a traceback ---------
+
+def malformed_category(tmp_path, change):
+    doc = {
+        "schema": 1, "kind": "category", "name": "mal",
+        "objects": ["u"],
+        "morphisms": [{"name": "id", "src": "u", "tgt": "u"}],
+        "identities": {"u": "id"},
+        "compose": [["id", "id", "id"]],
+    }
+    change(doc)
+    p = tmp_path / "mal.json"
+    p.write_text(serialize_document(doc), encoding="utf-8")
+    return p
+
+
+def assert_load_error(path, capsys, message):
+    from sheafkit.cli import main
+
+    assert main(["validate-category", "--category", "mal", "--docs", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: MalformedDocument: {path}: mal: {message}\n"
+    ds = load_documents([str(path)], include_gallery=False)
+    with pytest.raises(SemanticError):
+        ds.category("mal")
+
+
+def test_morphism_without_target_is_a_semantic_error(tmp_path, capsys):
+    p = malformed_category(tmp_path, lambda doc: doc["morphisms"][0].pop("tgt"))
+    assert_load_error(p, capsys, 'morphisms[0] has no "tgt"')
+
+
+def test_two_element_compose_entry_is_a_semantic_error(tmp_path, capsys):
+    p = malformed_category(tmp_path, lambda doc: doc["compose"][0].pop())
+    assert_load_error(p, capsys, "compose[0] must be a [g, f, g∘f] triple")
+
+
+def test_list_valued_object_label_is_a_semantic_error(tmp_path, capsys):
+    p = malformed_category(tmp_path, lambda doc: doc["objects"].append(["v"]))
+    assert_load_error(p, capsys, "objects[1]: a JSON array is not a label")

@@ -1,6 +1,8 @@
 """Category, presheaf, and Yoneda machinery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheafkit.errors import (
     AssociativityViolation,
@@ -25,7 +27,10 @@ from sheafkit.fincat import (
     yoneda_to_element,
 )
 
-from naive import naive_naturals
+from sheafkit.documents import load_documents
+
+from naive import naive_hom, naive_into, naive_naturals
+from randgen import random_poset
 
 
 def chain3():
@@ -83,6 +88,39 @@ def test_missing_composite_entry():
 def test_dangling_morphism_endpoint():
     with pytest.raises(DanglingReference):
         validate_category(["u"], [("f", "u", "v")], {"u": "f"}, {})
+
+
+# -- hom and into indexes ----------------------------------------------------------
+
+def assert_indexes_match_scans(C):
+    assert C.object_set == frozenset(C.objects)
+    assert C.morphism_set == frozenset(C.morphisms)
+    for a in C.objects:
+        assert C.into(a) == naive_into(C, a)
+        for b in C.objects:
+            assert C.hom(a, b) == naive_hom(C, a, b)
+    for unknown in ("no-such-object", 10**6, ("no", "such")):
+        assert unknown not in C.object_set
+        assert C.into(unknown) == ()
+        assert C.hom(unknown, unknown) == ()
+        for a in C.objects:
+            assert C.hom(a, unknown) == () and C.hom(unknown, a) == ()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_indexes_match_linear_scans_on_random_posets(rng):
+    assert_indexes_match_scans(random_poset(rng))
+
+
+def test_indexes_match_linear_scans_on_gallery_categories():
+    ds = load_documents([])
+    names = ds.names("category") + ds.names("space") + ds.names("topology")
+    assert names
+    for name in names:
+        assert_indexes_match_scans(ds.base_category(name))
+    assert_indexes_match_scans(diamond4())
+    assert_indexes_match_scans(discrete_category([]))
 
 
 # -- presheaf validation ---------------------------------------------------------

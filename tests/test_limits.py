@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from sheafkit.errors import CodomainMismatch, ShapeMismatch
+from sheafkit.documents import load_documents
+from sheafkit.errors import CodomainMismatch, ShapeMismatch, UsageError
 from sheafkit.fincat import (
     arrow_category,
     discrete_category,
     fin_functor,
     poset_category,
+    to_point_functor,
 )
 from sheafkit.limits import (
     certify_colimit,
@@ -109,6 +111,32 @@ def test_limit_and_certificates_on_seeded_diagrams():
         ccert = certify_colimit(colim, max_apex=2)
         assert ccert.ok
         assert ccert.cones_checked == sum(s ** len(colim.apex) for s in range(3))
+
+
+def z2_tower4():
+    return load_documents([]).diagram("z2-tower4")
+
+
+def test_certify_limit_rejects_a_negative_apex_size():
+    res = limit(z2_tower4())
+    with pytest.raises(UsageError, match=r"^max_apex must be at least 0, got -1$"):
+        certify_limit(res, max_apex=-1)
+    # size 0 is the smallest test apex: the one empty cone
+    cert = certify_limit(res, max_apex=0)
+    assert cert.ok and cert.cones_checked == 1
+
+
+def test_certify_colimit_rejects_a_negative_apex_size():
+    res = colimit(z2_tower4())
+    with pytest.raises(UsageError, match=r"^max_apex must be at least 0, got -1$"):
+        certify_colimit(res, max_apex=-1)
+
+
+def test_kan_certificate_rejects_a_negative_value_bound():
+    D = z2_tower4()
+    res = kan_extension("right", to_point_functor(D.shape), D)
+    with pytest.raises(UsageError, match=r"^value_bound must be at least 0, got -1$"):
+        kan_certificate(res, value_bound=-1)
 
 
 def test_certify_limit_rejects_corrupted_apex():

@@ -2,9 +2,10 @@
 
 import pytest
 
-from sheafkit.errors import ApexMismatch, CodomainMismatch, SemanticError
+from sheafkit.errors import ApexMismatch, CodomainMismatch, DanglingReference, SemanticError
 from sheafkit.fincat import yoneda_presheaf
 from sheafkit.gallery import (
+    arrow_site,
     chain3_site,
     discrete2_site,
     discrete3_site,
@@ -26,6 +27,8 @@ from sheafkit.site import (
     trivial_topology,
     validate_topology,
 )
+
+from naive import naive_is_sieve, naive_sieves
 
 
 EMPTY = "{}"
@@ -63,6 +66,12 @@ def test_sieve_closure_validated():
     site = sierpinski_site()
     with pytest.raises(SemanticError):
         sieve(site.category, TOP_S, [f"{OPEN_T}<{TOP_S}"])  # misses the precomposite
+
+
+def test_sieve_rejects_unknown_morphism():
+    site = sierpinski_site()
+    with pytest.raises(DanglingReference, match=r"^sieve names unknown morphism 'nope'$"):
+        sieve(site.category, TOP_S, [f"{OPEN_T}<{TOP_S}", "nope"])
 
 
 def test_pullback_along_identity_is_same_sieve():
@@ -136,14 +145,15 @@ def test_removing_a_transitivity_forced_sieve_is_reported():
 
 
 def test_generated_sieves_satisfy_closure_invariant():
-    site = pseudocircle_site()
-    C = site.category
-    for u in C.objects:
-        for S in all_sieves(C, u):
-            for f in S.arrows:
-                for g in C.morphisms:
-                    if C.tgt[g] == C.src[f]:
-                        assert C.compose(f, g) in S.arrows
+    for site in (pseudocircle_site(), chain3_site(), arrow_site()):
+        C = site.category
+        for u in C.objects:
+            found = [S.arrows for S in all_sieves(C, u)]
+            for arrows in found:
+                assert naive_is_sieve(C, arrows)
+            # exactly the closed subsets of into(u), each once
+            assert len(found) == len(set(found))
+            assert set(found) == set(naive_sieves(C, u))
 
 
 def test_pullback_of_maximal_is_maximal_everywhere():
