@@ -279,16 +279,13 @@ def omega_open_iso(om: OmegaObject) -> OmegaOpenIso:
             return OmegaOpenIso(False, {}, f"not a bijection at {u!r}")
         for l1, S1 in om.sieves[u].items():
             for l2, S2 in om.sieves[u].items():
-                o1 = site.open_of.get(_label_to_obj(site, assigned[l1]))
-                o2 = site.open_of.get(_label_to_obj(site, assigned[l2]))
+                # open labels are the object labels of the opens poset
+                o1 = site.open_of.get(assigned[l1])
+                o2 = site.open_of.get(assigned[l2])
                 if (S1.arrows <= S2.arrows) != (o1 <= o2):
                     return OmegaOpenIso(False, {}, f"order not preserved at {u!r}")
         table[u] = tuple(sorted(assigned.items(), key=lambda kv: label_key(kv[0])))
     return OmegaOpenIso(True, table, "")
-
-
-def _label_to_obj(site: Site, lbl: str) -> Label:
-    return lbl  # open labels are the object labels of the opens poset
 
 
 # -- classification -----------------------------------------------------------------

@@ -44,14 +44,6 @@ from .torsor import (
     is_torsor,
 )
 
-SUBCOMMANDS = (
-    "validate-category", "validate-topology", "check-sheaf", "glue", "sheafify",
-    "omega", "classify", "heyting", "force", "interpret", "torsor-check",
-    "extract-cocycle", "check-cocycle", "glue-torsor", "cocycle-equiv",
-    "limit", "colimit", "pullback", "equalizer", "coequalizer", "kan", "yoneda",
-)
-
-
 def _sieve_arrows(S):
     return [show_label(f) for f in sorted(S.arrows, key=label_key)]
 
@@ -490,29 +482,56 @@ def _h_yoneda(ds, args):
     return fully_faithful, details, [args.category]
 
 
-HANDLERS = {
-    "validate-category": _h_validate_category,
-    "validate-topology": _h_validate_topology,
-    "check-sheaf": _h_check_sheaf,
-    "glue": _h_glue,
-    "sheafify": _h_sheafify,
-    "omega": _h_omega,
-    "classify": _h_classify,
-    "heyting": _h_heyting,
-    "force": _h_force,
-    "interpret": _h_interpret,
-    "torsor-check": _h_torsor_check,
-    "extract-cocycle": _h_extract_cocycle,
-    "check-cocycle": _h_check_cocycle,
-    "glue-torsor": _h_glue_torsor,
-    "cocycle-equiv": _h_cocycle_equiv,
-    "limit": _h_limit,
-    "colimit": _h_colimit,
-    "pullback": _h_pullback,
-    "equalizer": _h_equalizer,
-    "coequalizer": _h_coequalizer,
-    "kan": _h_kan,
-    "yoneda": _h_yoneda,
+_REQUIRED = {"required": True}
+_CERTIFY = {"type": int, "default": 0, "metavar": "MAX_APEX",
+            "help": "certify universality with test apexes up to this size"}
+
+# subcommand -> (handler, the arguments it adds beyond the common ones);
+# each argument is a flag with its add_argument keywords
+COMMANDS = {
+    "validate-category": (_h_validate_category, {"--category": _REQUIRED}),
+    "validate-topology": (_h_validate_topology, {"--site": _REQUIRED}),
+    "check-sheaf": (_h_check_sheaf, {"--presheaf": _REQUIRED, "--site": _REQUIRED}),
+    "glue": (_h_glue, {
+        "--presheaf": _REQUIRED, "--site": _REQUIRED, "--at": _REQUIRED,
+        "--section": {"action": "append", "required": True, "help": "OPEN=SECTION, repeatable"},
+    }),
+    "sheafify": (_h_sheafify, {"--presheaf": _REQUIRED, "--site": _REQUIRED}),
+    "omega": (_h_omega, {"--site": _REQUIRED}),
+    "classify": (_h_classify, {"--site": _REQUIRED, "--presheaf": _REQUIRED}),
+    "heyting": (_h_heyting, {"--site": _REQUIRED, "--presheaf": _REQUIRED}),
+    "force": (_h_force, {
+        "--formula": _REQUIRED,
+        "--site": {"default": None, "help": "informational; the formula pins its site"},
+        "--at": _REQUIRED,
+        "--env": {"action": "append", "default": [], "help": "VAR=SECTION, repeatable"},
+    }),
+    "interpret": (_h_interpret, {"--formula": _REQUIRED, "--site": {"default": None}}),
+    "torsor-check": (_h_torsor_check, {
+        "--site": _REQUIRED, "--action": _REQUIRED,
+        "--existential": {"action": "store_true",
+                          "help": "check local nonemptiness only at top objects"},
+    }),
+    "extract-cocycle": (_h_extract_cocycle, {
+        "--site": _REQUIRED, "--action": _REQUIRED, "--target": _REQUIRED,
+        "--cover": {"action": "append", "required": True},
+        "--section": {"action": "append", "required": True, "help": "INDEX=SECTION, repeatable"},
+    }),
+    "check-cocycle": (_h_check_cocycle, {"--cocycle": _REQUIRED}),
+    "glue-torsor": (_h_glue_torsor, {"--cocycle": _REQUIRED}),
+    "cocycle-equiv": (_h_cocycle_equiv, {"--left": _REQUIRED, "--right": _REQUIRED}),
+    "limit": (_h_limit, {"--diagram": _REQUIRED, "--certify": _CERTIFY}),
+    "colimit": (_h_colimit, {"--diagram": _REQUIRED, "--certify": _CERTIFY}),
+    "pullback": (_h_pullback, {
+        "--diagram": {}, "--fixture": {"help": "bundled cospan fixture name, e.g. c2"},
+    }),
+    "equalizer": (_h_equalizer, {"--diagram": _REQUIRED}),
+    "coequalizer": (_h_coequalizer, {"--diagram": _REQUIRED}),
+    "kan": (_h_kan, {
+        "--direction": {"choices": ("left", "right"), "required": True},
+        "--diagram": _REQUIRED,
+    }),
+    "yoneda": (_h_yoneda, {"--category": _REQUIRED, "--at": _REQUIRED}),
 }
 
 
@@ -523,124 +542,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sheafkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--docs", action="append", default=[], help="document file or directory")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized test-family generation")
-        p.add_argument("--bound", type=int, default=None,
-                       help="enumeration bound (overrides WORKBENCH_BOUND)")
-        p.add_argument("--timing", action="store_true", help="include timing in the report")
-
-    p = sub.add_parser("validate-category")
-    common(p)
-    p.add_argument("--category", required=True)
-
-    p = sub.add_parser("validate-topology")
-    common(p)
-    p.add_argument("--site", required=True)
-
-    p = sub.add_parser("check-sheaf")
-    common(p)
-    p.add_argument("--presheaf", required=True)
-    p.add_argument("--site", required=True)
-
-    p = sub.add_parser("glue")
-    common(p)
-    p.add_argument("--presheaf", required=True)
-    p.add_argument("--site", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--section", action="append", required=True,
-                   help="OPEN=SECTION, repeatable")
-
-    p = sub.add_parser("sheafify")
-    common(p)
-    p.add_argument("--presheaf", required=True)
-    p.add_argument("--site", required=True)
-
-    p = sub.add_parser("omega")
-    common(p)
-    p.add_argument("--site", required=True)
-
-    p = sub.add_parser("classify")
-    common(p)
-    p.add_argument("--site", required=True)
-    p.add_argument("--presheaf", required=True)
-
-    p = sub.add_parser("heyting")
-    common(p)
-    p.add_argument("--site", required=True)
-    p.add_argument("--presheaf", required=True)
-
-    p = sub.add_parser("force")
-    common(p)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--site", default=None, help="informational; the formula pins its site")
-    p.add_argument("--at", required=True)
-    p.add_argument("--env", action="append", default=[], help="VAR=SECTION, repeatable")
-
-    p = sub.add_parser("interpret")
-    common(p)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--site", default=None)
-
-    p = sub.add_parser("torsor-check")
-    common(p)
-    p.add_argument("--site", required=True)
-    p.add_argument("--action", required=True)
-    p.add_argument("--existential", action="store_true",
-                   help="check local nonemptiness only at top objects")
-
-    p = sub.add_parser("extract-cocycle")
-    common(p)
-    p.add_argument("--site", required=True)
-    p.add_argument("--action", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--cover", action="append", required=True)
-    p.add_argument("--section", action="append", required=True,
-                   help="INDEX=SECTION, repeatable")
-
-    p = sub.add_parser("check-cocycle")
-    common(p)
-    p.add_argument("--cocycle", required=True)
-
-    p = sub.add_parser("glue-torsor")
-    common(p)
-    p.add_argument("--cocycle", required=True)
-
-    p = sub.add_parser("cocycle-equiv")
-    common(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    for name in ("limit", "colimit"):
+    common = {
+        "--docs": {"action": "append", "default": [], "help": "document file or directory"},
+        "--format": {"choices": ("text", "json"), "default": "text"},
+        "--seed": {"type": int, "default": 0,
+                   "help": "seed for randomized test-family generation"},
+        "--bound": {"type": int, "default": None,
+                    "help": "enumeration bound (overrides WORKBENCH_BOUND)"},
+        "--timing": {"action": "store_true", "help": "include timing in the report"},
+    }
+    for name, (_, own) in COMMANDS.items():
         p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--diagram", required=True)
-        p.add_argument("--certify", type=int, default=0, metavar="MAX_APEX",
-                       help="certify universality with test apexes up to this size")
-
-    p = sub.add_parser("pullback")
-    common(p)
-    p.add_argument("--diagram")
-    p.add_argument("--fixture", help="bundled cospan fixture name, e.g. c2")
-
-    for name in ("equalizer", "coequalizer"):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--diagram", required=True)
-
-    p = sub.add_parser("kan")
-    common(p)
-    p.add_argument("--direction", choices=("left", "right"), required=True)
-    p.add_argument("--diagram", required=True)
-
-    p = sub.add_parser("yoneda")
-    common(p)
-    p.add_argument("--category", required=True)
-    p.add_argument("--at", required=True)
-
+        for flag, keywords in (*common.items(), *own.items()):
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -651,7 +565,7 @@ def run(argv=None) -> tuple[int, str]:
     started = time.perf_counter()
     try:
         ds = load_documents(args.docs)
-        verdict, details, input_names = HANDLERS[args.command](ds, args)
+        verdict, details, input_names = COMMANDS[args.command][0](ds, args)
         inputs = [{"name": n, "digest": ds.digest(n)} for n in input_names]
     except UsageError as err:
         return 2, f"usage error: {err}\n"

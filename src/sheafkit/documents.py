@@ -69,14 +69,15 @@ def _check_header(doc: dict, where: str) -> None:
         raise SemanticError(f"{where}: missing document name")
 
 
-def _entries(doc: dict, key: str, where: str, required: bool = True) -> list:
-    """The list under ``key``; a missing or non-list field names the document."""
+def _entries(doc: dict, key: str, where: str, required: bool = True, kind: type = list):
+    """The list (or, with ``kind=dict``, the object) under ``key``; a missing
+    or mistyped field names the document."""
     if key not in doc:
         if required:
             raise MalformedDocument(f'{where}: missing field "{key}"')
-        return []
-    if not isinstance(doc[key], list):
-        raise MalformedDocument(f'{where}: "{key}" must be a list')
+        return kind()
+    if not isinstance(doc[key], kind):
+        raise MalformedDocument(f'{where}: "{key}" must be {"a list" if kind is list else "an object"}')
     return doc[key]
 
 
@@ -124,6 +125,16 @@ def _category_tables(doc: dict, where: str):
     _check_labels(identities, f"{where}: identities")
     _check_labels(compose, f"{where}: compose")
     return objects, morphisms, identities, {(g, f): gf for g, f, gf in compose}
+
+
+def _value_table(doc: dict, where: str) -> dict:
+    """The "values" of a presheaf or diagram document: each object to a list of labels."""
+    values = _entries(doc, "values", where, kind=dict)
+    for u, v in values.items():
+        if not isinstance(v, list):
+            raise MalformedDocument(f'{where}: values.{u} must be a list')
+        _check_labels(v, f"{where}: values.{u}")
+    return {u: tuple(v) for u, v in values.items()}
 
 
 @dataclass
@@ -191,10 +202,20 @@ class DocumentSet:
 
     def space(self, name: str) -> FiniteSpace:
         doc = self._doc(name, ("space",))
-        return self._memo(
-            ("space", name),
-            lambda: finite_space(doc["points"], [tuple(o) for o in doc["opens"]]),
-        )
+
+        def build():
+            where = f"{self.origin[name]}: {name}"
+            points = _entries(doc, "points", where)
+            opens = _entries(doc, "opens", where)
+            for i, o in enumerate(opens):
+                if not isinstance(o, list):
+                    raise MalformedDocument(f"{where}: opens[{i}] must be a list of points")
+            opens = [tuple(o) for o in opens]
+            _check_labels(points, f"{where}: points")
+            _check_labels(opens, f"{where}: opens")
+            return finite_space(points, opens)
+
+        return self._memo(("space", name), build)
 
     def site(self, name: str) -> Site:
         doc = self._doc(name, ("space", "topology"))
@@ -222,10 +243,11 @@ class DocumentSet:
         doc = self._doc(name, ("presheaf",))
 
         def build():
+            values = _value_table(doc, f"{self.origin[name]}: {name}")
             base = self.base_category(doc["base"])
             return presheaf(
                 base,
-                {u: tuple(v) for u, v in doc["values"].items()},
+                values,
                 {f: dict(tab) for f, tab in doc.get("restrictions", {}).items()},
             )
 
@@ -262,9 +284,15 @@ class DocumentSet:
         doc = self._doc(name, ("cocycle",))
 
         def build():
+            where = f"{self.origin[name]}: {name}"
+            values = {}
+            for k, entry in enumerate(_entries(doc, "values", where)):
+                if not isinstance(entry, list) or len(entry) != 3:
+                    raise MalformedDocument(f"{where}: values[{k}] must be an [i, j, g] triple")
+                i, j, g = entry
+                values[(int(i), int(j))] = g
             site = self.site(doc["site"])
             G = self.group_sheaf(doc["group"])
-            values = {(int(i), int(j)): g for i, j, g in doc["values"]}
             return cocycle(site, G, doc["target"], tuple(doc["cover"]), values)
 
         return self._memo(("cocycle", name), build)
@@ -299,10 +327,11 @@ class DocumentSet:
         doc = self._doc(name, ("diagram",))
 
         def build():
+            values = _value_table(doc, f"{self.origin[name]}: {name}")
             shape = self.base_category(doc["shape"])
             return diagram(
                 shape,
-                {u: tuple(v) for u, v in doc["values"].items()},
+                values,
                 {f: dict(tab) for f, tab in doc.get("actions", {}).items()},
             )
 

@@ -176,6 +176,19 @@ def colimit(D: Diagram) -> ConeResult:
     """
     shape = D.shape
     nodes = [(j, x) for j in shape.objects for x in D.value[j]]
+    relabel = _least_in_class(nodes, (
+        ((shape.src[f], x), (shape.tgt[f], D.action[f][x]))
+        for f in shape.morphisms
+        for x in D.value[shape.src[f]]
+    ))
+    apex = canon(relabel.values())
+    legs = {j: {x: relabel[(j, x)] for x in D.value[j]} for j in shape.objects}
+    return ConeResult(D, apex, legs)
+
+
+def _least_in_class(nodes, pairs) -> dict:
+    """Each node mapped to the least member, by ``label_key``, of its class
+    under the equivalence that ``pairs`` generate (a union-find)."""
     parent = {n: n for n in nodes}
 
     def find(n):
@@ -184,32 +197,19 @@ def colimit(D: Diagram) -> ConeResult:
             n = parent[n]
         return n
 
-    def union(a, b):
+    for a, b in pairs:
         ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if label_key(rb) < label_key(ra):
-            ra, rb = rb, ra
-        parent[rb] = ra
-
-    for f in shape.morphisms:
-        a, b = shape.src[f], shape.tgt[f]
-        for x in D.value[a]:
-            union((a, x), (b, D.action[f][x]))
-
-    reps = {}
+        if ra != rb:
+            parent[rb] = ra
+    classes = {}
     for n in nodes:
-        r = find(n)
-        reps.setdefault(r, []).append(n)
-    # representative = least member in canonical order
-    relabel = {}
-    for r, members in reps.items():
-        best = min(members, key=label_key)
+        classes.setdefault(find(n), []).append(n)
+    least = {}
+    for members in classes.values():
+        best = min(members, key=label_key)  # once per class, not per node
         for n in members:
-            relabel[n] = best
-    apex = canon(relabel.values())
-    legs = {j: {x: relabel[(j, x)] for x in D.value[j]} for j in shape.objects}
-    return ConeResult(D, apex, legs)
+            least[n] = best
+    return least
 
 
 # -- universal-property certificates ---------------------------------------------
@@ -335,28 +335,7 @@ def coequalizer(f: SetFun, g: SetFun) -> tuple[tuple[Label, ...], SetFun]:
     """Quotient of the codomain by the equivalence generated by f(a) ~ g(a)."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("coequalizer needs a parallel pair")
-    parent = {b: b for b in f.cod}
-
-    def find(b):
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        return b
-
-    for a in f.dom:
-        ra, rb = find(f(a)), find(g(a))
-        if ra != rb:
-            if label_key(rb) < label_key(ra):
-                ra, rb = rb, ra
-            parent[rb] = ra
-    classes = {}
-    for b in f.cod:
-        classes.setdefault(find(b), []).append(b)
-    relabel = {}
-    for members in classes.values():
-        best = min(members, key=label_key)
-        for b in members:
-            relabel[b] = best
+    relabel = _least_in_class(f.cod, ((f(a), g(a)) for a in f.dom))
     q = canon(relabel.values())
     return q, set_fun(f.cod, q, relabel)
 

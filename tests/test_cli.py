@@ -6,8 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sheafkit
-from sheafkit.cli import SUBCOMMANDS, build_parser, run
+from sheafkit.cli import build_parser, run
+
+# the subcommands the README promises, written out apart from the CLI's own table
+SPEC_SUBCOMMANDS = (
+    "validate-category", "validate-topology", "check-sheaf", "glue", "sheafify",
+    "omega", "classify", "heyting", "force", "interpret", "torsor-check",
+    "extract-cocycle", "check-cocycle", "glue-torsor", "cocycle-equiv",
+    "limit", "colimit", "pullback", "equalizer", "coequalizer", "kan", "yoneda",
+)
 
 
 def invoke(*argv):
@@ -29,7 +39,18 @@ def test_every_spec_subcommand_is_registered():
     names = set()
     for action in parser._subparsers._group_actions:
         names |= set(action.choices)
-    assert names == set(SUBCOMMANDS)
+    assert names == set(SPEC_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", SPEC_SUBCOMMANDS)
+def test_every_subcommand_without_arguments_exits_two(command, capsys):
+    if command == "pullback":  # both of its arguments are optional
+        assert invoke(command) == (2, "usage error: pullback needs --diagram or --fixture\n")
+        return
+    with pytest.raises(SystemExit) as exit_:
+        invoke(command)
+    assert exit_.value.code == 2
+    assert "the following arguments are required" in capsys.readouterr().err
 
 
 def test_check_sheaf_failure_exits_one_with_witness():

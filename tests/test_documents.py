@@ -217,3 +217,47 @@ def test_two_element_compose_entry_is_a_semantic_error(tmp_path, capsys):
 def test_list_valued_object_label_is_a_semantic_error(tmp_path, capsys):
     p = malformed_category(tmp_path, lambda doc: doc["objects"].append(["v"]))
     assert_load_error(p, capsys, "objects[1]: a JSON array is not a label")
+
+
+# -- malformed space, presheaf, diagram and cocycle documents exit 2 as well ----
+
+def run_malformed(tmp_path, gallery_name, change, *argv):
+    """Run the CLI on a copy of a gallery document, renamed "mal" and changed."""
+    from sheafkit.cli import run
+
+    doc = json.loads(serialize_document(gallery_documents()[gallery_name]))
+    doc["name"] = "mal"
+    change(doc)
+    p = tmp_path / "mal.json"
+    p.write_text(serialize_document(doc), encoding="utf-8")
+    return p, run([*argv, "--docs", str(p)])
+
+
+def test_presheaf_without_values_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "sier-one", lambda doc: doc.pop("values"),
+        "check-sheaf", "--presheaf", "mal", "--site", "sierpinski",
+    )
+    assert got == (2, f'error: MalformedDocument: {p}: mal: missing field "values"\n')
+
+
+def test_diagram_without_values_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "eq-pair", lambda doc: doc.pop("values"), "equalizer", "--diagram", "mal",
+    )
+    assert got == (2, f'error: MalformedDocument: {p}: mal: missing field "values"\n')
+
+
+def test_nested_list_in_space_opens_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "sierpinski", lambda doc: doc["opens"].append(["b", ["t"]]),
+        "omega", "--site", "mal",
+    )
+    assert got == (2, f"error: MalformedDocument: {p}: mal: opens[3]: a JSON array is not a label\n")
+
+
+def test_two_element_cocycle_value_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "pc-sign", lambda doc: doc["values"][0].pop(), "check-cocycle", "--cocycle", "mal",
+    )
+    assert got == (2, f"error: MalformedDocument: {p}: mal: values[0] must be an [i, j, g] triple\n")
