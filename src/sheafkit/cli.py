@@ -5,11 +5,16 @@ runs one check or construction, and prints a deterministic report:
 human-readable lines by default, canonical JSON with ``--format json``.
 Exit code 0 means the verdict passed, 1 means it failed, 2 means the
 invocation or the documents were unusable.
+
+``run`` builds its parser on its first call and reuses it for every later
+call in the process, so an in-process caller pays only for its own command.
+``build_parser`` still returns a fresh parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -17,7 +22,7 @@ import time
 from . import __version__
 from .classifier import classify_round_trip, heyting_report, omega, omega_open_iso
 from .documents import load_documents
-from .errors import MalformedDocument, UsageError, WorkbenchError
+from .errors import MalformedDocument, UnknownObject, UsageError, WorkbenchError
 from .fincat import enumerate_naturals, yoneda_presheaf
 from .labels import label_key, show_label
 from .limits import (
@@ -286,9 +291,17 @@ def _h_extract_cocycle(ds, args):
     site = ds.site(args.site)
     T = ds.action(args.action)
     cover = tuple(args.cover)
+    for u in cover:
+        if u not in T.space.value:
+            raise UnknownObject(f"no object {u!r}")
     picked = _parse_pairs(args.section, "--section")
     sections = {}
     for key, val in picked.items():
+        if not (key.isdecimal() and int(key) < len(cover)):
+            raise UsageError(
+                f"--section {key}={val}: INDEX must be 0 to {len(cover) - 1},"
+                f" a position in the {len(cover)} --cover entries"
+            )
         sections[int(key)] = _find_label(T.space.value[cover[int(key)]], val)
     c = extract_cocycle(T, site, args.target, LocalSections(cover, sections))
     report = check_cocycle(c)
@@ -558,10 +571,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Reuse keeps calls independent: parse_args makes a fresh namespace, append
+# actions copy their default before appending, and help reads the terminal
+# width when it is printed.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv=None) -> tuple[int, str]:
     """Parse, execute, and render; returns (exit code, report text)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         ds = load_documents(args.docs)

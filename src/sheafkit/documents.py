@@ -69,15 +69,18 @@ def _check_header(doc: dict, where: str) -> None:
         raise SemanticError(f"{where}: missing document name")
 
 
+_JSON_TYPES = {list: "a list", dict: "an object", str: "a string"}
+
+
 def _entries(doc: dict, key: str, where: str, required: bool = True, kind: type = list):
-    """The list (or, with ``kind=dict``, the object) under ``key``; a missing
-    or mistyped field names the document."""
+    """The list (or, with ``kind=dict``, the object; with ``kind=str``, the
+    string) under ``key``; a missing or mistyped field names the document."""
     if key not in doc:
         if required:
             raise MalformedDocument(f'{where}: missing field "{key}"')
         return kind()
     if not isinstance(doc[key], kind):
-        raise MalformedDocument(f'{where}: "{key}" must be {"a list" if kind is list else "an object"}')
+        raise MalformedDocument(f'{where}: "{key}" must be {_JSON_TYPES[kind]}')
     return doc[key]
 
 
@@ -135,6 +138,17 @@ def _value_table(doc: dict, where: str) -> dict:
             raise MalformedDocument(f'{where}: values.{u} must be a list')
         _check_labels(v, f"{where}: values.{u}")
     return {u: tuple(v) for u, v in values.items()}
+
+
+def _arrow_tables(doc: dict, key: str, where: str) -> dict:
+    """The "restrictions" of a presheaf or "actions" of a diagram: each arrow
+    to an object that maps labels to labels."""
+    tables = _entries(doc, key, where, required=False, kind=dict)
+    for f, tab in tables.items():
+        if not isinstance(tab, dict):
+            raise MalformedDocument(f"{where}: {key}.{f} must be an object")
+        _check_labels(tab, f"{where}: {key}.{f}")
+    return {f: dict(tab) for f, tab in tables.items()}
 
 
 @dataclass
@@ -223,10 +237,11 @@ class DocumentSet:
         def build():
             if doc["kind"] == "space":
                 return open_cover_topology(self.space(name))
-            cat = self.category(doc["category"])
-            covers = doc.get("covers", "trivial")
-            if covers == "trivial":
+            where = f"{self.origin[name]}: {name}"
+            cat = self.category(_entries(doc, "category", where, kind=str))
+            if doc.get("covers", "trivial") == "trivial":
                 return presheaf_site(cat)
+            covers = _entries(doc, "covers", where, kind=dict)
             families = {u: [tuple(fam) for fam in fams] for u, fams in covers.items()}
             return Site(cat, saturate_topology(cat, families))
 
@@ -243,13 +258,10 @@ class DocumentSet:
         doc = self._doc(name, ("presheaf",))
 
         def build():
-            values = _value_table(doc, f"{self.origin[name]}: {name}")
-            base = self.base_category(doc["base"])
-            return presheaf(
-                base,
-                values,
-                {f: dict(tab) for f, tab in doc.get("restrictions", {}).items()},
-            )
+            where = f"{self.origin[name]}: {name}"
+            values = _value_table(doc, where)
+            base = self.base_category(_entries(doc, "base", where, kind=str))
+            return presheaf(base, values, _arrow_tables(doc, "restrictions", where))
 
         return self._memo(("presheaf", name), build)
 
@@ -257,10 +269,11 @@ class DocumentSet:
         doc = self._doc(name, ("group-sheaf",))
 
         def build():
-            G = self.presheaf(doc["presheaf"])
+            where = f"{self.origin[name]}: {name}"
+            G = self.presheaf(_entries(doc, "presheaf", where, kind=str))
             mult = {
                 u: {(a, b): ab for a, b, ab in triples}
-                for u, triples in doc["mult"].items()
+                for u, triples in _entries(doc, "mult", where, kind=dict).items()
             }
             return group_sheaf(G, mult, doc.get("unit"), None)
 
@@ -270,11 +283,12 @@ class DocumentSet:
         doc = self._doc(name, ("action",))
 
         def build():
-            P = self.presheaf(doc["space-presheaf"])
-            G = self.group_sheaf(doc["group"])
+            where = f"{self.origin[name]}: {name}"
+            P = self.presheaf(_entries(doc, "space-presheaf", where, kind=str))
+            G = self.group_sheaf(_entries(doc, "group", where, kind=str))
             action = {
                 u: {(p, g): pg for p, g, pg in triples}
-                for u, triples in doc["action"].items()
+                for u, triples in _entries(doc, "action", where, kind=dict).items()
             }
             return torsor_candidate(P, G, action)
 
@@ -290,10 +304,15 @@ class DocumentSet:
                 if not isinstance(entry, list) or len(entry) != 3:
                     raise MalformedDocument(f"{where}: values[{k}] must be an [i, j, g] triple")
                 i, j, g = entry
-                values[(int(i), int(j))] = g
-            site = self.site(doc["site"])
-            G = self.group_sheaf(doc["group"])
-            return cocycle(site, G, doc["target"], tuple(doc["cover"]), values)
+                if not all(type(x) is int for x in (i, j)):
+                    raise MalformedDocument(f"{where}: values[{k}] must have integer indices, got {i!r}, {j!r}")
+                values[(i, j)] = g
+            cover = _entries(doc, "cover", where)
+            _check_labels(cover, f"{where}: cover")
+            site = self.site(_entries(doc, "site", where, kind=str))
+            G = self.group_sheaf(_entries(doc, "group", where, kind=str))
+            target = _entries(doc, "target", where, kind=str)
+            return cocycle(site, G, target, tuple(cover), values)
 
         return self._memo(("cocycle", name), build)
 
@@ -301,10 +320,14 @@ class DocumentSet:
         doc = self._doc(name, ("formula",))
 
         def build():
-            site = self.site(doc["site"])
-            sorts = {alias: self.presheaf(ref) for alias, ref in doc.get("sorts", {}).items()}
+            where = f"{self.origin[name]}: {name}"
+            site = self.site(_entries(doc, "site", where, kind=str))
+            sorts = {
+                alias: self.presheaf(ref)
+                for alias, ref in _entries(doc, "sorts", where, required=False, kind=dict).items()
+            }
             predicates = {}
-            for pname, spec in doc.get("predicates", {}).items():
+            for pname, spec in _entries(doc, "predicates", where, required=False, kind=dict).items():
                 sort_name = spec["sort"]
                 if sort_name not in sorts:
                     raise UnresolvedReference(
@@ -314,8 +337,8 @@ class DocumentSet:
                 parts = {u: frozenset(v) for u, v in spec.get("parts", {}).items()}
                 predicates[pname] = (sort_name, subobject(amb, parts))
             model = logic_model(site, sorts, predicates)
-            phi = parse_formula(doc["text"])
-            context = tuple((v, s) for v, s in doc.get("context", []))
+            phi = parse_formula(_entries(doc, "text", where, kind=str))
+            context = tuple((v, s) for v, s in _entries(doc, "context", where, required=False))
             from .logic import check_sorting
 
             check_sorting(model, phi, context)
@@ -327,13 +350,10 @@ class DocumentSet:
         doc = self._doc(name, ("diagram",))
 
         def build():
-            values = _value_table(doc, f"{self.origin[name]}: {name}")
-            shape = self.base_category(doc["shape"])
-            return diagram(
-                shape,
-                values,
-                {f: dict(tab) for f, tab in doc.get("actions", {}).items()},
-            )
+            where = f"{self.origin[name]}: {name}"
+            values = _value_table(doc, where)
+            shape = self.base_category(_entries(doc, "shape", where, kind=str))
+            return diagram(shape, values, _arrow_tables(doc, "actions", where))
 
         return self._memo(("diagram", name), build)
 

@@ -24,7 +24,7 @@ from .classifier import (
     top_sub,
 )
 from .config import DEFAULT_FORMULA_DEPTH
-from .errors import IllSorted, IntractableSize, ParseError, UnknownSubobject
+from .errors import IllSorted, IntractableSize, ParseError, UnknownObject, UnknownSubobject
 from .fincat import Presheaf, presheaf
 from .labels import Label
 from .site import Site
@@ -401,6 +401,8 @@ class Evaluator:
 def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context) -> bool:
     """U forces phi in the given environment."""
     check_sorting(model, phi, context)
+    if u not in model.site.category.object_set:
+        raise UnknownObject(f"no object {u!r}")
     env = dict(env)
     names = {v for v, _ in context}
     if set(env) != names:

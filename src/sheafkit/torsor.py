@@ -282,11 +282,13 @@ def cocycle(site: Site, G: GroupSheaf, target: Label, cover, values) -> Cocycle:
     def ov(i: int, j: int) -> Label:
         return _overlap(site, cover[i], cover[j])
 
+    n = len(cover)
     vals: dict[tuple[int, int], Label] = {}
     for key, g in dict(values).items():
-        i, j = key
-        vals[(int(i), int(j))] = g
-    n = len(cover)
+        i, j = map(int, key)
+        if not (0 <= i < n and 0 <= j < n):
+            raise DanglingReference(f"cocycle value ({i}, {j}) names no pair of the {n} cover members")
+        vals[(i, j)] = g
     for i in range(n):
         vals.setdefault((i, i), G.unit[ov(i, i)])
     for i in range(n):
@@ -355,7 +357,7 @@ def extract_cocycle(T: TorsorCandidate, site: Site, target: Label, L: LocalSecti
     C = site.category
     P, G = T.space, T.group
     for i, u in enumerate(L.cover):
-        if L.sections[i] not in P.value[u]:
+        if L.sections.get(i) not in P.value[u]:
             raise DanglingReference(f"chosen section over {u!r} does not exist")
     values: dict[tuple[int, int], Label] = {}
     n = len(L.cover)

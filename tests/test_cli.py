@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import sheafkit
+from sheafkit import cli
 from sheafkit.cli import build_parser, run
+from sheafkit.documents import gallery_documents, serialize_document
 
 # the subcommands the README promises, written out apart from the CLI's own table
 SPEC_SUBCOMMANDS = (
@@ -24,12 +26,13 @@ def invoke(*argv):
     return run(list(argv))
 
 
+SOURCE_ENV = dict(os.environ, PYTHONPATH=str(Path(sheafkit.__file__).resolve().parents[1]))
+
+
 def test_python_dash_m_runs_the_cli_from_the_source_tree():
-    src = str(Path(sheafkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     argv = ["yoneda", "--category", "arrow", "--at", "1"]
     done = subprocess.run(
-        [sys.executable, "-m", "sheafkit", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "sheafkit", *argv], env=SOURCE_ENV, capture_output=True, text=True
     )
     assert (done.returncode, done.stdout) == run(argv)
 
@@ -187,3 +190,96 @@ def test_timing_flag_adds_the_only_nondeterministic_field():
     assert "timing_ms" in json.loads(text)
     code, text = invoke("omega", "--site", "sierpinski", "--format", "json")
     assert "timing_ms" not in json.loads(text)
+
+
+EXTRACT = (
+    "extract-cocycle", "--site", "pseudocircle", "--action", "pc-action",
+    "--target", "{a,b,x,y}", "--cover", "{a,b,x}", "--cover", "{a,b,y}",
+)
+
+
+@pytest.mark.parametrize("entry", ["x=0", "5=0"])
+def test_extract_cocycle_section_index_outside_the_cover_is_a_usage_error(entry):
+    assert invoke(*EXTRACT, "--section", entry) == (
+        2, f"usage error: --section {entry}: INDEX must be 0 to 1, a position in the 2 --cover entries\n"
+    )
+
+
+def test_extract_cocycle_with_an_unknown_cover_member_exits_two():
+    argv = [*EXTRACT, "--section", "0=((0),(0,1))"]
+    argv[argv.index("{a,b,y}")] = "nowhere"
+    assert invoke(*argv) == (2, "error: UnknownObject: no object 'nowhere'\n")
+
+
+def test_extract_cocycle_without_a_section_for_every_member_exits_two():
+    assert invoke(*EXTRACT, "--section", "0=((0),(0,1))") == (
+        2, "error: DanglingReference: chosen section over '{a,b,y}' does not exist\n"
+    )
+
+
+def test_force_at_an_unknown_object_exits_two():
+    assert invoke("force", "--formula", "pc-exists-section", "--at", "nowhere") == (
+        2, "error: UnknownObject: no object 'nowhere'\n"
+    )
+
+
+# -- run reuses one parser per process; its calls stay independent ------------------
+
+def test_twenty_runs_build_the_parser_at_most_once(monkeypatch):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for _ in range(10):
+        assert invoke("pullback", "--fixture", "c2")[0] == 0
+        assert invoke("yoneda", "--category", "arrow", "--at", "1")[0] == 0
+    assert len(builds) <= 1
+
+
+def test_a_shadowing_docs_run_does_not_leak_into_a_later_run(tmp_path):
+    argv = ("check-sheaf", "--presheaf", "const2", "--site", "discrete2")
+    gallery_report = invoke(*argv)
+    user = dict(gallery_documents()["const2-full"], name="const2")
+    path = tmp_path / "const2.json"
+    path.write_text(serialize_document(user), encoding="utf-8")
+    assert invoke(*argv, "--docs", str(path)) != gallery_report
+    assert invoke(*argv) == gallery_report
+
+
+def test_a_force_env_does_not_leak_into_a_later_force():
+    assert invoke("force", "--formula", "sier-em", "--at", "{b,t}", "--env", "x=*")[0] == 1
+    code, text = invoke("force", "--formula", "pc-exists-section", "--at", "{a,b,x,y}")
+    assert code == 0 and "details.forced: True" in text
+
+
+def test_a_run_after_an_argparse_exit_is_normal(capsys):
+    argv = ("kan", "--direction", "left", "--diagram", "c2-span")
+    before = invoke(*argv)
+    with pytest.raises(SystemExit) as exit_:
+        invoke("kan", "--direction", "up", "--diagram", "c2-span")
+    assert exit_.value.code == 2
+    assert "invalid choice: 'up'" in capsys.readouterr().err
+    assert invoke(*argv) == before
+
+
+def test_help_follows_the_terminal_width_at_call_time(monkeypatch, capsys):
+    helps = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            invoke("--help")
+        helps.append(capsys.readouterr().out)
+        assert helps[-1] == build_parser().format_help()
+    assert helps[0] != helps[1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sheafkit.cli as c; print(c._parser.cache_info().currsize)"],
+        env=SOURCE_ENV, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (0, "0\n")

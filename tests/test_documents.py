@@ -261,3 +261,72 @@ def test_two_element_cocycle_value_is_a_semantic_error(tmp_path):
         tmp_path, "pc-sign", lambda doc: doc["values"][0].pop(), "check-cocycle", "--cocycle", "mal",
     )
     assert got == (2, f"error: MalformedDocument: {p}: mal: values[0] must be an [i, j, g] triple\n")
+
+
+def test_presheaf_with_a_list_of_restrictions_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "sier-one", lambda doc: doc.update(restrictions=[]),
+        "check-sheaf", "--presheaf", "mal", "--site", "sierpinski",
+    )
+    assert got == (2, f'error: MalformedDocument: {p}: mal: "restrictions" must be an object\n')
+
+
+def test_diagram_with_a_list_of_actions_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "eq-pair", lambda doc: doc.update(actions=[]), "equalizer", "--diagram", "mal",
+    )
+    assert got == (2, f'error: MalformedDocument: {p}: mal: "actions" must be an object\n')
+
+
+def test_cocycle_without_cover_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "pc-sign", lambda doc: doc.pop("cover"), "check-cocycle", "--cocycle", "mal",
+    )
+    assert got == (2, f'error: MalformedDocument: {p}: mal: missing field "cover"\n')
+
+
+def test_cocycle_value_with_a_non_integer_index_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "pc-sign", lambda doc: doc["values"][1].__setitem__(0, "x"),
+        "check-cocycle", "--cocycle", "mal",
+    )
+    assert got == (2, f"error: MalformedDocument: {p}: mal: values[1] must have integer indices, got 'x', 1\n")
+
+
+def test_cocycle_value_outside_the_cover_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "pc-sign", lambda doc: doc["values"][1].__setitem__(0, 7),
+        "check-cocycle", "--cocycle", "mal",
+    )
+    assert got == (2, f"error: SemanticError: {p}: mal: cocycle value (7, 1) names no pair of the 2 cover members\n")
+
+
+def test_action_without_action_table_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "pc-action", lambda doc: doc.pop("action"),
+        "torsor-check", "--site", "pseudocircle", "--action", "mal",
+    )
+    assert got == (2, f'error: MalformedDocument: {p}: mal: missing field "action"\n')
+
+
+def test_formula_without_text_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "sier-em", lambda doc: doc.pop("text"),
+        "force", "--formula", "mal", "--at", "{b,t}", "--env", "x=*",
+    )
+    assert got == (2, f'error: MalformedDocument: {p}: mal: missing field "text"\n')
+
+
+@pytest.mark.parametrize("gallery_name, field, argv", [
+    ("sier-one", "base", ("check-sheaf", "--presheaf", "mal", "--site", "sierpinski")),
+    ("eq-pair", "shape", ("equalizer", "--diagram", "mal")),
+    ("arrow-trivial", "category", ("validate-topology", "--site", "mal")),
+    ("pc-action", "space-presheaf", ("torsor-check", "--site", "pseudocircle", "--action", "mal")),
+    ("pc-action", "group", ("torsor-check", "--site", "pseudocircle", "--action", "mal")),
+    ("pc-sign", "site", ("check-cocycle", "--cocycle", "mal")),
+    ("pc-sign", "target", ("check-cocycle", "--cocycle", "mal")),
+    ("sier-em", "site", ("force", "--formula", "mal", "--at", "{b,t}", "--env", "x=*")),
+])
+def test_document_without_a_named_reference_is_a_semantic_error(tmp_path, gallery_name, field, argv):
+    p, got = run_malformed(tmp_path, gallery_name, lambda doc: doc.pop(field), *argv)
+    assert got == (2, f'error: MalformedDocument: {p}: mal: missing field "{field}"\n')
