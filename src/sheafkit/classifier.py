@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .config import enumeration_bound
 from .errors import (
+    BaseMismatch,
     DanglingReference,
     IntractableSize,
     NotClosedSubobject,
@@ -148,6 +149,8 @@ def enumerate_subobjects(
     J: GrothendieckTopology, F: Presheaf, bound: int | None = None
 ) -> tuple[Subobject, ...]:
     """All J-closed restriction-stable subobjects, canonically ordered."""
+    if not F.base.same(J.category):
+        raise BaseMismatch("presheaf and topology live over different categories")
     base = F.base
     limit_ = enumeration_bound(bound)
     count = 1
@@ -190,7 +193,8 @@ def enumerate_subobjects(
     rec(0)
     subs = [Subobject(F, parts) for parts in found]
     subs = [A for A in subs if is_closed(J, A)]
-    return tuple(sorted(subs, key=Subobject.key))
+    rank = F.section_rank()  # in label order, part by part
+    return tuple(sorted(subs, key=lambda A: [sorted(rank[u][x] for x in A.parts[u]) for u in objs]))
 
 
 # -- Omega ------------------------------------------------------------------------

@@ -5,6 +5,10 @@ Documents are UTF-8 JSON files, one document per file, carrying a
 ``"name"``.  References between documents are by name.  Serialization is
 canonical (sorted keys, two-space indent, trailing newline), so loading
 and re-serializing a document set is byte-idempotent.
+
+``SCHEMA`` declares the fields of each kind once; a document is checked
+against it before its first build, by one walker that names the first bad
+value by a JSON path such as ``action.{a,b,x}[0]``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .errors import (
@@ -23,7 +28,7 @@ from .errors import (
 )
 from .fincat import FinCategory, Presheaf, presheaf, validate_category
 from .limits import Diagram, diagram
-from .logic import Formula, LogicModel, logic_model, parse_formula
+from .logic import Formula, LogicModel, check_sorting, logic_model, parse_formula
 from .classifier import subobject
 from .site import (
     FiniteSpace,
@@ -34,18 +39,6 @@ from .site import (
     saturate_topology,
 )
 from .torsor import Cocycle, GroupSheaf, TorsorCandidate, cocycle, group_sheaf, torsor_candidate
-
-KINDS = (
-    "category",
-    "space",
-    "topology",
-    "presheaf",
-    "group-sheaf",
-    "action",
-    "cocycle",
-    "formula",
-    "diagram",
-)
 
 SCHEMA_VERSION = 1
 
@@ -69,86 +62,179 @@ def _check_header(doc: dict, where: str) -> None:
         raise SemanticError(f"{where}: missing document name")
 
 
-_JSON_TYPES = {list: "a list", dict: "an object", str: "a string"}
+# -- the document schema ------------------------------------------------------
+# A path names a value in a document: the document's place ("file: name"),
+# the top-level field, then object keys and list indices.  Each shape checks
+# many values in bulk with ``fits`` (labels hashed in C, entry lengths in one
+# pass) and one value with ``walk``, which raises at the first violation; a
+# container walks its items one by one only to name the first bad one.
+
+def _at(path) -> str:
+    return path[1] + "".join(f"[{s}]" if type(s) is int else f".{s}" for s in path[2:])
 
 
-def _entries(doc: dict, key: str, where: str, required: bool = True, kind: type = list):
-    """The list (or, with ``kind=dict``, the object; with ``kind=str``, the
-    string) under ``key``; a missing or mistyped field names the document."""
-    if key not in doc:
-        if required:
-            raise MalformedDocument(f'{where}: missing field "{key}"')
-        return kind()
-    if not isinstance(doc[key], kind):
-        raise MalformedDocument(f'{where}: "{key}" must be {_JSON_TYPES[kind]}')
-    return doc[key]
+def _all_are(kind: type, values) -> bool:
+    return set(map(type, values)) <= {kind}
 
 
-def _check_labels(entries, where: str) -> None:
-    """Every label in a list or dict of entries must hash; JSON arrays and
-    objects do not, and cannot name anything.
-
-    The entries are hashed in one pass; only when that fails are they
-    searched, to name the first bad one.
-    """
-    is_map = isinstance(entries, dict)
-    try:
-        frozenset(entries.values() if is_map else entries)
-    except TypeError:
-        for key, entry in entries.items() if is_map else enumerate(entries):
-            for label in entry if isinstance(entry, tuple) else (entry,):
-                if isinstance(label, (list, dict)):
-                    kind = "array" if isinstance(label, list) else "object"
-                    at = f"{where}.{key}" if is_map else f"{where}[{key}]"
-                    raise MalformedDocument(f"{at}: a JSON {kind} is not a label") from None
-        raise
+def _must(path, what: str) -> MalformedDocument:
+    at = f'"{path[1]}"' if len(path) == 2 else _at(path)
+    return MalformedDocument(f"{path[0]}: {at} must be {what}")
 
 
-def _category_tables(doc: dict, where: str):
-    """Field and type checks for a category document, ahead of the axioms."""
-    objects = _entries(doc, "objects", where)
-    rows = _entries(doc, "morphisms", where)
-    for i, m in enumerate(rows):
-        if not isinstance(m, dict):
-            raise MalformedDocument(f'{where}: morphisms[{i}] must be an object with "name", "src" and "tgt"')
-        for key in ("name", "src", "tgt"):
-            if key not in m:
-                raise MalformedDocument(f'{where}: morphisms[{i}] has no "{key}"')
-    identities = doc.get("identities")
-    if not isinstance(identities, dict):
-        raise MalformedDocument(f'{where}: "identities" must map each object to its identity morphism')
-    triples = _entries(doc, "compose", where, required=False)
-    for i, entry in enumerate(triples):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise MalformedDocument(f"{where}: compose[{i}] must be a [g, f, g∘f] triple")
-    morphisms = [(m["name"], m["src"], m["tgt"]) for m in rows]
-    compose = [tuple(entry) for entry in triples]
-    _check_labels(objects, f"{where}: objects")
-    _check_labels(morphisms, f"{where}: morphisms")
-    _check_labels(identities, f"{where}: identities")
-    _check_labels(compose, f"{where}: compose")
-    return objects, morphisms, identities, {(g, f): gf for g, f, gf in compose}
+class _Label:
+    """Any JSON value but an array or an object, which do not hash."""
+
+    def fits(self, values) -> bool:
+        try:
+            hash(tuple(values))
+        except TypeError:
+            return False
+        return True
+
+    def walk(self, value, path) -> None:
+        if isinstance(value, (list, dict)):
+            kind = "array" if isinstance(value, list) else "object"
+            raise MalformedDocument(f"{path[0]}: {_at(path)}: a JSON {kind} is not a label")
 
 
-def _value_table(doc: dict, where: str) -> dict:
-    """The "values" of a presheaf or diagram document: each object to a list of labels."""
-    values = _entries(doc, "values", where, kind=dict)
-    for u, v in values.items():
-        if not isinstance(v, list):
-            raise MalformedDocument(f'{where}: values.{u} must be a list')
-        _check_labels(v, f"{where}: values.{u}")
-    return {u: tuple(v) for u, v in values.items()}
+class _String:
+    """A name reference, a formula text or a cover target."""
+
+    def fits(self, values) -> bool:
+        return _all_are(str, values)
+
+    def walk(self, value, path) -> None:
+        if type(value) is not str:
+            raise _must(path, "a string")
 
 
-def _arrow_tables(doc: dict, key: str, where: str) -> dict:
-    """The "restrictions" of a presheaf or "actions" of a diagram: each arrow
-    to an object that maps labels to labels."""
-    tables = _entries(doc, key, where, required=False, kind=dict)
-    for f, tab in tables.items():
-        if not isinstance(tab, dict):
-            raise MalformedDocument(f"{where}: {key}.{f} must be an object")
-        _check_labels(tab, f"{where}: {key}.{f}")
-    return {f: dict(tab) for f, tab in tables.items()}
+LABEL, STRING = _Label(), _String()
+
+
+class _Entry:
+    """A list of ``n`` labels, or of any number when ``n`` is None, described as ``what``."""
+
+    def __init__(self, n: int | None, what: str):
+        self.n, self.what = n, what
+
+    def fits(self, values) -> bool:
+        if not _all_are(list, values) or self.n is not None and not set(map(len, values)) <= {self.n}:
+            return False
+        return LABEL.fits(chain.from_iterable(values))
+
+    def walk(self, value, path) -> None:
+        if type(value) is not list or self.n not in (None, len(value)):
+            raise _must(path, self.what)
+        for x in value:
+            LABEL.walk(x, path)
+
+
+class _ListOf:
+    """A list whose items all have one shape."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def fits(self, values) -> bool:
+        return _all_are(list, values) and self.item.fits(list(chain.from_iterable(values)))
+
+    def walk(self, value, path) -> None:
+        if type(value) is not list:
+            raise _must(path, "a list")
+        if not self.item.fits(value):
+            for i, x in enumerate(value):
+                self.item.walk(x, (*path, i))
+
+
+class _MapOf:
+    """An object whose values all have one shape."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def fits(self, values) -> bool:
+        return _all_are(dict, values) and self.item.fits(list(chain.from_iterable(map(dict.values, values))))
+
+    def walk(self, value, path) -> None:
+        if type(value) is not dict:
+            raise _must(path, "an object")
+        if not self.item.fits(value.values()):
+            for k, x in value.items():
+                self.item.walk(x, (*path, k))
+
+
+class _Record:
+    """An object with named fields: each a shape, or ``(shape, default)`` when optional.
+    A field that is absent or equal to its default is not walked."""
+
+    def __init__(self, fields: dict):
+        self.fields = {k: f if type(f) is tuple else (f, ...) for k, f in fields.items()}  # ...: required
+        self.defaults = {k: d for k, (_, d) in self.fields.items() if d is not ...}
+        self.required = self.fields.keys() - self.defaults.keys()
+
+    def fits(self, values) -> bool:
+        return _all_are(dict, values) and all(self.required <= v.keys() for v in values) and all(
+            shape.fits([v[k] for v in values if v.get(k, default) != default])
+            for k, (shape, default) in self.fields.items()
+        )
+
+    def walk(self, value, path) -> None:
+        if type(value) is not dict:
+            raise _must(path, "an object")
+        for key, (shape, default) in self.fields.items():
+            if key in value:
+                if value[key] != default:
+                    shape.walk(value[key], (*path, key))
+            elif default is ...:
+                missing = "missing field" if len(path) == 1 else f"{_at(path)} has no"
+                raise MalformedDocument(f'{path[0]}: {missing} "{key}"')
+
+
+_LABELS = _ListOf(LABEL)
+_ARROW_TABLES = (_MapOf(_MapOf(LABEL)), {})  # each arrow to its map of labels to labels
+
+SCHEMA = {
+    "category": _Record({
+        "objects": _LABELS,
+        "morphisms": _ListOf(_Record({"name": LABEL, "src": LABEL, "tgt": LABEL})),
+        "identities": _MapOf(LABEL),
+        "compose": (_ListOf(_Entry(3, "a [g, f, g∘f] triple")), []),
+    }),
+    "space": _Record({"points": _LABELS, "opens": _ListOf(_Entry(None, "a list of points"))}),
+    "topology": _Record({
+        "category": STRING,
+        "covers": (_MapOf(_ListOf(_Entry(None, "a list of arrows"))), "trivial"),
+    }),
+    "presheaf": _Record({"base": STRING, "values": _MapOf(_LABELS), "restrictions": _ARROW_TABLES}),
+    "group-sheaf": _Record({
+        "presheaf": STRING,
+        "mult": _MapOf(_ListOf(_Entry(3, "a [g, h, gh] triple"))),
+        "unit": (_MapOf(LABEL), None),
+    }),
+    "action": _Record({
+        "space-presheaf": STRING,
+        "group": STRING,
+        "action": _MapOf(_ListOf(_Entry(3, "a [p, g, pg] triple"))),
+    }),
+    "cocycle": _Record({
+        "site": STRING,
+        "group": STRING,
+        "target": STRING,
+        "cover": _LABELS,
+        "values": _ListOf(_Entry(3, "an [i, j, g] triple")),
+    }),
+    "formula": _Record({
+        "site": STRING,
+        "text": STRING,
+        "sorts": (_MapOf(STRING), {}),
+        "predicates": (_MapOf(_Record({"sort": STRING, "parts": (_MapOf(_LABELS), {})})), {}),
+        "context": (_ListOf(_Entry(2, "a [variable, sort] pair")), []),
+    }),
+    "diagram": _Record({"shape": STRING, "values": _MapOf(_LABELS), "actions": _ARROW_TABLES}),
+}
+
+KINDS = tuple(SCHEMA)
 
 
 @dataclass
@@ -196,56 +282,42 @@ class DocumentSet:
 
     # -- builders ------------------------------------------------------------
 
-    def _memo(self, key, build):
-        if key not in self._built:
+    def _memo(self, kinds: tuple[str, ...], name: str, build):
+        """Check the named document against SCHEMA, then build it once, defaults filled in."""
+        doc = self._doc(name, kinds)
+        if (kinds, name) not in self._built:
+            where = f"{self.origin[name]}: {name}"
+            schema = SCHEMA[doc["kind"]]
+            schema.walk(doc, (where,))
             try:
-                self._built[key] = build()
+                self._built[kinds, name] = build({**schema.defaults, **doc})
             except (UnresolvedReference, SemanticError):
                 raise
             except WorkbenchError as err:
-                raise SemanticError(f"{self.origin.get(key[1], '?')}: {key[1]}: {err}") from err
-        return self._built[key]
+                raise SemanticError(f"{where}: {err}") from err
+        return self._built[kinds, name]
 
     def category(self, name: str) -> FinCategory:
-        doc = self._doc(name, ("category",))
+        def build(doc):
+            morphisms = [(m["name"], m["src"], m["tgt"]) for m in doc["morphisms"]]
+            compose = {(g, f): gf for g, f, gf in doc["compose"]}
+            return validate_category(doc["objects"], morphisms, doc["identities"], compose)
 
-        def build():
-            return validate_category(*_category_tables(doc, f"{self.origin[name]}: {name}"))
-
-        return self._memo(("category", name), build)
+        return self._memo(("category",), name, build)
 
     def space(self, name: str) -> FiniteSpace:
-        doc = self._doc(name, ("space",))
-
-        def build():
-            where = f"{self.origin[name]}: {name}"
-            points = _entries(doc, "points", where)
-            opens = _entries(doc, "opens", where)
-            for i, o in enumerate(opens):
-                if not isinstance(o, list):
-                    raise MalformedDocument(f"{where}: opens[{i}] must be a list of points")
-            opens = [tuple(o) for o in opens]
-            _check_labels(points, f"{where}: points")
-            _check_labels(opens, f"{where}: opens")
-            return finite_space(points, opens)
-
-        return self._memo(("space", name), build)
+        return self._memo(("space",), name, lambda doc: finite_space(doc["points"], doc["opens"]))
 
     def site(self, name: str) -> Site:
-        doc = self._doc(name, ("space", "topology"))
-
-        def build():
+        def build(doc):
             if doc["kind"] == "space":
                 return open_cover_topology(self.space(name))
-            where = f"{self.origin[name]}: {name}"
-            cat = self.category(_entries(doc, "category", where, kind=str))
-            if doc.get("covers", "trivial") == "trivial":
+            cat = self.category(doc["category"])
+            if doc["covers"] == "trivial":
                 return presheaf_site(cat)
-            covers = _entries(doc, "covers", where, kind=dict)
-            families = {u: [tuple(fam) for fam in fams] for u, fams in covers.items()}
-            return Site(cat, saturate_topology(cat, families))
+            return Site(cat, saturate_topology(cat, doc["covers"]))
 
-        return self._memo(("site", name), build)
+        return self._memo(("space", "topology"), name, build)
 
     def base_category(self, name: str) -> FinCategory:
         """The category behind a base reference: a category, space, or topology doc."""
@@ -255,107 +327,64 @@ class DocumentSet:
         return self.site(name).category
 
     def presheaf(self, name: str) -> Presheaf:
-        doc = self._doc(name, ("presheaf",))
+        def build(doc):
+            return presheaf(self.base_category(doc["base"]), doc["values"], doc["restrictions"])
 
-        def build():
-            where = f"{self.origin[name]}: {name}"
-            values = _value_table(doc, where)
-            base = self.base_category(_entries(doc, "base", where, kind=str))
-            return presheaf(base, values, _arrow_tables(doc, "restrictions", where))
-
-        return self._memo(("presheaf", name), build)
+        return self._memo(("presheaf",), name, build)
 
     def group_sheaf(self, name: str) -> GroupSheaf:
-        doc = self._doc(name, ("group-sheaf",))
+        def build(doc):
+            mult = {u: {(a, b): ab for a, b, ab in triples} for u, triples in doc["mult"].items()}
+            return group_sheaf(self.presheaf(doc["presheaf"]), mult, doc["unit"], None)
 
-        def build():
-            where = f"{self.origin[name]}: {name}"
-            G = self.presheaf(_entries(doc, "presheaf", where, kind=str))
-            mult = {
-                u: {(a, b): ab for a, b, ab in triples}
-                for u, triples in _entries(doc, "mult", where, kind=dict).items()
-            }
-            return group_sheaf(G, mult, doc.get("unit"), None)
-
-        return self._memo(("group-sheaf", name), build)
+        return self._memo(("group-sheaf",), name, build)
 
     def action(self, name: str) -> TorsorCandidate:
-        doc = self._doc(name, ("action",))
-
-        def build():
-            where = f"{self.origin[name]}: {name}"
-            P = self.presheaf(_entries(doc, "space-presheaf", where, kind=str))
-            G = self.group_sheaf(_entries(doc, "group", where, kind=str))
-            action = {
-                u: {(p, g): pg for p, g, pg in triples}
-                for u, triples in _entries(doc, "action", where, kind=dict).items()
-            }
+        def build(doc):
+            P = self.presheaf(doc["space-presheaf"])
+            G = self.group_sheaf(doc["group"])
+            action = {u: {(p, g): pg for p, g, pg in triples} for u, triples in doc["action"].items()}
             return torsor_candidate(P, G, action)
 
-        return self._memo(("action", name), build)
+        return self._memo(("action",), name, build)
 
     def cocycle(self, name: str) -> Cocycle:
-        doc = self._doc(name, ("cocycle",))
+        def build(doc):
+            for k, (i, j, _) in enumerate(doc["values"]):
+                if type(i) is not int or type(j) is not int:
+                    raise MalformedDocument(
+                        f"{self.origin[name]}: {name}: values[{k}] must have integer indices, got {i!r}, {j!r}"
+                    )
+            values = {(i, j): g for i, j, g in doc["values"]}
+            site, G = self.site(doc["site"]), self.group_sheaf(doc["group"])
+            return cocycle(site, G, doc["target"], tuple(doc["cover"]), values)
 
-        def build():
-            where = f"{self.origin[name]}: {name}"
-            values = {}
-            for k, entry in enumerate(_entries(doc, "values", where)):
-                if not isinstance(entry, list) or len(entry) != 3:
-                    raise MalformedDocument(f"{where}: values[{k}] must be an [i, j, g] triple")
-                i, j, g = entry
-                if not all(type(x) is int for x in (i, j)):
-                    raise MalformedDocument(f"{where}: values[{k}] must have integer indices, got {i!r}, {j!r}")
-                values[(i, j)] = g
-            cover = _entries(doc, "cover", where)
-            _check_labels(cover, f"{where}: cover")
-            site = self.site(_entries(doc, "site", where, kind=str))
-            G = self.group_sheaf(_entries(doc, "group", where, kind=str))
-            target = _entries(doc, "target", where, kind=str)
-            return cocycle(site, G, target, tuple(cover), values)
-
-        return self._memo(("cocycle", name), build)
+        return self._memo(("cocycle",), name, build)
 
     def formula(self, name: str) -> FormulaDocument:
-        doc = self._doc(name, ("formula",))
-
-        def build():
-            where = f"{self.origin[name]}: {name}"
-            site = self.site(_entries(doc, "site", where, kind=str))
-            sorts = {
-                alias: self.presheaf(ref)
-                for alias, ref in _entries(doc, "sorts", where, required=False, kind=dict).items()
-            }
+        def build(doc):
+            site = self.site(doc["site"])
+            sorts = {alias: self.presheaf(ref) for alias, ref in doc["sorts"].items()}
             predicates = {}
-            for pname, spec in _entries(doc, "predicates", where, required=False, kind=dict).items():
+            for pname, spec in doc["predicates"].items():
                 sort_name = spec["sort"]
                 if sort_name not in sorts:
-                    raise UnresolvedReference(
-                        f"predicate {pname!r} names unknown sort {sort_name!r}"
-                    )
-                amb = sorts[sort_name]
+                    raise UnresolvedReference(f"predicate {pname!r} names unknown sort {sort_name!r}")
                 parts = {u: frozenset(v) for u, v in spec.get("parts", {}).items()}
-                predicates[pname] = (sort_name, subobject(amb, parts))
+                predicates[pname] = (sort_name, subobject(sorts[sort_name], parts))
             model = logic_model(site, sorts, predicates)
-            phi = parse_formula(_entries(doc, "text", where, kind=str))
-            context = tuple((v, s) for v, s in _entries(doc, "context", where, required=False))
-            from .logic import check_sorting
-
+            phi = parse_formula(doc["text"])
+            context = tuple((v, s) for v, s in doc["context"])
             check_sorting(model, phi, context)
             return FormulaDocument(model, phi, context)
 
-        return self._memo(("formula", name), build)
+        return self._memo(("formula",), name, build)
 
     def diagram(self, name: str) -> Diagram:
-        doc = self._doc(name, ("diagram",))
+        def build(doc):
+            return diagram(self.base_category(doc["shape"]), doc["values"], doc["actions"])
 
-        def build():
-            where = f"{self.origin[name]}: {name}"
-            values = _value_table(doc, where)
-            shape = self.base_category(_entries(doc, "shape", where, kind=str))
-            return diagram(shape, values, _arrow_tables(doc, "actions", where))
-
-        return self._memo(("diagram", name), build)
+        return self._memo(("diagram",), name, build)
 
 
 def load_documents(paths, include_gallery: bool = True) -> DocumentSet:

@@ -26,7 +26,7 @@ from .classifier import (
 from .config import DEFAULT_FORMULA_DEPTH
 from .errors import IllSorted, IntractableSize, ParseError, UnknownObject, UnknownSubobject
 from .fincat import Presheaf, presheaf
-from .labels import Label
+from .labels import Label, label_key
 from .site import Site
 
 
@@ -406,7 +406,9 @@ def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context) -> boo
     env = dict(env)
     names = {v for v, _ in context}
     if set(env) != names:
-        raise IllSorted(f"environment must assign exactly the context variables {sorted(names)}")
+        raise IllSorted(
+            f"environment must assign exactly the context variables {sorted(names, key=label_key)}"
+        )
     for v, s in context:
         if env[v] not in model.sorts[s].value[u]:
             raise IllSorted(f"environment value for {v!r} is not a section of {s!r} over {u!r}")

@@ -92,7 +92,9 @@ def matching_families(F: Presheaf, S: Sieve, bound: int | None = None) -> tuple[
     for eta in enumerate_naturals(sp, F, bound):
         assignment = {f: eta.components[F.base.src[f]][f] for f in S.arrows}
         out.append(MatchingFamily(F, S, assignment))
-    return tuple(sorted(out, key=MatchingFamily.key))
+    # in label order of their values, arrow by arrow
+    rank, src, arrows = F.section_rank(), F.base.src, sorted(S.arrows, key=label_key)
+    return tuple(sorted(out, key=lambda m: tuple(rank[src[f]][m.assignment[f]] for f in arrows)))
 
 
 def induced_family(F: Presheaf, S: Sieve, x: Label) -> MatchingFamily:
@@ -111,10 +113,12 @@ def family_from_cover(site, F: Presheaf, u: Label, sections: dict) -> tuple[Siev
     """
     C = F.base
     incl = {}
-    for ui in sections:
+    for ui, s_i in sections.items():
         hom = C.hom(ui, u)
         if len(hom) != 1:
             raise DanglingReference(f"no unique arrow {ui!r} -> {u!r}")
+        if s_i not in F.value[ui]:
+            raise DanglingReference(f"{s_i!r} is not a section over {ui!r}")
         incl[ui] = hom[0]
     S = generate_sieve(C, u, [incl[ui] for ui in sections])
     assignment = {}
@@ -188,6 +192,8 @@ def is_sheaf(F: Presheaf, J: GrothendieckTopology, bound: int | None = None) -> 
 
 def glue(F: Presheaf, J: GrothendieckTopology, S: Sieve, m: MatchingFamily) -> Label:
     """The unique section inducing m, when the sheaf condition holds at (apex, S)."""
+    if not F.base.same(J.category):
+        raise BaseMismatch("presheaf and topology live over different categories")
     if not J.covers_with(S.apex, S.arrows):
         raise NotASheafHere(f"the sieve on {S.apex!r} is not covering")
     hits = [x for x in F.value[S.apex] if induced_family(F, S, x).key() == m.key()]
@@ -216,6 +222,8 @@ def plus_construction(
     covering sieve.  Class labels are ``p0, p1, ...`` in the canonical
     order of their least representative.
     """
+    if not F.base.same(J.category):
+        raise BaseMismatch("presheaf and topology live over different categories")
     C = F.base
     pairs: dict[Label, list[tuple[Sieve, MatchingFamily]]] = {}
     for u in C.objects:
@@ -236,6 +244,7 @@ def plus_construction(
 
     classes: dict[Label, list[list]] = {}
     rep_of: dict[Label, dict] = {}
+    rank = F.section_rank()
     for u in C.objects:
         groups: list[list] = []
         for item in pairs[u]:
@@ -247,7 +256,7 @@ def plus_construction(
                     break
             if not placed:
                 groups.append([item])
-        groups.sort(key=lambda g: min((S.key(), m.key()) for S, m in g))
+        groups.sort(key=lambda g: min((S.key(), [rank[C.src[f]][x] for f, x in m.key()]) for S, m in g))
         classes[u] = groups
         rep_of[u] = {}
         for i, group in enumerate(groups):

@@ -261,7 +261,7 @@ def finite_space(points, opens) -> FiniteSpace:
     pts = canon(points)
     point_set = frozenset(pts)
     fam = {frozenset(o) for o in opens}
-    for o in fam:
+    for o in opens:
         for p in o:
             if p not in point_set:
                 raise DanglingReference(f"open set names unknown point {p!r}")
@@ -269,12 +269,17 @@ def finite_space(points, opens) -> FiniteSpace:
         raise SemanticError("opens must contain the empty set")
     if point_set not in fam:
         raise SemanticError("opens must contain the full point set")
-    for a, b in combinations(fam, 2):
+    # label order throughout: comparing raw labels fails on a mix of numbers and strings
+    ordered = tuple(sorted(fam, key=lambda o: (len(o), sorted(map(label_key, o)))))
+    for a, b in combinations(ordered, 2):
         if a | b not in fam:
-            raise SemanticError(f"opens not closed under union: {sorted(a)} ∪ {sorted(b)}")
+            raise SemanticError(
+                f"opens not closed under union: {sorted(a, key=label_key)} ∪ {sorted(b, key=label_key)}"
+            )
         if a & b not in fam:
-            raise SemanticError(f"opens not closed under intersection: {sorted(a)} ∩ {sorted(b)}")
-    ordered = tuple(sorted(fam, key=lambda o: (len(o), tuple(sorted(o, key=label_key)))))
+            raise SemanticError(
+                f"opens not closed under intersection: {sorted(a, key=label_key)} ∩ {sorted(b, key=label_key)}"
+            )
     return FiniteSpace(pts, ordered)
 
 

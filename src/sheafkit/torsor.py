@@ -14,6 +14,7 @@ from itertools import product
 
 from .config import enumeration_bound
 from .errors import (
+    BaseMismatch,
     CoverMismatch,
     DanglingReference,
     IntractableSize,
@@ -80,7 +81,7 @@ def group_sheaf(G: Presheaf, mult, unit=None, inverse=None) -> GroupSheaf:
             units[u] = found[0]
         else:
             e = units[u]
-            if any(mult[u][(e, a)] != a or mult[u][(a, e)] != a for a in elems):
+            if e not in elems or any(mult[u][(e, a)] != a or mult[u][(a, e)] != a for a in elems):
                 raise SemanticError(f"declared unit at {u!r} is not a unit")
 
     invs: dict[Label, dict[Label, Label]] = {u: dict(tab) for u, tab in (inverse or {}).items()}
@@ -177,6 +178,8 @@ def is_torsor(
     the objects that no non-identity arrow leaves (the whole space, in an
     opens poset).
     """
+    if not T.space.base.same(site.category):
+        raise BaseMismatch("torsor and site live over different categories")
     C = site.category
     J = site.topology
     P, G = T.space, T.group
@@ -219,6 +222,8 @@ class CanonicalMapReport:
 
 def canonical_map_check(T: TorsorCandidate, site: Site) -> CanonicalMapReport:
     """(p, g) -> (p, p·g) bijective where sections exist, and P -> 1 locally epi."""
+    if not T.space.base.same(site.category):
+        raise BaseMismatch("torsor and site live over different categories")
     C = site.category
     P, G = T.space, T.group
     failures = []
@@ -268,9 +273,9 @@ def cocycle(site: Site, G: GroupSheaf, target: Label, cover, values) -> Cocycle:
     if not site.is_open_cover_site():
         raise SemanticError("cocycles live on open-cover sites")
     cover = tuple(cover)
-    for u in cover + (target,):
+    for u in (target,) + cover:
         if u not in site.category.object_set:
-            raise DanglingReference(f"cover names unknown open {u!r}")
+            raise DanglingReference(f"cocycle names unknown open {u!r}")
         if u != target and not site.open_of[u] <= site.open_of[target]:
             raise CoverMismatch(f"cover member {u!r} is not contained in {target!r}")
     union = frozenset().union(*(site.open_of[u] for u in cover)) if cover else frozenset()

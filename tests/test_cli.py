@@ -223,6 +223,24 @@ def test_force_at_an_unknown_object_exits_two():
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("classify --site sierpinski --presheaf const2", "presheaf and topology live over different categories"),
+    ("heyting --site discrete2 --presheaf sier-one", "presheaf and topology live over different categories"),
+    ("sheafify --presheaf sier-one --site discrete2", "presheaf and topology live over different categories"),
+    ("glue --presheaf const2 --site sierpinski --at {a,b} --section {a}=0",
+     "presheaf and topology live over different categories"),
+    ("torsor-check --site sierpinski --action pc-action", "torsor and site live over different categories"),
+])
+def test_inputs_over_different_bases_exit_two(argv, message):
+    assert invoke(*argv.split()) == (2, f"error: BaseMismatch: {message}\n")
+
+
+def test_glue_with_an_unknown_section_value_exits_two():
+    assert invoke("glue", "--presheaf", "const2", "--site", "discrete2", "--at", "{a,b}", "--section", "{a}=zz") == (
+        2, "error: DanglingReference: 'zz' is not a section over '{a}'\n"
+    )
+
+
 # -- run reuses one parser per process; its calls stay independent ------------------
 
 def test_twenty_runs_build_the_parser_at_most_once(monkeypatch):

@@ -330,3 +330,128 @@ def test_formula_without_text_is_a_semantic_error(tmp_path):
 def test_document_without_a_named_reference_is_a_semantic_error(tmp_path, gallery_name, field, argv):
     p, got = run_malformed(tmp_path, gallery_name, lambda doc: doc.pop(field), *argv)
     assert got == (2, f'error: MalformedDocument: {p}: mal: missing field "{field}"\n')
+
+
+# -- malformed inner entries: every document is walked against its schema -------
+
+def run_shadowed(tmp_path, gallery_name, change, *argv):
+    """Run the CLI with a changed copy of a gallery document shadowing the original."""
+    from sheafkit.cli import run
+
+    doc = json.loads(serialize_document(gallery_documents()[gallery_name]))
+    change(doc)
+    p = tmp_path / f"{gallery_name}.json"
+    p.write_text(serialize_document(doc), encoding="utf-8")
+    return p, run([*argv, "--docs", str(p)])
+
+
+PC_X = "{a,b,x}"
+TORSOR_CHECK = ("torsor-check", "--site", "pseudocircle", "--action", "pc-action")
+FORCE_EM = ("force", "--formula", "sier-em", "--at", "{b,t}", "--env", "x=*")
+ARROW_TOPOLOGY = ("validate-topology", "--site", "arrow-trivial")
+
+
+@pytest.mark.parametrize("gallery_name, change, argv, message", [
+    pytest.param("pc-action", lambda d: d["action"][PC_X][0].pop(), TORSOR_CHECK,
+                 "action.{a,b,x}[0] must be a [p, g, pg] triple", id="action-entry-of-two"),
+    pytest.param("pc-action", lambda d: d["action"][PC_X][0].__setitem__(1, ["(0)"]), TORSOR_CHECK,
+                 "action.{a,b,x}[0]: a JSON array is not a label", id="action-entry-with-an-array"),
+    pytest.param("pc-action", lambda d: d["action"].update({PC_X: "x"}), TORSOR_CHECK,
+                 "action.{a,b,x} must be a list", id="action-value-a-string"),
+    pytest.param("pc-z2", lambda d: d["mult"][PC_X][0].pop(), TORSOR_CHECK,
+                 "mult.{a,b,x}[0] must be a [g, h, gh] triple", id="mult-entry-of-two"),
+    pytest.param("pc-z2", lambda d: d["mult"].update({PC_X: "x"}), TORSOR_CHECK,
+                 "mult.{a,b,x} must be a list", id="mult-value-a-string"),
+    pytest.param("pc-z2", lambda d: d.update(unit=["(0)"]), TORSOR_CHECK,
+                 '"unit" must be an object', id="unit-a-list"),
+    pytest.param("pc-z2", lambda d: d.update(unit="(0)"), TORSOR_CHECK,
+                 '"unit" must be an object', id="unit-a-string"),
+    pytest.param("pc-z2", lambda d: d["unit"].update({PC_X: ["(0)"]}), TORSOR_CHECK,
+                 "unit.{a,b,x}: a JSON array is not a label", id="unit-with-an-array"),
+    pytest.param("sier-em", lambda d: d["predicates"].update(A="F"), FORCE_EM,
+                 "predicates.A must be an object", id="predicate-a-string"),
+    pytest.param("sier-em", lambda d: d["predicates"]["A"].pop("sort"), FORCE_EM,
+                 'predicates.A has no "sort"', id="predicate-without-sort"),
+    pytest.param("sier-em", lambda d: d["predicates"]["A"].update(sort=["F"]), FORCE_EM,
+                 "predicates.A.sort must be a string", id="predicate-sort-a-list"),
+    pytest.param("sier-em", lambda d: d["predicates"]["A"].update(parts=["*"]), FORCE_EM,
+                 "predicates.A.parts must be an object", id="predicate-parts-a-list"),
+    pytest.param("sier-em", lambda d: d["predicates"]["A"]["parts"].update({"{t}": [["*"]]}), FORCE_EM,
+                 "predicates.A.parts.{t}[0]: a JSON array is not a label", id="predicate-parts-with-an-array"),
+    pytest.param("sier-em", lambda d: d["sorts"].update(F=["sier-one"]), FORCE_EM,
+                 "sorts.F must be a string", id="sort-reference-a-list"),
+    pytest.param("sier-em", lambda d: d["context"][0].pop(), FORCE_EM,
+                 "context[0] must be a [variable, sort] pair", id="context-entry-of-one"),
+    pytest.param("arrow-trivial", lambda d: d.update(covers={"1": [5]}), ARROW_TOPOLOGY,
+                 "covers.1[0] must be a list of arrows", id="covers-family-an-int"),
+    pytest.param("arrow-trivial", lambda d: d.update(covers={"1": [[["0->1"]]]}), ARROW_TOPOLOGY,
+                 "covers.1[0]: a JSON array is not a label", id="covers-family-with-an-array"),
+    pytest.param("sier-em", lambda d: d["context"].__setitem__(0, "xF"), FORCE_EM,
+                 "context[0] must be a [variable, sort] pair", id="context-entry-a-string"),
+    pytest.param("arrow-trivial", lambda d: d.update(covers={"1": ["0->1"]}), ARROW_TOPOLOGY,
+                 "covers.1[0] must be a list of arrows", id="covers-family-a-string"),
+])
+def test_malformed_inner_entry_is_a_semantic_error(tmp_path, gallery_name, change, argv, message):
+    p, got = run_shadowed(tmp_path, gallery_name, change, *argv)
+    assert got == (2, f"error: MalformedDocument: {p}: {gallery_name}: {message}\n")
+
+
+# -- crashes found by mutating gallery fixtures, as tests/test_document_fuzz.py does --
+
+def test_cocycle_target_that_is_no_open_is_a_semantic_error(tmp_path):
+    p, got = run_shadowed(tmp_path, "pc-sign", lambda d: d.update(target="(0)"),
+                          "check-cocycle", "--cocycle", "pc-sign")
+    assert got == (2, f"error: SemanticError: {p}: pc-sign: cocycle names unknown open '(0)'\n")
+
+
+def test_declared_unit_that_is_no_section_is_a_semantic_error(tmp_path):
+    _, got = run_shadowed(tmp_path, "d2-z2", lambda d: d["unit"].update({"{a}": 0}),
+                          "torsor-check", "--site", "discrete2", "--action", "d2-trivial-action")
+    assert got == (2, "error: SemanticError: declared unit at '{a}' is not a unit\n")
+
+
+@pytest.mark.parametrize("command", ["check-sheaf", "sheafify", "classify", "heyting"])
+def test_sections_mixing_numbers_and_strings_are_ordered_by_label(tmp_path, command):
+    _, (code, text) = run_shadowed(tmp_path, "two-one", lambda d: d["values"]["0"].__setitem__(1, 0),
+                                   command, "--presheaf", "two-one", "--site", "arrow-trivial")
+    assert (code, text.splitlines()[-1]) == (0, "verdict: pass")
+
+
+def test_space_with_number_and_string_points_is_built(tmp_path):
+    _, (code, text) = run_shadowed(
+        tmp_path, "discrete2", lambda d: d.update(points=["a", 1], opens=[[], ["a"], [1], ["a", 1]]),
+        "omega", "--site", "discrete2",
+    )
+    assert (code, text.splitlines()[-1]) == (0, "verdict: pass")
+
+
+def test_opens_not_closed_are_named_in_label_order(tmp_path):
+    _, got = run_shadowed(
+        tmp_path, "discrete2", lambda d: d.update(points=["a", 1, "b"], opens=[[], ["a", 1], [1, "b"], ["a", 1, "b"]]),
+        "omega", "--site", "discrete2",
+    )
+    assert got == (2, "error: SemanticError: opens not closed under intersection: [1, 'a'] ∩ [1, 'b']\n")
+
+
+def test_context_variables_of_mixed_types_are_named_in_label_order(tmp_path):
+    _, got = run_shadowed(tmp_path, "sier-em", lambda d: d.update(context=[[1, "F"], ["x", "F"]]), *FORCE_EM)
+    assert got == (2, "error: IllSorted: environment must assign exactly the context variables [1, 'x']\n")
+
+
+def test_unknown_point_is_named_in_document_order(tmp_path):
+    p, got = run_shadowed(tmp_path, "discrete2", lambda d: d["opens"].append(["p", "q", "r", "s"]),
+                          "omega", "--site", "discrete2")
+    assert got == (2, f"error: SemanticError: {p}: discrete2: open set names unknown point 'p'\n")
+
+
+def test_bundled_fixtures_are_what_the_generator_writes(tmp_path):
+    from importlib import resources
+
+    from sheafkit.gallery import write_gallery
+
+    write_gallery(tmp_path)
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    root = resources.files("sheafkit") / "fixtures"
+    bundled = {e.name: e.read_bytes() for e in root.iterdir() if e.name.endswith(".json")}
+    assert len(written) == 33
+    assert written == bundled
