@@ -23,7 +23,7 @@ from . import __version__
 from .classifier import classify_round_trip, heyting_report, omega, omega_open_iso
 from .documents import load_documents
 from .errors import MalformedDocument, UnknownObject, UsageError, WorkbenchError
-from .fincat import enumerate_naturals, yoneda_presheaf
+from .fincat import natural_index_families, yoneda_presheaf
 from .labels import label_key, show_label
 from .limits import (
     certify_colimit,
@@ -480,7 +480,7 @@ def _h_yoneda(ds, args):
     table = {}
     for b in C.objects:
         hb = yoneda_presheaf(C, b)
-        nats = enumerate_naturals(h, hb, args.bound)
+        nats = natural_index_families(h, hb, args.bound)
         table[show_label(b)] = {
             "hom": len(C.hom(args.at, b)),
             "naturals": len(nats),

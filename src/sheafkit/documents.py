@@ -283,7 +283,13 @@ class DocumentSet:
     # -- builders ------------------------------------------------------------
 
     def _memo(self, kinds: tuple[str, ...], name: str, build):
-        """Check the named document against SCHEMA, then build it once, defaults filled in."""
+        """Check the named document against SCHEMA, then build it once, defaults filled in.
+
+        A library error from the build is raised as a ``SemanticError``
+        prefixed with the file and document, and marked ``located``.
+        Errors that already name their document pass through unchanged:
+        ``MalformedDocument`` and the located errors of a nested build.
+        """
         doc = self._doc(name, kinds)
         if (kinds, name) not in self._built:
             where = f"{self.origin[name]}: {name}"
@@ -291,10 +297,14 @@ class DocumentSet:
             schema.walk(doc, (where,))
             try:
                 self._built[kinds, name] = build({**schema.defaults, **doc})
-            except (UnresolvedReference, SemanticError):
+            except (UnresolvedReference, MalformedDocument):
                 raise
             except WorkbenchError as err:
-                raise SemanticError(f"{where}: {err}") from err
+                if getattr(err, "located", False):
+                    raise
+                located = SemanticError(f"{where}: {err}")
+                located.located = True
+                raise located from err
         return self._built[kinds, name]
 
     def category(self, name: str) -> FinCategory:

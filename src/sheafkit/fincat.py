@@ -382,6 +382,14 @@ def yoneda_presheaf(base: FinCategory, at: Label) -> Presheaf:
 
 @dataclass(frozen=True, eq=False)
 class NaturalTransformation:
+    """A natural transformation source => target.
+
+    ``components[u][x]`` is the image of the section x over u.  Treat
+    ``components`` as read-only: the transformations of one
+    ``enumerate_naturals`` call share the inner {x: y} dicts of the slot
+    functions they have in common.
+    """
+
     source: Presheaf
     target: Presheaf
     components: dict[Label, dict[Label, Label]]
@@ -437,11 +445,14 @@ def compose_naturals(beta: NaturalTransformation, alpha: NaturalTransformation) 
     return natural_transformation(alpha.source, beta.target, comp)
 
 
-def enumerate_naturals(F: Presheaf, G: Presheaf, bound: int | None = None) -> tuple[NaturalTransformation, ...]:
-    """All natural transformations F => G, in a deterministic order.
+def natural_index_families(F: Presheaf, G: Presheaf, bound: int | None = None) -> list:
+    """All natural transformations F => G as the kernel's index families.
 
-    Candidate component families are pruned by naturality as they are
-    built; the candidate count is guarded by the enumeration bound.
+    A family has one tuple per object of the base, in ``objects`` order;
+    entry i of the tuple at u is the position in ``G.value[u]`` of the
+    image of ``F.value[u][i]``.  Families come in lexicographic order,
+    which is the order of ``enumerate_naturals``.  The candidate count is
+    guarded by the enumeration bound before any search.
     """
     if not F.base.same(G.base):
         raise BaseMismatch("presheaves live over different base categories")
@@ -461,9 +472,19 @@ def enumerate_naturals(F: Presheaf, G: Presheaf, bound: int | None = None) -> tu
         for f in base.morphisms
         if not base.is_identity(f)
     ]
+    return kernel.natural_families(*kernel.encode(base.objects, F.value, G.value, arrows))
+
+
+def enumerate_naturals(F: Presheaf, G: Presheaf, bound: int | None = None) -> tuple[NaturalTransformation, ...]:
+    """All natural transformations F => G, in a deterministic order.
+
+    Candidate component families are pruned by naturality as they are
+    built; the candidate count is guarded by the enumeration bound.
+    """
+    fams = natural_index_families(F, G, bound)
     return tuple(
         NaturalTransformation(F, G, comp)
-        for comp in kernel.label_families(base.objects, F.value, G.value, arrows)
+        for comp in kernel.decode(F.base.objects, F.value, G.value, fams)
     )
 
 
@@ -475,11 +496,8 @@ def presheaves_isomorphic(F: Presheaf, G: Presheaf, bound: int | None = None) ->
         if len(F.value[u]) != len(G.value[u]):
             return False
     return any(
-        all(
-            len(set(eta.components[u].values())) == len(F.value[u])
-            for u in F.base.objects
-        )
-        for eta in enumerate_naturals(F, G, bound)
+        all(len(set(func)) == len(func) for func in fam)
+        for fam in natural_index_families(F, G, bound)
     )
 
 

@@ -29,6 +29,18 @@ domains of single elements of the slot before any candidate is built
     p == q:  filters the slot's candidates, the product of the domains
 
 Domains stay in ascending order, so the product keeps the order.
+
+Label tables reach the search in three steps:
+
+    encode(objects, f_value, g_value, arrows) -> natural_families arguments
+    natural_families(...)                     -> index families
+    decode(objects, f_value, g_value, fams)   -> {object: {x: y}} dicts
+
+Callers that only count families, test them slot by slot or permute
+their indices stay on the index families and never decode.  Decoding
+turns each distinct slot function into its {x: y} dict once per call;
+the families that use that function share the dict.  ``label_families``
+is the three steps in a row.
 """
 
 from __future__ import annotations
@@ -88,16 +100,16 @@ def natural_families(f_sizes, g_sizes, morphisms):
     return out
 
 
-def label_families(objects, f_value, g_value, arrows):
-    """``natural_families`` over label tables: encodes, searches, decodes.
+def encode(objects, f_value, g_value, arrows):
+    """Label tables as ``natural_families`` arguments.
 
     f_value[j], g_value[j]: the source and target value tuples at object j.
     arrows: (a, b, ftab, gtab) with dicts ftab: f_value[a] -> f_value[b]
     and gtab: g_value[a] -> g_value[b]; a family c satisfies
     c[b][ftab[x]] == gtab[c[a][x]] for every x in f_value[a].
 
-    Returns one {object: {x: y}} component dict per family, in the
-    kernel's order.
+    Slot k is ``objects[k]``, and index i at slot k stands for
+    ``f_value[objects[k]][i]`` (source) or ``g_value[objects[k]][i]`` (target).
     """
     pos = {j: i for i, j in enumerate(objects)}
     f_index = {j: {x: i for i, x in enumerate(f_value[j])} for j in objects}
@@ -111,13 +123,26 @@ def label_families(objects, f_value, g_value, arrows):
         )
         for a, b, ftab, gtab in arrows
     ]
-    fams = natural_families(
-        [len(f_value[j]) for j in objects],
-        [len(g_value[j]) for j in objects],
-        morphisms,
-    )
-    slots = [(j, f_value[j], g_value[j]) for j in objects]
-    return [
-        {j: {x: gv[k] for x, k in zip(fv, func)} for (j, fv, gv), func in zip(slots, fam)}
-        for fam in fams
-    ]
+    return [len(f_value[j]) for j in objects], [len(g_value[j]) for j in objects], morphisms
+
+
+def decode(objects, f_value, g_value, fams):
+    """One {object: {x: y}} component dict per index family, in order.
+
+    Each distinct slot function becomes its {x: y} dict once; every
+    family that uses it shares that dict, so callers must not mutate it.
+    """
+    tables = []
+    for k, j in enumerate(objects):
+        fv, gv = f_value[j], g_value[j]
+        tables.append({
+            func: {x: gv[i] for x, i in zip(fv, func)}
+            for func in {fam[k] for fam in fams}
+        })
+    return [dict(zip(objects, map(dict.__getitem__, tables, fam))) for fam in fams]
+
+
+def label_families(objects, f_value, g_value, arrows):
+    """``natural_families`` over label tables: encode, search, decode."""
+    fams = natural_families(*encode(objects, f_value, g_value, arrows))
+    return decode(objects, f_value, g_value, fams)

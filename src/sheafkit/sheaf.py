@@ -28,8 +28,10 @@ from .fincat import (
     Presheaf,
     compose_naturals,
     enumerate_naturals,
+    natural_index_families,
     natural_transformation,
     presheaf,
+    yoneda_presheaf,
 )
 from .labels import Label, canon, label_key
 from .limits import ConeResult, diagram, limit
@@ -86,15 +88,28 @@ def matching_family(F: Presheaf, S: Sieve, assignment) -> MatchingFamily:
 
 
 def matching_families(F: Presheaf, S: Sieve, bound: int | None = None) -> tuple[MatchingFamily, ...]:
-    """All matching families for F over S, canonically ordered."""
+    """All matching families for F over S, canonically ordered.
+
+    They are the natural maps out of the sieve presheaf, read straight off
+    the kernel's index families: the arrow f sits at its position in
+    ``sp.value[src f]``, and its value's index is its position in
+    ``F.value[src f]``, which is its section rank.
+    """
     sp = sieve_presheaf(S)
-    out = []
-    for eta in enumerate_naturals(sp, F, bound):
-        assignment = {f: eta.components[F.base.src[f]][f] for f in S.arrows}
-        out.append(MatchingFamily(F, S, assignment))
+    C = F.base
+    slot = {w: k for k, w in enumerate(C.objects)}
+    at = {f: (slot[C.src[f]], sp.value[C.src[f]].index(f)) for f in S.arrows}
+    cells = [(f, k, i, F.value[C.src[f]]) for f, (k, i) in at.items()]
     # in label order of their values, arrow by arrow
-    rank, src, arrows = F.section_rank(), F.base.src, sorted(S.arrows, key=label_key)
-    return tuple(sorted(out, key=lambda m: tuple(rank[src[f]][m.assignment[f]] for f in arrows)))
+    order = [at[f] for f in sorted(S.arrows, key=label_key)]
+    fams = sorted(
+        natural_index_families(sp, F, bound),
+        key=lambda fam: tuple(fam[k][i] for k, i in order),
+    )
+    return tuple(
+        MatchingFamily(F, S, {f: values[fam[k][i]] for f, k, i, values in cells})
+        for fam in fams
+    )
 
 
 def induced_family(F: Presheaf, S: Sieve, x: Label) -> MatchingFamily:
@@ -433,16 +448,23 @@ def exponential(A: Presheaf, B: Presheaf, bound: int | None = None) -> Presheaf:
     Element ``n{i}`` at U is the i-th natural transformation in canonical
     enumeration order; the Cartesian-closure adjunction is certified by
     counting in the tests rather than assumed.
-    """
-    from .fincat import yoneda_presheaf
 
+    The naturals stay the kernel's index families.  For f: V -> U, the
+    restriction of a family eta at U is eta precomposed with
+    h_f × A: h_V × A => h_U × A, (g, a) |-> (f∘g, a); at each object that
+    is an index permutation of eta's slot function.  The pulled family is
+    then looked up among the families at V.  That enumeration is
+    exhaustive and holds only natural families, so finding the pulled
+    family there certifies that it is natural, without checking its
+    squares again.
+    """
     if not A.base.same(B.base):
         raise BaseMismatch("exponential needs a common base")
     base = A.base
     limit_ = enumeration_bound(bound)
 
     reps: dict[Label, Presheaf] = {u: product_presheaf(yoneda_presheaf(base, u), A) for u in base.objects}
-    nats: dict[Label, tuple[NaturalTransformation, ...]] = {}
+    fams: dict[Label, list] = {}
     for u in base.objects:
         count = 1
         for w in base.objects:
@@ -451,26 +473,23 @@ def exponential(A: Presheaf, B: Presheaf, bound: int | None = None) -> Presheaf:
             count *= gw ** fw if fw else 1
             if count > limit_:
                 raise IntractableSize("exponential candidate space exceeds bound")
-        nats[u] = enumerate_naturals(reps[u], B, bound)
+        fams[u] = natural_index_families(reps[u], B, bound)
 
-    value = {u: tuple(f"n{i}" for i in range(len(nats[u]))) for u in base.objects}
-    index: dict[Label, dict] = {
-        u: {eta.key(): f"n{i}" for i, eta in enumerate(nats[u])} for u in base.objects
-    }
+    value = {u: tuple(f"n{i}" for i in range(len(fams[u]))) for u in base.objects}
+    index = {u: {fam: f"n{i}" for i, fam in enumerate(fams[u])} for u in base.objects}
     restrict = {}
     for f in base.morphisms:
         if base.is_identity(f):
             continue
         u, v = base.tgt[f], base.src[f]
-        tab = {}
-        for i, eta in enumerate(nats[u]):
-            comps = {}
-            for w in base.objects:
-                comps[w] = {
-                    (g, a): eta.components[w][(base.compose(f, g), a)]
-                    for (g, a) in reps[v].value[w]
-                }
-            pulled = natural_transformation(reps[v], B, comps)
-            tab[f"n{i}"] = index[v][pulled.key()]
-        restrict[f] = tab
+        # per object w: where (f∘g, a) sits in reps[u].value[w], for each (g, a) of reps[v].value[w]
+        perms = []
+        for w in base.objects:
+            pos = {x: i for i, x in enumerate(reps[u].value[w])}
+            perms.append([pos[(base.compose(f, g), a)] for g, a in reps[v].value[w]])
+        at_v = index[v]
+        restrict[f] = {
+            f"n{i}": at_v[tuple(tuple(func[p] for p in perm) for func, perm in zip(fam, perms))]
+            for i, fam in enumerate(fams[u])
+        }
     return presheaf(base, value, restrict)

@@ -3,9 +3,11 @@
 These deliberately do not share code with the library: no kernel, no
 pruning, no canonical ordering tricks.  Each one enumerates the full
 candidate space and filters by the defining condition, so library
-results can be checked against them on small fixtures.  The one
-exception, ``naive_natural_families``, drops a candidate once a whole
-slot contradicts the earlier ones, so that kernel-sized cases stay fast.
+results can be checked against them on small fixtures.  Two exceptions:
+``naive_natural_families`` drops a candidate once a whole slot
+contradicts the earlier ones, so that kernel-sized cases stay fast, and
+``naive_exponential`` builds its presheaf tables with the library's
+validated constructors; its naturals come from ``naive_naturals``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,37 @@ def naive_naturals(F, G):
         if ok:
             found.append(comp)
     return found
+
+
+def naive_exponential(A, B):
+    """B^A as ``sheaf.exponential`` builds it, with every natural found by
+    ``naive_naturals``: element ``n{i}`` at U is the i-th natural
+    h_U × A => B, and restriction along f: V -> U precomposes with
+    (g, a) |-> (f∘g, a), re-checks naturality with ``natural_transformation``
+    and finds the result by its ``key()``.  Only the tables h_U × A and the
+    returned presheaf come from the library's constructors."""
+    from sheafkit.fincat import natural_transformation, presheaf, yoneda_presheaf
+    from sheafkit.sheaf import product_presheaf
+
+    base = A.base
+    reps = {u: product_presheaf(yoneda_presheaf(base, u), A) for u in base.objects}
+    nats = {u: [natural_transformation(reps[u], B, comp) for comp in naive_naturals(reps[u], B)] for u in base.objects}
+    value = {u: tuple(f"n{i}" for i in range(len(nats[u]))) for u in base.objects}
+    index = {u: {eta.key(): f"n{i}" for i, eta in enumerate(nats[u])} for u in base.objects}
+    restrict = {}
+    for f in base.morphisms:
+        if base.is_identity(f):
+            continue
+        u, v = base.tgt[f], base.src[f]
+        tab = {}
+        for i, eta in enumerate(nats[u]):
+            comps = {
+                w: {(g, a): eta.components[w][(base.compose(f, g), a)] for (g, a) in reps[v].value[w]}
+                for w in base.objects
+            }
+            tab[f"n{i}"] = index[v][natural_transformation(reps[v], B, comps).key()]
+        restrict[f] = tab
+    return presheaf(base, value, restrict)
 
 
 def naive_natural_families(f_sizes, g_sizes, morphisms):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from sheafkit.fincat import poset_category
+from sheafkit.fincat import poset_category, presheaf, validate_category
 from sheafkit.limits import diagram
 
 
@@ -26,6 +26,48 @@ def random_poset(rng: random.Random, max_objs: int = 6):
             if rng.random() < 0.4:
                 below[x] |= below[y]
     return poset_category(labels, lambda a, b: a in below[b])
+
+
+def renamed_arrows(rng: random.Random, C):
+    """C with its arrows renamed at random, so that the label order of the
+    arrows into an object no longer follows the order of their sources."""
+    name = dict(zip(C.morphisms, rng.sample(range(10 * len(C.morphisms) + 1), len(C.morphisms))))
+    return validate_category(
+        C.objects,
+        [(name[m], C.src[m], C.tgt[m]) for m in C.morphisms],
+        {u: name[m] for u, m in C.identity.items()},
+        {(name[g], name[f]): name[gf] for (g, f), gf in C.table.items()},
+    )
+
+
+def random_presheaf(rng: random.Random, C, max_sections: int = 3):
+    """A random presheaf on the poset category C with int and str sections.
+
+    Object u carries the pool members whose random support (a down-set)
+    contains u, modulo the equivalence generated by the pairs that objects
+    above u glue.  Lower objects see more glued pairs, so the quotients
+    only coarsen downward, and restriction sends the class of x at u to
+    its class below; the class's first pool member stands for it.
+    """
+    pool = rng.sample([0, 1, 5, "a", "b", "x"], rng.randint(1, max_sections))
+    objs = list(C.objects)
+    below = {u: {C.src[f] for f in C.into(u)} for u in objs}
+    support = {x: below[rng.choice(objs)] if objs and rng.random() < 0.3 else set(objs) for x in pool}
+    glued = {w: rng.sample(pool, 2) for w in objs if len(pool) > 1 and rng.random() < 0.5}
+    rep = {}
+    for u in objs:
+        cls = {x: x for x in pool if u in support[x]}
+        for w, (x, y) in glued.items():
+            if u in below[w] and x in cls and y in cls:
+                old, new = sorted((cls[x], cls[y]), key=pool.index, reverse=True)
+                cls = {z: new if c == old else c for z, c in cls.items()}
+        rep[u] = cls
+    value = {u: set(rep[u].values()) for u in objs}
+    restrict = {
+        f: {rep[C.tgt[f]][x]: rep[C.src[f]][x] for x in rep[C.tgt[f]]}
+        for f in C.morphisms
+    }
+    return presheaf(C, value, restrict)
 
 
 def random_forest_diagram(rng: random.Random, max_objs: int = 4, max_elems: int = 4):

@@ -405,9 +405,9 @@ def test_cocycle_target_that_is_no_open_is_a_semantic_error(tmp_path):
 
 
 def test_declared_unit_that_is_no_section_is_a_semantic_error(tmp_path):
-    _, got = run_shadowed(tmp_path, "d2-z2", lambda d: d["unit"].update({"{a}": 0}),
+    p, got = run_shadowed(tmp_path, "d2-z2", lambda d: d["unit"].update({"{a}": 0}),
                           "torsor-check", "--site", "discrete2", "--action", "d2-trivial-action")
-    assert got == (2, "error: SemanticError: declared unit at '{a}' is not a unit\n")
+    assert got == (2, f"error: SemanticError: {p}: d2-z2: declared unit at '{{a}}' is not a unit\n")
 
 
 @pytest.mark.parametrize("command", ["check-sheaf", "sheafify", "classify", "heyting"])
@@ -426,11 +426,11 @@ def test_space_with_number_and_string_points_is_built(tmp_path):
 
 
 def test_opens_not_closed_are_named_in_label_order(tmp_path):
-    _, got = run_shadowed(
+    p, got = run_shadowed(
         tmp_path, "discrete2", lambda d: d.update(points=["a", 1, "b"], opens=[[], ["a", 1], [1, "b"], ["a", 1, "b"]]),
         "omega", "--site", "discrete2",
     )
-    assert got == (2, "error: SemanticError: opens not closed under intersection: [1, 'a'] ∩ [1, 'b']\n")
+    assert got == (2, f"error: SemanticError: {p}: discrete2: opens not closed under intersection: [1, 'a'] ∩ [1, 'b']\n")
 
 
 def test_context_variables_of_mixed_types_are_named_in_label_order(tmp_path):

@@ -21,6 +21,7 @@ from sheafkit.fincat import (
     natural_transformation,
     poset_category,
     presheaf,
+    presheaves_isomorphic,
     validate_category,
     yoneda_from_element,
     yoneda_presheaf,
@@ -204,6 +205,18 @@ def test_enumeration_matches_naive_oracle_on_chain():
 
 
 # -- Yoneda ----------------------------------------------------------------------
+
+def test_isomorphism_needs_a_natural_injective_at_every_object():
+    C = arrow_category()
+    value = {"0": ("a", "b"), "1": ("c", "d")}
+    collapsing = presheaf(C, value, {"0->1": {"c": "a", "d": "a"}})
+    bijective = presheaf(C, value, {"0->1": {"c": "a", "d": "b"}})
+    # naturals exist both ways, but every one into `bijective` is constant at 1
+    assert enumerate_naturals(collapsing, bijective)
+    assert not presheaves_isomorphic(collapsing, bijective)
+    assert presheaves_isomorphic(bijective, bijective)
+    assert presheaves_isomorphic(collapsing, collapsing)
+
 
 def test_yoneda_presheaf_on_chain_is_singleton_valued():
     C = chain3()

@@ -1,10 +1,15 @@
 """Matching families, sheaf condition, sheafification, limits, exponentials."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheafkit.errors import IncompatibleFamily, NoSuchFamily, NotASheafHere
 from sheafkit.fincat import (
+    arrow_category,
     enumerate_naturals,
+    poset_category,
+    presheaves_isomorphic,
     presheaf,
     terminal_category,
     yoneda_presheaf,
@@ -34,10 +39,12 @@ from sheafkit.sheaf import (
     sieve_presheaf,
     terminal_presheaf,
 )
-from sheafkit.site import empty_sieve, generate_sieve, maximal_sieve, trivial_topology
+from sheafkit.labels import label_key
+from sheafkit.site import all_sieves, empty_sieve, generate_sieve, maximal_sieve, trivial_topology
 from sheafkit.fincat import discrete_category
 
-from naive import naive_matching_families
+from naive import naive_exponential, naive_matching_families, naive_naturals
+from randgen import random_poset, random_presheaf, renamed_arrows
 
 
 D2 = "{a,b}"
@@ -72,6 +79,40 @@ def test_const2_has_four_families_over_the_two_piece_cover():
     assert sorted(m.key() for m in fams) == sorted(
         tuple(sorted(m.items(), key=str)) for m in oracle
     )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_naturals_and_matching_families_come_in_oracle_order(rng):
+    C = random_poset(rng, max_objs=4)
+    if rng.random() < 0.5:
+        C = renamed_arrows(rng, C)
+    F, G = random_presheaf(rng, C), random_presheaf(rng, C)
+    oracle = naive_naturals(F, G)
+    assert [eta.components for eta in enumerate_naturals(F, G)] == oracle
+    injective = any(all(len(set(comp[u].values())) == len(F.value[u]) for u in C.objects) for comp in oracle)
+    sizes_agree = all(len(F.value[u]) == len(G.value[u]) for u in C.objects)
+    assert presheaves_isomorphic(F, G) == (sizes_agree and injective)
+    rank = F.section_rank()
+    for u in C.objects:
+        for S in all_sieves(C, u):
+            arrows = sorted(S.arrows, key=label_key)
+            oracle = sorted(naive_matching_families(F, S.arrows, C),
+                            key=lambda m: [rank[C.src[f]][m[f]] for f in arrows])
+            assert [m.assignment for m in matching_families(F, S)] == oracle
+
+
+def test_matching_families_follow_arrow_order_not_object_order():
+    # l and r below t; the arrow from l is named after the one from r
+    names = {("l", "t"): "z", ("r", "t"): "a"}
+    C = poset_category(["l", "r", "t"], lambda x, y: x == y or y == "t",
+                       name=lambda x, y: names.get((x, y), f"id_{x}"))
+    F = presheaf(C, {"l": (0, "p"), "r": (1, "q"), "t": ((),)},
+                 {"z": {(): 0}, "a": {(): 1}})
+    S = generate_sieve(C, "t", ["z", "a"])
+    got = [m.assignment for m in matching_families(F, S)]
+    assert got == [{"a": a, "z": z} for a in (1, "q") for z in (0, "p")]
+    assert got == sorted(naive_matching_families(F, S.arrows, C), key=lambda m: (str(m["a"]), str(m["z"])))
 
 
 def test_empty_sieve_on_empty_open_has_one_family():
@@ -307,8 +348,6 @@ def test_exponential_adjunction_counts_on_sierpinski():
 
 
 def test_sheafify_idempotent_up_to_isomorphism():
-    from sheafkit.fincat import presheaves_isomorphic
-
     site = discrete2_site()
     F = const2_presheaf(site)
     once, _ = sheafify(F, site.topology)
@@ -329,3 +368,36 @@ def test_exponential_adjunction_across_a_fixture_family():
                 lhs = len(enumerate_naturals(product_presheaf(X, A), B))
                 rhs = len(enumerate_naturals(X, E))
                 assert lhs == rhs
+
+
+def _chain2_pair():
+    """Two 4-element presheaves on the 2-chain 0 -> 1 with different restrictions."""
+    C = arrow_category()
+    A = presheaf(C, {"0": ("a0", "a1", "a2", "a3"), "1": ("b0", "b1", "b2", "b3")},
+                 {"0->1": {"b0": "a0", "b1": "a0", "b2": "a1", "b3": "a3"}})
+    B = presheaf(C, {"0": ("c0", "c1", "c2", "c3"), "1": ("d0", "d1", "d2", "d3")},
+                 {"0->1": {"d0": "c1", "d1": "c2", "d2": "c2", "d3": "c0"}})
+    return [(A, B), (B, A)]
+
+
+def _mixed_pair():
+    """Sections mixing numbers and strings, whose label order is not raw order."""
+    C = arrow_category()
+    A = presheaf(C, {"0": (0, "x", 2), "1": ("y", 1, 3)}, {"0->1": {"y": 2, 1: 0, 3: "x"}})
+    B = presheaf(C, {"0": ("b", 10, 9), "1": (7, "a")}, {"0->1": {7: 9, "a": "b"}})
+    return [(A, B), (B, A), (A, A)]
+
+
+def _fixture_pairs():
+    site = sierpinski_site()
+    C = site.category
+    family = [terminal_presheaf(C), yoneda_presheaf(C, "{t}"), yoneda_presheaf(C, "{b,t}"), const2_presheaf(site)]
+    return [(A, B) for A in family[:3] for B in family]
+
+
+@pytest.mark.parametrize("pairs", [_fixture_pairs, _chain2_pair, _mixed_pair])
+def test_exponential_tables_match_the_naive_construction(pairs):
+    for A, B in pairs():
+        E, N = exponential(A, B), naive_exponential(A, B)
+        assert E.value == N.value
+        assert E.restrict == N.restrict
