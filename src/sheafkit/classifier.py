@@ -10,6 +10,7 @@ is vacuous, and over a sheaf it picks out exactly the subsheaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import enumeration_bound
 from .errors import (
@@ -345,8 +346,8 @@ def classify_round_trip(site: Site, X: Presheaf, bound: int | None = None) -> Cl
     J = site.topology
     subs = enumerate_subobjects(J, X, bound)
     homs = enumerate_naturals(X, om.presheaf, bound)
+    backs = [pullback_of_truth(om, phi) for phi in homs]
     failures = []
-    seen = {}
     for A in subs:
         chi = characteristic(om, A)
         back = pullback_of_truth(om, chi)
@@ -354,12 +355,10 @@ def classify_round_trip(site: Site, X: Presheaf, bound: int | None = None) -> Cl
             failures.append(f"pullback of true does not recover the subobject {A.key()}")
         if not characteristic_square_is_pullback(om, A, chi):
             failures.append(f"characteristic square is not a pullback for {A.key()}")
-        hits = [phi for phi in homs if pullback_of_truth(om, phi).same(A)]
-        if len(hits) != 1:
-            failures.append(f"{len(hits)} arrows classify {A.key()}; expected exactly one")
-        seen[chi.key()] = A
-    for phi in homs:
-        back = pullback_of_truth(om, phi)
+        hits = sum(1 for pulled in backs if pulled.same(A))
+        if hits != 1:
+            failures.append(f"{hits} arrows classify {A.key()}; expected exactly one")
+    for phi, back in zip(homs, backs):
         chi = characteristic(om, back)
         if not chi.same(phi):
             failures.append("an arrow into Omega is not the characteristic of its pullback")
@@ -372,55 +371,130 @@ def classify_round_trip(site: Site, X: Presheaf, bound: int | None = None) -> Cl
 
 @dataclass(frozen=True)
 class SubobjectLattice:
+    """The Heyting algebra of J-closed subobjects of ``ambient``, on bitmasks.
+
+    Each node (u, x), a section x of the ambient presheaf at object u, owns
+    one bit, numbered by ``node_index`` in object order and then section
+    order.  A subobject is the mask of the nodes in its parts, and
+    ``masks[i]`` is the mask of ``elements[i]``.  Two tables, one entry per
+    node (u, x), turn the operations into bit arithmetic:
+
+    - ``below``: the mask of x's restrictions along every arrow into u;
+    - ``covering``: for each covering sieve S of u, the mask of x's
+      restrictions along the arrows of S.
+
+    Meet is ``a & b``.  Closure keeps the nodes with some covering entry
+    ``r`` such that ``r & ~m == 0``, which is ``J.covers_with`` applied to
+    the truth sieve of x; join is the closure of ``a | b``.  Implication
+    keeps the nodes with ``below & a & ~b == 0``, negation is implication
+    into ``closure(0)``, and top is every node.
+
+    ``elements`` is the exhaustive ``enumerate_subobjects``: exactly the
+    restriction-stable, J-closed subobjects.  Every result is looked up in
+    ``index`` (mask -> element), and a mask outside it raises ``KeyError``
+    rather than being rounded to a neighbour.  So each result is certified
+    a closed, restriction-stable subobject by membership alone; the
+    ``Subobject`` functions (``meet_sub`` and the rest) compute the same
+    elements on parts and serve as the oracle in the tests.
+    """
+
     site: Site
     ambient: Presheaf
     elements: tuple[Subobject, ...]
-    index: dict[tuple, int]
     masks: tuple[int, ...]
-    node_index: dict[tuple, int]
+    index: dict[int, int]          # mask -> position in elements
+    node_index: dict[tuple, int]   # (object, section) -> bit
+    below: tuple[int, ...]
+    covering: tuple[tuple[int, ...], ...]
 
     def locate(self, A: Subobject) -> int:
-        return self.index[A.key()]
+        return self.index[_mask(self.node_index, A)]
+
+    def _close(self, m: int) -> int:
+        closed, bit = 0, 1
+        for entries in self.covering:
+            for r in entries:
+                if not r & ~m:
+                    closed |= bit
+                    break
+            bit <<= 1
+        return closed
+
+    def closure(self, m: int) -> int:
+        """J-closure of a mask.  A single pass suffices; a fixpoint assertion guards it."""
+        closed = self._close(m)
+        assert self._close(closed) == closed, "closure is not idempotent; topology not saturated?"
+        return closed
+
+    def _implies(self, a: int, b: int) -> int:
+        escapes = a & ~b
+        kept, bit = 0, 1
+        for d in self.below:
+            if not d & escapes:
+                kept |= bit
+            bit <<= 1
+        return kept
+
+    @cached_property
+    def _bottom(self) -> int:
+        return self.closure(0)
 
     def meet(self, i: int, j: int) -> int:
-        return self.locate(meet_sub(self.elements[i], self.elements[j]))
+        return self.index[self.masks[i] & self.masks[j]]
 
     def join(self, i: int, j: int) -> int:
-        return self.locate(join_sub(self.site.topology, self.elements[i], self.elements[j]))
+        return self.index[self.closure(self.masks[i] | self.masks[j])]
 
     def implies(self, i: int, j: int) -> int:
-        return self.locate(implies_sub(self.elements[i], self.elements[j]))
+        return self.index[self._implies(self.masks[i], self.masks[j])]
 
     def neg(self, i: int) -> int:
-        return self.locate(neg_sub(self.site.topology, self.elements[i]))
+        return self.index[self._implies(self.masks[i], self._bottom)]
 
     def leq(self, i: int, j: int) -> bool:
         return self.masks[i] & ~self.masks[j] == 0
 
     @property
     def top(self) -> int:
-        return self.locate(top_sub(self.ambient))
+        return self.index[(1 << len(self.node_index)) - 1]
 
     @property
     def bottom(self) -> int:
-        return self.locate(bottom_sub(self.site.topology, self.ambient))
+        return self.index[self._bottom]
+
+
+def _mask(node_index: dict[tuple, int], A: Subobject) -> int:
+    m = 0
+    for u, part in A.parts.items():
+        for x in part:
+            m |= 1 << node_index[(u, x)]
+    return m
 
 
 def heyting(site: Site, F: Presheaf, bound: int | None = None) -> SubobjectLattice:
     subs = enumerate_subobjects(site.topology, F, bound)
+    base = F.base
     node_index = {}
-    for u in F.base.objects:
+    for u in base.objects:
         for x in F.value[u]:
             node_index[(u, x)] = len(node_index)
-    masks = []
-    for A in subs:
+
+    def restrictions(x, arrows) -> int:
         m = 0
-        for u in F.base.objects:
-            for x in A.parts[u]:
-                m |= 1 << node_index[(u, x)]
-        masks.append(m)
-    index = {A.key(): i for i, A in enumerate(subs)}
-    return SubobjectLattice(site, F, subs, index, tuple(masks), node_index)
+        for f in arrows:
+            m |= 1 << node_index[(base.src[f], F.restrict[f][x])]
+        return m
+
+    below, covering = [], []
+    for u in base.objects:
+        for x in F.value[u]:
+            below.append(restrictions(x, base.into(u)))
+            covering.append(tuple(restrictions(x, S.arrows) for S in site.topology.covers[u]))
+    masks = [_mask(node_index, A) for A in subs]
+    index = {m: i for i, m in enumerate(masks)}
+    return SubobjectLattice(
+        site, F, subs, tuple(masks), index, node_index, tuple(below), tuple(covering)
+    )
 
 
 @dataclass(frozen=True)
@@ -444,6 +518,7 @@ def heyting_report(site: Site, F: Presheaf, bound: int | None = None) -> Heyting
     meet = [[lat.meet(i, j) for j in rng] for i in rng]
     join = [[lat.join(i, j) for j in rng] for i in rng]
     imp = [[lat.implies(i, j) for j in rng] for i in rng]
+    neg = [lat.neg(i) for i in rng]
     top, bot = lat.top, lat.bottom
 
     checks = []
@@ -464,11 +539,11 @@ def heyting_report(site: Site, F: Presheaf, bound: int | None = None) -> Heyting
         for a in rng for b in rng for c in rng
     )))
     checks.append(("implication-self", all(imp[i][i] == top for i in rng)))
-    checks.append(("negation-definition", all(lat.neg(i) == imp[i][bot] for i in rng)))
-    checks.append(("double-negation-inflation", all(lat.leq(i, lat.neg(lat.neg(i))) for i in rng)))
+    checks.append(("negation-definition", all(neg[i] == imp[i][bot] for i in rng)))
+    checks.append(("double-negation-inflation", all(lat.leq(i, neg[neg[i]]) for i in rng)))
 
-    em_fails = [i for i in rng if join[i][lat.neg(i)] != top]
-    dn_strict = [i for i in rng if lat.neg(lat.neg(i)) != i]
+    em_fails = [i for i in rng if join[i][neg[i]] != top]
+    dn_strict = [i for i in rng if neg[neg[i]] != i]
     witnesses = []
     if em_fails:
         witnesses.append(f"A ∨ ¬A ≠ ⊤ at subobject #{em_fails[0]}")

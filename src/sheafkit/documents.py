@@ -130,6 +130,18 @@ class _Entry:
             LABEL.walk(x, path)
 
 
+class _StringEntry(_Entry):
+    """An entry of strings; a value that is no string is named by its index in the entry."""
+
+    def fits(self, values) -> bool:
+        return super().fits(values) and STRING.fits(chain.from_iterable(values))
+
+    def walk(self, value, path) -> None:
+        super().walk(value, path)
+        for i, x in enumerate(value):
+            STRING.walk(x, (*path, i))
+
+
 class _ListOf:
     """A list whose items all have one shape."""
 
@@ -229,7 +241,7 @@ SCHEMA = {
         "text": STRING,
         "sorts": (_MapOf(STRING), {}),
         "predicates": (_MapOf(_Record({"sort": STRING, "parts": (_MapOf(_LABELS), {})})), {}),
-        "context": (_ListOf(_Entry(2, "a [variable, sort] pair")), []),
+        "context": (_ListOf(_StringEntry(2, "a [variable, sort] pair")), []),
     }),
     "diagram": _Record({"shape": STRING, "values": _MapOf(_LABELS), "actions": _ARROW_TABLES}),
 }

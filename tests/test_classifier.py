@@ -1,6 +1,8 @@
 """Subobject classifier, characteristic maps, Heyting algebra."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheafkit.classifier import (
     Subobject,
@@ -27,13 +29,18 @@ from sheafkit.errors import NotClosedSubobject, NotRestrictionStable
 from sheafkit.fincat import presheaf
 from sheafkit.gallery import (
     arrow_site,
+    const2_presheaf,
     discrete2_site,
+    discrete3_site,
+    pc_double_cover,
     pseudocircle_site,
     sierpinski_site,
 )
 from sheafkit.sheaf import is_sheaf, terminal_presheaf
+from sheafkit.site import Site, trivial_topology
 
 from naive import naive_stable_subsets
+from randgen import random_poset, random_presheaf
 
 
 SIER_TOP = "{b,t}"
@@ -233,14 +240,40 @@ def test_heyting_report_on_fixtures():
     assert report3.ok, report3.checks
 
 
+def assert_lattice_matches_subobject_operations(site, F):
+    """Every entry of the mask lattice is where the Subobject operations land."""
+    J = site.topology
+    lat = heyting(site, F)
+    subs = lat.elements
+    for i, A in enumerate(subs):
+        assert lat.locate(A) == i
+        assert lat.neg(i) == lat.locate(neg_sub(J, A))
+        for j, B in enumerate(subs):
+            assert lat.meet(i, j) == lat.locate(meet_sub(A, B))
+            assert lat.join(i, j) == lat.locate(join_sub(J, A, B))
+            assert lat.implies(i, j) == lat.locate(implies_sub(A, B))
+    assert lat.top == lat.locate(top_sub(F))
+    assert lat.bottom == lat.locate(bottom_sub(J, F))
+
+
 def test_lattice_meet_join_locate_consistently():
     site, F, _ = positivity_fixture()
-    lat = heyting(site, F)
-    for i in range(len(lat.elements)):
-        for j in range(len(lat.elements)):
-            m = lat.meet(i, j)
-            assert lat.elements[m].same(meet_sub(lat.elements[i], lat.elements[j]))
-            jn = lat.join(i, j)
-            assert lat.elements[jn].same(
-                join_sub(site.topology, lat.elements[i], lat.elements[j])
-            )
+    assert_lattice_matches_subobject_operations(site, F)
+    for make in (sierpinski_site, discrete2_site, pseudocircle_site):
+        site = make()
+        assert_lattice_matches_subobject_operations(site, terminal_presheaf(site.category))
+    d2 = discrete2_site()
+    assert_lattice_matches_subobject_operations(d2, const2_presheaf(d2))
+    assert_lattice_matches_subobject_operations(pseudocircle_site(), pc_double_cover().torsor.space)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_lattice_agrees_with_subobject_operations_on_random_presheaves(rng):
+    make = rng.choice((sierpinski_site, discrete2_site, discrete3_site, pseudocircle_site, None))
+    if make is None:
+        C = random_poset(rng, max_objs=4)
+        site = Site(C, trivial_topology(C))
+    else:
+        site = make()
+    assert_lattice_matches_subobject_operations(site, random_presheaf(rng, site.category))

@@ -184,6 +184,15 @@ def test_reports_are_byte_identical_across_runs():
         assert (code1, text1.encode()) == (code2, text2.encode())
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("site, presheaf", [("discrete2", "const2"), ("pseudocircle", "pc-double")])
+def test_heyting_json_report_matches_its_golden(site, presheaf):
+    golden = (GOLDEN / f"heyting-{site}-{presheaf}.json").read_text(encoding="utf-8")
+    assert invoke("heyting", "--site", site, "--presheaf", presheaf, "--format", "json") == (0, golden)
+
+
 def test_timing_flag_adds_the_only_nondeterministic_field():
     code, text = invoke("omega", "--site", "sierpinski", "--timing", "--format", "json")
     assert code == 0

@@ -388,6 +388,8 @@ ARROW_TOPOLOGY = ("validate-topology", "--site", "arrow-trivial")
                  "covers.1[0]: a JSON array is not a label", id="covers-family-with-an-array"),
     pytest.param("sier-em", lambda d: d["context"].__setitem__(0, "xF"), FORCE_EM,
                  "context[0] must be a [variable, sort] pair", id="context-entry-a-string"),
+    pytest.param("sier-em", lambda d: d["context"][0].__setitem__(1, 5), FORCE_EM,
+                 "context[0][1] must be a string", id="context-sort-a-number"),
     pytest.param("arrow-trivial", lambda d: d.update(covers={"1": ["0->1"]}), ARROW_TOPOLOGY,
                  "covers.1[0] must be a list of arrows", id="covers-family-a-string"),
 ])
@@ -434,8 +436,9 @@ def test_opens_not_closed_are_named_in_label_order(tmp_path):
 
 
 def test_context_variables_of_mixed_types_are_named_in_label_order(tmp_path):
-    _, got = run_shadowed(tmp_path, "sier-em", lambda d: d.update(context=[[1, "F"], ["x", "F"]]), *FORCE_EM)
-    assert got == (2, "error: IllSorted: environment must assign exactly the context variables [1, 'x']\n")
+    # force --env assigns strings only, so a numeric variable is rejected when the document loads
+    p, got = run_shadowed(tmp_path, "sier-em", lambda d: d.update(context=[[1, "F"], ["x", "F"]]), *FORCE_EM)
+    assert got == (2, f"error: MalformedDocument: {p}: sier-em: context[0][0] must be a string\n")
 
 
 def test_unknown_point_is_named_in_document_order(tmp_path):
