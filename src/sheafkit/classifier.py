@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .config import enumeration_bound
+from .config import check_bound
 from .errors import (
     BaseMismatch,
     DanglingReference,
-    IntractableSize,
     NotClosedSubobject,
     NotRestrictionStable,
 )
@@ -153,12 +152,7 @@ def enumerate_subobjects(
     if not F.base.same(J.category):
         raise BaseMismatch("presheaf and topology live over different categories")
     base = F.base
-    limit_ = enumeration_bound(bound)
-    count = 1
-    for u in base.objects:
-        count *= 2 ** len(F.value[u])
-        if count > limit_:
-            raise IntractableSize("subobject enumeration exceeds bound")
+    check_bound("subobjects", (2 ** len(F.value[u]) for u in base.objects), bound)
 
     objs = base.objects
     pos = {u: i for i, u in enumerate(objs)}
@@ -511,9 +505,7 @@ def heyting_report(site: Site, F: Presheaf, bound: int | None = None) -> Heyting
     """All Heyting axioms by enumeration, plus the intuitionistic witnesses."""
     lat = heyting(site, F, bound)
     n = len(lat.elements)
-    limit_ = enumeration_bound(bound)
-    if n ** 3 > limit_:
-        raise IntractableSize(f"|Sub(F)| = {n}: triple enumeration exceeds bound")
+    check_bound("Heyting triples", [n ** 3], bound)
     rng = range(n)
     meet = [[lat.meet(i, j) for j in rng] for i in rng]
     join = [[lat.join(i, j) for j in rng] for i in rng]

@@ -22,7 +22,7 @@ import time
 from . import __version__
 from .classifier import classify_round_trip, heyting_report, omega, omega_open_iso
 from .documents import load_documents
-from .errors import MalformedDocument, UnknownObject, UsageError, WorkbenchError
+from .errors import IntractableSize, MalformedDocument, UnknownObject, UsageError, WorkbenchError
 from .fincat import natural_index_families, yoneda_presheaf
 from .labels import label_key, show_label
 from .limits import (
@@ -105,7 +105,7 @@ def _render_text(report) -> str:
 def _h_validate_category(ds, args):
     try:
         C = ds.category(args.category)
-    except MalformedDocument:
+    except (MalformedDocument, IntractableSize):
         raise  # a load error, not a verdict on the category
     except WorkbenchError as err:
         return False, {"error": str(err)}, [args.category]
@@ -257,7 +257,7 @@ def _h_force(ds, args):
 
 def _h_interpret(ds, args):
     fd = ds.formula(args.formula)
-    sub = interpret(fd.model, fd.formula, fd.context)
+    sub = interpret(fd.model, fd.formula, fd.context, args.bound)
     details = {
         "formula": format_formula(fd.formula),
         "context": [[v, s] for v, s in fd.context],

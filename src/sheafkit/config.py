@@ -3,14 +3,15 @@
 Every exhaustive search is guarded by a candidate-count bound; exceeding
 it raises IntractableSize rather than truncating silently.  The default
 can be overridden with the WORKBENCH_BOUND environment variable or a
-``bound=`` argument at any call site.
+``bound=`` argument at any call site.  ``check_bound`` is the one check:
+every IntractableSize comes from it.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import UsageError
+from .errors import IntractableSize, UsageError
 
 DEFAULT_BOUND = 2_000_000
 
@@ -31,3 +32,19 @@ def enumeration_bound(override: int | None = None) -> int:
         except ValueError:
             raise UsageError(f"WORKBENCH_BOUND must be an integer, got {env!r}") from None
     return DEFAULT_BOUND
+
+
+def check_bound(search: str, factors, bound: int | None = None) -> None:
+    """Raise IntractableSize if the product of ``factors`` exceeds the bound.
+
+    The factors are multiplied one at a time and the first running
+    product above the bound is raised as the size, so a search whose
+    full candidate count is astronomically large is refused without
+    computing it.  ``search`` names the enumeration in the error.
+    """
+    limit = enumeration_bound(bound)
+    size = 1
+    for factor in factors:
+        size *= factor
+        if size > limit:
+            raise IntractableSize(search, size, limit)

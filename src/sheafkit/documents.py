@@ -20,6 +20,7 @@ from itertools import chain
 from pathlib import Path
 
 from .errors import (
+    IntractableSize,
     MalformedDocument,
     ParseError,
     SemanticError,
@@ -298,9 +299,11 @@ class DocumentSet:
         """Check the named document against SCHEMA, then build it once, defaults filled in.
 
         A library error from the build is raised as a ``SemanticError``
-        prefixed with the file and document, and marked ``located``.
-        Errors that already name their document pass through unchanged:
-        ``MalformedDocument`` and the located errors of a nested build.
+        prefixed with the file and document, and marked ``located``.  An
+        ``IntractableSize`` keeps its class and fields and only gains the
+        prefix.  Errors that already name their document pass through
+        unchanged: ``MalformedDocument`` and the located errors of a nested
+        build.
         """
         doc = self._doc(name, kinds)
         if (kinds, name) not in self._built:
@@ -313,6 +316,10 @@ class DocumentSet:
                 raise
             except WorkbenchError as err:
                 if getattr(err, "located", False):
+                    raise
+                if isinstance(err, IntractableSize):
+                    err.args = (f"{where}: {err}",)
+                    err.located = True
                     raise
                 located = SemanticError(f"{where}: {err}")
                 located.located = True

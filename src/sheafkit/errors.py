@@ -58,7 +58,15 @@ class ShapeMismatch(WorkbenchError):
 
 
 class IntractableSize(WorkbenchError):
-    """An enumeration would exceed the configured bound."""
+    """An enumeration would exceed the configured bound.
+
+    ``search`` names the enumeration, ``size`` is the candidate count it
+    reached and ``bound`` the bound that count exceeds.
+    """
+
+    def __init__(self, search: str, size: int, bound: int):
+        super().__init__(f"{search}: size {size} exceeds bound {bound}")
+        self.search, self.size, self.bound = search, size, bound
 
 
 # -- sheaf layer -------------------------------------------------------------

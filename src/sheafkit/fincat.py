@@ -15,17 +15,17 @@ validation stays exhaustive without rescanning the morphism list.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernel
-from .config import DEFAULT_HOM_BOUND, enumeration_bound
+from .config import DEFAULT_HOM_BOUND, check_bound
 from .errors import (
     AssociativityViolation,
     BaseMismatch,
     DanglingReference,
     IdentityViolation,
-    IntractableSize,
     MissingComposite,
     NotNatural,
     UnknownObject,
@@ -162,12 +162,8 @@ def validate_category(
             if (g, f) not in table:
                 raise MissingComposite(f"composable pair ({g!r}, {f!r}) has no entry")
 
-    hom_counts: dict[tuple[Label, Label], int] = {}
-    for m in mors:
-        key = (src[m], tgt[m])
-        hom_counts[key] = hom_counts.get(key, 0) + 1
-        if hom_counts[key] > hom_bound:
-            raise IntractableSize(f"|Hom{key!r}| exceeds bound {hom_bound}")
+    for key, n in Counter((src[m], tgt[m]) for m in mors).most_common(1):
+        check_bound(f"Hom{key!r}", [n], hom_bound)
 
     for f in mors:
         if table[(ident[tgt[f]], f)] != f:
@@ -457,15 +453,11 @@ def natural_index_families(F: Presheaf, G: Presheaf, bound: int | None = None) -
     if not F.base.same(G.base):
         raise BaseMismatch("presheaves live over different base categories")
     base = F.base
-    limit = enumeration_bound(bound)
-    candidates = 1
-    for u in base.objects:
-        fu, gu = len(F.value[u]), len(G.value[u])
-        candidates *= gu ** fu if fu else 1
-        if candidates > limit:
-            raise IntractableSize(
-                f"natural-transformation search space exceeds bound {limit}"
-            )
+    check_bound(
+        "natural transformations",
+        (len(G.value[u]) ** len(F.value[u]) for u in base.objects),
+        bound,
+    )
 
     arrows = [
         (base.tgt[f], base.src[f], F.restrict[f], G.restrict[f])

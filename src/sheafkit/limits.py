@@ -9,14 +9,13 @@ family of test (co)cones, a mediating map must exist and be unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, takewhile
 
 from . import kernel
-from .config import enumeration_bound
+from .config import check_bound
 from .errors import (
     CodomainMismatch,
     DanglingReference,
-    IntractableSize,
     NotNatural,
     ShapeMismatch,
     UsageError,
@@ -110,14 +109,11 @@ def diagram_naturals(F: Diagram, G: Diagram, bound: int | None = None):
     """
     if not F.shape.same(G.shape):
         raise ShapeMismatch("diagrams live on different shapes")
-    shape = F.shape
-    limit_ = enumeration_bound(bound)
-    candidates = 1
-    for j in shape.objects:
-        fj, gj = len(F.value[j]), len(G.value[j])
-        candidates *= gj ** fj if fj else 1
-        if candidates > limit_:
-            raise IntractableSize(f"natural-family search space exceeds bound {limit_}")
+    check_bound(
+        "diagram natural transformations",
+        (len(G.value[j]) ** len(F.value[j]) for j in F.shape.objects),
+        bound,
+    )
     return _naturals(F, G)
 
 
@@ -236,15 +232,10 @@ def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) 
     _check_size("max_apex", max_apex)
     D = res.diagram
     shape = D.shape
-    limit_ = enumeration_bound(bound)
     failures = []
     checked = 0
     for T in _test_apexes(max_apex):
-        count = 1
-        for j in shape.objects:
-            count *= len(D.value[j]) ** len(T) if T else 1
-            if count > limit_:
-                raise IntractableSize("cone family exceeds enumeration bound")
+        check_bound("test cones", (len(D.value[j]) ** len(T) for j in shape.objects), bound)
         for legs in _cones_from(T, D):
             checked += 1
             # the mediating map is forced pointwise; check existence+uniqueness
@@ -272,15 +263,10 @@ def certify_colimit(res: ConeResult, max_apex: int = 3, bound: int | None = None
     _check_size("max_apex", max_apex)
     D = res.diagram
     shape = D.shape
-    limit_ = enumeration_bound(bound)
     failures = []
     checked = 0
     for T in _test_apexes(max_apex):
-        count = 1
-        for j in shape.objects:
-            count *= len(T) ** len(D.value[j]) if D.value[j] else 1
-            if count > limit_:
-                raise IntractableSize("cocone family exceeds enumeration bound")
+        check_bound("test cocones", (len(T) ** len(D.value[j]) for j in shape.objects), bound)
         for legs in _cocones_into(T, D):
             checked += 1
             # mediating map forced on each class; consistent iff well-defined
@@ -360,13 +346,11 @@ def comma_category(K: FinFunctor, b: Label, direction: str, bound: int | None = 
     evident triangle condition.
     """
     A, B = K.source, K.target
-    limit_ = enumeration_bound(bound)
     if direction == "left":
         objects = [(a, m) for a in A.objects for m in B.hom(K.obj(a), b)]
     else:
         objects = [(a, m) for a in A.objects for m in B.hom(b, K.obj(a))]
-    if len(objects) > limit_:
-        raise IntractableSize(f"comma category at {b!r} has {len(objects)} objects")
+    check_bound(f"comma category at {b!r}", [len(objects)], bound)
     mors = []
     for (a1, m1) in objects:
         for (a2, m2) in objects:
@@ -556,31 +540,21 @@ def kan_certificate(
 
 def _enumerate_diagrams(shape: FinCategory, max_size: int, bound: int | None = None):
     """All covariant set-valued functors on a shape with small value sets."""
-    limit_ = enumeration_bound(bound)
     objs = shape.objects
     non_id = [f for f in shape.morphisms if not shape.is_identity(f)]
-    sizes_iter = product(range(max_size + 1), repeat=len(objs))
-    for sizes in sizes_iter:
+    for sizes in product(range(max_size + 1), repeat=len(objs)):
         value = {j: tuple(f"v{i}" for i in range(sizes[k])) for k, j in enumerate(objs)}
-        tables = []
-        count = 1
-        for f in non_id:
-            a, b = shape.src[f], shape.tgt[f]
-            na, nb = len(value[a]), len(value[b])
-            if na and not nb:
-                tables = None
-                break
-            count *= nb ** na if na else 1
-            if count > limit_:
-                raise IntractableSize("candidate functor family exceeds bound")
-            tables.append((f, list(product(value[b], repeat=na))))
-        if tables is None:
+        # (|target|, |source|) per arrow.  No functor sends a nonempty set into
+        # an empty one, so such sizes are skipped at the first arrow that
+        # does, after the bound is checked on the arrows before it.
+        exps = [(len(value[shape.tgt[f]]), len(value[shape.src[f]])) for f in non_id]
+        live = list(takewhile(lambda e: e[0] or not e[1], exps))
+        check_bound("test functors", (nb ** na for nb, na in live), bound)
+        if len(live) < len(exps):
             continue
-        for combo in product(*(t[1] for t in tables)):
-            action = {
-                f: dict(zip(value[shape.src[f]], choice))
-                for (f, _), choice in zip(tables, combo)
-            }
+        tables = [product(value[shape.tgt[f]], repeat=na) for f, (_, na) in zip(non_id, exps)]
+        for combo in product(*tables):
+            action = {f: dict(zip(value[shape.src[f]], choice)) for f, choice in zip(non_id, combo)}
             try:
                 yield diagram(shape, value, action)
             except NotNatural:

@@ -23,8 +23,8 @@ from .classifier import (
     subobject,
     top_sub,
 )
-from .config import DEFAULT_FORMULA_DEPTH
-from .errors import IllSorted, IntractableSize, ParseError, UnknownObject, UnknownSubobject
+from .config import DEFAULT_FORMULA_DEPTH, check_bound, enumeration_bound
+from .errors import IllSorted, ParseError, UnknownObject, UnknownSubobject
 from .fincat import Presheaf, presheaf
 from .labels import Label, label_key
 from .site import Site
@@ -291,8 +291,7 @@ def check_sorting(model: LogicModel, phi: Formula, context) -> None:
         walk(node.body, {**scope, node.var: node.sort})
 
     walk(phi, dict(context))
-    if depth(phi) > DEFAULT_FORMULA_DEPTH:
-        raise IntractableSize(f"formula depth exceeds {DEFAULT_FORMULA_DEPTH}")
+    check_bound("formula depth", [depth(phi)], DEFAULT_FORMULA_DEPTH)
 
 
 # -- forcing ------------------------------------------------------------------------
@@ -434,12 +433,17 @@ def _collect_bound_sorts(phi: Formula) -> dict:
 
 # -- compositional subobject semantics ---------------------------------------------------
 
-def context_product(model: LogicModel, context) -> Presheaf:
-    """Product of the context sorts, elements ordered as the context lists them."""
+def context_product(model: LogicModel, context, bound: int | None = None) -> Presheaf:
+    """Product of the context sorts, elements ordered as the context lists them.
+
+    The tuple count at each object is checked against the enumeration
+    bound before its tuples are built.
+    """
     C = model.site.category
     sorts = [model.sorts[s] for _, s in context]
     value = {}
     for u in C.objects:
+        check_bound("context product", [len(s.value[u]) for s in sorts], bound)
         tuples = [()]
         for s in sorts:
             tuples = [t + (x,) for t in tuples for x in s.value[u]]
@@ -455,16 +459,20 @@ def context_product(model: LogicModel, context) -> Presheaf:
     return presheaf(C, value, restrict)
 
 
-def interpret(model: LogicModel, phi: Formula, context) -> Subobject:
-    """The subobject of the context product carved out by the formula."""
+def interpret(model: LogicModel, phi: Formula, context, bound: int | None = None) -> Subobject:
+    """The subobject of the context product carved out by the formula.
+
+    Every context product the recursion builds is guarded by the bound,
+    which is resolved once here rather than at each product.
+    """
     check_sorting(model, phi, context)
-    return _interpret(model, phi, tuple(context))
+    return _interpret(model, phi, tuple(context), enumeration_bound(bound))
 
 
-def _interpret(model: LogicModel, phi: Formula, context) -> Subobject:
+def _interpret(model: LogicModel, phi: Formula, context, bound) -> Subobject:
     J = model.site.topology
     C = model.site.category
-    Pctx = context_product(model, context)
+    Pctx = context_product(model, context, bound)
     index = {v: i for i, (v, _) in enumerate(context)}
 
     if isinstance(phi, Top):
@@ -487,16 +495,16 @@ def _interpret(model: LogicModel, phi: Formula, context) -> Subobject:
         )
         return closure(J, strict)
     if isinstance(phi, And):
-        return meet_sub(_interpret(model, phi.left, context), _interpret(model, phi.right, context))
+        return meet_sub(_interpret(model, phi.left, context, bound), _interpret(model, phi.right, context, bound))
     if isinstance(phi, Or):
-        return join_sub(J, _interpret(model, phi.left, context), _interpret(model, phi.right, context))
+        return join_sub(J, _interpret(model, phi.left, context, bound), _interpret(model, phi.right, context, bound))
     if isinstance(phi, Implies):
-        return implies_sub(_interpret(model, phi.left, context), _interpret(model, phi.right, context))
+        return implies_sub(_interpret(model, phi.left, context, bound), _interpret(model, phi.right, context, bound))
     if isinstance(phi, Not):
-        return implies_sub(_interpret(model, phi.body, context), bottom_sub(J, Pctx))
+        return implies_sub(_interpret(model, phi.body, context, bound), bottom_sub(J, Pctx))
     if isinstance(phi, (Exists, Forall)):
         inner_ctx = context + ((phi.var, phi.sort),)
-        body = _interpret(model, phi.body, inner_ctx)
+        body = _interpret(model, phi.body, inner_ctx, bound)
         sort = model.sorts[phi.sort]
         if isinstance(phi, Exists):
             image = {

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import enumeration_bound
 from .errors import (
     BaseMismatch,
     DanglingReference,
     IncompatibleFamily,
-    IntractableSize,
     NoSuchFamily,
     NotASheafHere,
 )
@@ -461,19 +459,8 @@ def exponential(A: Presheaf, B: Presheaf, bound: int | None = None) -> Presheaf:
     if not A.base.same(B.base):
         raise BaseMismatch("exponential needs a common base")
     base = A.base
-    limit_ = enumeration_bound(bound)
-
     reps: dict[Label, Presheaf] = {u: product_presheaf(yoneda_presheaf(base, u), A) for u in base.objects}
-    fams: dict[Label, list] = {}
-    for u in base.objects:
-        count = 1
-        for w in base.objects:
-            fw = len(reps[u].value[w])
-            gw = len(B.value[w])
-            count *= gw ** fw if fw else 1
-            if count > limit_:
-                raise IntractableSize("exponential candidate space exceeds bound")
-        fams[u] = natural_index_families(reps[u], B, bound)
+    fams = {u: natural_index_families(reps[u], B, bound) for u in base.objects}
 
     value = {u: tuple(f"n{i}" for i in range(len(fams[u]))) for u in base.objects}
     index = {u: {fam: f"n{i}" for i, fam in enumerate(fams[u])} for u in base.objects}

@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .config import enumeration_bound
+from .config import check_bound
 from .errors import (
     ApexMismatch,
     CodomainMismatch,
     DanglingReference,
-    IntractableSize,
     SemanticError,
 )
 from .fincat import FinCategory, poset_category
@@ -96,11 +95,7 @@ def pullback_sieve(category: FinCategory, f: Label, S: Sieve) -> Sieve:
 def all_sieves(category: FinCategory, apex: Label, bound: int | None = None) -> tuple[Sieve, ...]:
     """Every sieve on apex, canonically ordered."""
     incoming = category.into(apex)
-    limit_ = enumeration_bound(bound)
-    if 2 ** len(incoming) > limit_:
-        raise IntractableSize(
-            f"{len(incoming)} arrows into {apex!r}: sieve enumeration exceeds bound"
-        )
+    check_bound(f"sieves on {apex!r}", [2 ** len(incoming)], bound)
     found = []
     for mask in range(2 ** len(incoming)):
         arrows = frozenset(m for i, m in enumerate(incoming) if mask >> i & 1)

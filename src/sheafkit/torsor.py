@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .config import enumeration_bound
+from .config import check_bound
 from .errors import (
     BaseMismatch,
     CoverMismatch,
     DanglingReference,
-    IntractableSize,
     InvalidCocycle,
     NotUniquelyTransitive,
     SemanticError,
@@ -429,7 +428,6 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
         raise InvalidCocycle("; ".join(report.failures))
     if not is_sheaf(G.sections, site.topology).ok:
         raise SemanticError("the coefficient presheaf is not a sheaf for the topology")
-    limit_ = enumeration_bound(bound)
 
     sl = slice_site(site, c.target)
     Gs = restrict_group(G, sl)
@@ -443,11 +441,7 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
     value: dict[Label, tuple] = {}
     for v in C.objects:
         pieces = [meet_label(v, c.cover[i]) for i in range(n)]
-        count = 1
-        for lbl in pieces:
-            count *= max(1, len(G.sections.value[lbl]))
-            if count > limit_:
-                raise IntractableSize("glued-section enumeration exceeds bound")
+        check_bound("glued sections", (max(1, len(G.sections.value[lbl])) for lbl in pieces), bound)
         sections = []
         for combo in product(*(G.sections.value[lbl] for lbl in pieces)):
             ok = True
@@ -535,12 +529,7 @@ def cocycles_equivalent(c1: Cocycle, c2: Cocycle, bound: int | None = None) -> E
     site, G = c1.site, c1.group
     C = site.category
     n = len(c1.cover)
-    limit_ = enumeration_bound(bound)
-    count = 1
-    for u in c1.cover:
-        count *= max(1, len(G.sections.value[u]))
-        if count > limit_:
-            raise IntractableSize("trivialization search exceeds bound")
+    check_bound("trivializations", (max(1, len(G.sections.value[u])) for u in c1.cover), bound)
     for combo in product(*(G.sections.value[u] for u in c1.cover)):
         good = True
         for i in range(n):

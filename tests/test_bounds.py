@@ -1,0 +1,207 @@
+"""Every guarded search raises IntractableSize at one threshold, from one check.
+
+Each case runs one guarded search on a small fixture with an explicit
+bound.  T is the largest candidate count the search checks against its
+bound on that fixture, so the search passes at bound T and raises at
+bound T - 1, reporting the count T it reached.  The thresholds are those
+of the hand-written guards the single check replaced, so no raise
+decision moved.
+"""
+
+import ast
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+import sheafkit
+from sheafkit import logic
+from sheafkit.classifier import enumerate_subobjects, heyting_report
+from sheafkit.documents import load_documents
+from sheafkit.errors import IntractableSize
+from sheafkit.fincat import (
+    arrow_category,
+    enumerate_naturals,
+    poset_category,
+    to_point_functor,
+    validate_category,
+)
+from sheafkit.gallery import (
+    PC_UX,
+    PC_UY,
+    PC_WHOLE,
+    const2_presheaf,
+    discrete2_site,
+    pseudocircle_site,
+    sierpinski_site,
+    sign_cocycle,
+    unit_cocycle,
+    z2_local_system,
+)
+from sheafkit.limits import (
+    _enumerate_diagrams,
+    certify_colimit,
+    certify_limit,
+    colimit,
+    comma_category,
+    diagram,
+    diagram_naturals,
+    limit,
+)
+from sheafkit.sheaf import exponential, terminal_presheaf
+from sheafkit.site import all_sieves
+from sheafkit.torsor import cocycles_equivalent, glue_torsor
+
+
+def arrow_diagram():
+    return diagram(
+        arrow_category(),
+        {"0": ("p", "q", "s"), "1": ("r", "t")},
+        {"0->1": {"p": "r", "q": "r", "s": "t"}},
+    )
+
+
+def naturals(bound):
+    F = const2_presheaf(discrete2_site())
+    enumerate_naturals(F, F, bound)
+
+
+def hom_set(bound):
+    validate_category(
+        ["a", "b"],
+        [("ida", "a", "a"), ("idb", "b", "b"), ("f", "a", "b"), ("g", "a", "b"), ("h", "a", "b")],
+        {"a": "ida", "b": "idb"},
+        {
+            ("ida", "ida"): "ida",
+            ("idb", "idb"): "idb",
+            **{("idb", m): m for m in "fgh"},
+            **{(m, "ida"): m for m in "fgh"},
+        },
+        hom_bound=bound,
+    )
+
+
+def exponential_sierpinski(bound):
+    F = const2_presheaf(sierpinski_site())
+    exponential(F, F, bound)
+
+
+def diagram_naturals_arrow(bound):
+    D = arrow_diagram()
+    diagram_naturals(D, D, bound)
+
+
+def certify_limit_arrow(bound):
+    certify_limit(limit(arrow_diagram()), max_apex=2, bound=bound)
+
+
+def certify_colimit_arrow(bound):
+    certify_colimit(colimit(arrow_diagram()), max_apex=2, bound=bound)
+
+
+def chain3():
+    return poset_category(["c1", "c2", "c3"], lambda a, b: a <= b)
+
+
+def comma_chain(bound):
+    comma_category(to_point_functor(chain3()), "pt", "left", bound)
+
+
+def functors_chain(bound):
+    list(_enumerate_diagrams(chain3(), 2, bound))
+
+
+def sieves_sierpinski(bound):
+    all_sieves(sierpinski_site().category, "{b,t}", bound)
+
+
+def subobjects_sierpinski(bound):
+    site = sierpinski_site()
+    enumerate_subobjects(site.topology, const2_presheaf(site), bound)
+
+
+def heyting_sierpinski(bound):
+    site = sierpinski_site()
+    heyting_report(site, terminal_presheaf(site.category), bound)
+
+
+def glue_sign(bound):
+    site = pseudocircle_site()
+    glue_torsor(site, z2_local_system(site), sign_cocycle(), bound)
+
+
+def trivializations(bound):
+    site = pseudocircle_site()
+    G = z2_local_system(site)
+    cocycles_equivalent(sign_cocycle(), unit_cocycle(site, G, PC_WHOLE, (PC_UX, PC_UY)), bound)
+
+
+def formula_depth(bound):
+    fd = load_documents([]).formula("pc-exists-section")
+    with mock.patch.object(logic, "DEFAULT_FORMULA_DEPTH", bound):
+        logic.check_sorting(fd.model, logic.Not(logic.Not(fd.formula)), fd.context)
+
+
+# (search, threshold T, name the error gives the search)
+CASES = {
+    "natural_index_families": (naturals, 64, "natural transformations"),
+    "validate_category hom bound": (hom_set, 3, "Hom('a', 'b')"),
+    "exponential": (exponential_sierpinski, 16, "natural transformations"),
+    "diagram_naturals": (diagram_naturals_arrow, 108, "diagram natural transformations"),
+    "certify_limit": (certify_limit_arrow, 36, "test cones"),
+    "certify_colimit": (certify_colimit_arrow, 32, "test cocones"),
+    "comma_category": (comma_chain, 3, "comma category at 'pt'"),
+    "_enumerate_diagrams": (functors_chain, 64, "test functors"),
+    "all_sieves": (sieves_sierpinski, 8, "sieves on '{b,t}'"),
+    "enumerate_subobjects": (subobjects_sierpinski, 32, "subobjects"),
+    "heyting_report": (heyting_sierpinski, 27, "Heyting triples"),
+    "glue_torsor": (glue_sign, 16, "glued sections"),
+    "cocycles_equivalent": (trivializations, 4, "trivializations"),
+    "formula depth": (formula_depth, 3, "formula depth"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bound_threshold_decides(case):
+    search, T, _ = CASES[case]
+    search(T)
+    with pytest.raises(IntractableSize):
+        search(T - 1)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bound_error_names_search_size_and_bound(case):
+    search, T, name = CASES[case]
+    with pytest.raises(IntractableSize) as info:
+        search(T - 1)
+    err = info.value
+    assert (err.search, err.size, err.bound) == (name, T, T - 1)
+    assert str(err) == f"{name}: size {T} exceeds bound {T - 1}"
+
+
+class _Builders(ast.NodeVisitor):
+    """Records the enclosing function of every ``IntractableSize(...)`` call."""
+
+    def __init__(self, module):
+        self.module, self.stack, self.found = module, [], []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "IntractableSize":
+            self.found.append((self.module, ".".join(self.stack)))
+        self.generic_visit(node)
+
+
+def test_only_check_bound_builds_intractable_size():
+    found = []
+    for path in sorted(Path(sheafkit.__file__).parent.glob("*.py")):
+        builders = _Builders(path.name)
+        builders.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found.extend(builders.found)
+    assert found == [("config.py", "check_bound")]

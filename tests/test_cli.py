@@ -250,6 +250,13 @@ def test_glue_with_an_unknown_section_value_exits_two():
     )
 
 
+def test_interpret_obeys_the_bound():
+    assert invoke("interpret", "--formula", "pc-exists-section")[0] == 0
+    assert invoke("interpret", "--formula", "pc-exists-section", "--bound", "1") == (
+        2, "error: IntractableSize: context product: size 2 exceeds bound 1\n"
+    )
+
+
 # -- run reuses one parser per process; its calls stay independent ------------------
 
 def test_twenty_runs_build_the_parser_at_most_once(monkeypatch):

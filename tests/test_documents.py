@@ -219,6 +219,42 @@ def test_list_valued_object_label_is_a_semantic_error(tmp_path, capsys):
     assert_load_error(p, capsys, "objects[1]: a JSON array is not a label")
 
 
+def parallel_arrows(doc, n=65):
+    doc["objects"] = ["u", "v"]
+    arrows = [f"f{i}" for i in range(n)]
+    doc["morphisms"] = [{"name": m, "src": s, "tgt": t}
+                        for m, s, t in [("id", "u", "u"), ("idv", "v", "v"), *((f, "u", "v") for f in arrows)]]
+    doc["identities"] = {"u": "id", "v": "idv"}
+    doc["compose"] = [["id", "id", "id"], ["idv", "idv", "idv"],
+                      *(["idv", f, f] for f in arrows), *([f, "id", f] for f in arrows)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-category", "--category", "mal"],
+    ["yoneda", "--category", "mal", "--at", "u"],
+])
+def test_a_hom_set_over_the_hom_bound_is_a_load_error(tmp_path, argv):
+    from sheafkit.cli import run
+
+    p = malformed_category(tmp_path, parallel_arrows)
+    assert run([*argv, "--docs", str(p)]) == (
+        2, f"error: IntractableSize: {p}: mal: Hom('u', 'v'): size 65 exceeds bound 64\n"
+    )
+
+
+def test_a_bound_hit_while_building_a_document_stays_intractable_size(monkeypatch):
+    from sheafkit.cli import run
+    from sheafkit.errors import IntractableSize
+
+    monkeypatch.setenv("WORKBENCH_BOUND", "3")
+    message = "gallery:sierpinski: sierpinski: sieves on '{b,t}': size 8 exceeds bound 3"
+    assert run(["omega", "--site", "sierpinski"]) == (2, f"error: IntractableSize: {message}\n")
+    with pytest.raises(IntractableSize) as info:
+        load_documents([]).site("sierpinski")
+    err = info.value
+    assert (str(err), err.search, err.size, err.bound) == (message, "sieves on '{b,t}'", 8, 3)
+
+
 # -- malformed space, presheaf, diagram and cocycle documents exit 2 as well ----
 
 def run_malformed(tmp_path, gallery_name, change, *argv):

@@ -3,7 +3,7 @@
 import pytest
 
 from sheafkit.classifier import enumerate_subobjects, subobject
-from sheafkit.errors import IllSorted, ParseError, UnknownSubobject
+from sheafkit.errors import IllSorted, IntractableSize, ParseError, UnknownSubobject
 from sheafkit.fincat import presheaf
 from sheafkit.gallery import discrete2_site, sierpinski_site
 from sheafkit.logic import (
@@ -249,3 +249,16 @@ def test_interpretation_of_atoms_and_connectives_is_definitional():
     }
     top = interpret(model, Top(), CONTEXT)
     assert all(len(top.parts[u]) == len(model.sorts["F"].value[u]) for u in site.category.objects)
+
+
+def test_interpret_checks_every_context_product_against_the_bound():
+    # three nested quantifiers over a two-section sort: 2**3 tuples at each object
+    site = discrete2_site()
+    two = presheaf(site.category, {u: ("p", "q") for u in site.category.objects},
+                   {f: {"p": "p", "q": "q"} for f in site.category.morphisms})
+    model = logic_model(site, {"S": two}, {})
+    phi = Exists("v0", "S", Exists("v1", "S", Exists("v2", "S", Top())))
+    assert interpret(model, phi, (), bound=8).parts == interpret(model, phi, ()).parts
+    with pytest.raises(IntractableSize) as info:
+        interpret(model, phi, (), bound=7)
+    assert (info.value.search, info.value.size, info.value.bound) == ("context product", 8, 7)
