@@ -445,9 +445,6 @@ class SubobjectLattice:
     def neg(self, i: int) -> int:
         return self.index[self._implies(self.masks[i], self._bottom)]
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.masks[i] & ~self.masks[j] == 0
-
     @property
     def top(self) -> int:
         return self.index[(1 << len(self.node_index)) - 1]
@@ -526,13 +523,15 @@ def heyting_report(site: Site, F: Presheaf, bound: int | None = None) -> Heyting
         meet[i][join[j][k]] == join[meet[i][j]][meet[i][k]]
         for i in rng for j in rng for k in rng
     )))
+    masks = lat.masks
+    outside = [~m for m in masks]
     checks.append(("adjunction", all(
-        (lat.leq(meet[c][a], b)) == (lat.leq(c, imp[a][b]))
+        (masks[meet[c][a]] & outside[b] == 0) == (masks[c] & outside[imp[a][b]] == 0)
         for a in rng for b in rng for c in rng
     )))
     checks.append(("implication-self", all(imp[i][i] == top for i in rng)))
     checks.append(("negation-definition", all(neg[i] == imp[i][bot] for i in rng)))
-    checks.append(("double-negation-inflation", all(lat.leq(i, neg[neg[i]]) for i in rng)))
+    checks.append(("double-negation-inflation", all(masks[i] & outside[neg[neg[i]]] == 0 for i in rng)))
 
     em_fails = [i for i in rng if join[i][neg[i]] != top]
     dn_strict = [i for i in rng if neg[neg[i]] != i]

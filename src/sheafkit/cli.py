@@ -242,7 +242,7 @@ def _h_force(ds, args):
             f"formula {args.formula!r} is pinned to its own site document"
         )
     env = _parse_pairs(args.env, "--env")
-    forced = forces(fd.model, args.at, fd.formula, env, fd.context)
+    forced = forces(fd.model, args.at, fd.formula, env, fd.context, args.bound)
     details = {
         "formula": format_formula(fd.formula),
         "at": show_label(args.at),

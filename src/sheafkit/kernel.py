@@ -65,13 +65,13 @@ def natural_families(f_sizes, g_sizes, morphisms):
         else:
             closed[p].append((ftab, gtab))
 
+    if not n:
+        return [()]
     out = []
     fam: list = [None] * n
+    last = n - 1
 
     def rec(k: int) -> None:
-        if k == n:
-            out.append(tuple(fam))
-            return
         domains = [range(g_sizes[k])] * f_sizes[k]
         for p, ftab, gtab in forced[k]:
             for x, y in enumerate(fam[p]):
@@ -92,6 +92,11 @@ def natural_families(f_sizes, g_sizes, morphisms):
                 func for func in cands
                 if all(func[ftab[x]] == gtab[y] for ftab, gtab in closed[k] for x, y in enumerate(func))
             ]
+        if k == last:
+            for func in cands:
+                fam[k] = func
+                out.append(tuple(fam))
+            return
         for func in cands:
             fam[k] = func
             rec(k + 1)

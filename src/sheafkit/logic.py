@@ -11,6 +11,7 @@ pullback along a projection.  The two are cross-validated on fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .classifier import (
     Subobject,
@@ -303,11 +304,11 @@ class Evaluator:
     covers the context and every quantifier in the formula.
     """
 
-    def __init__(self, model: LogicModel, context, phi: Formula):
+    def __init__(self, model: LogicModel, sort_of: dict[str, str]):
         self.model = model
         self.J = model.site.topology
         self.C = model.site.category
-        self.sort_of: dict[str, str] = {**dict(context), **_collect_bound_sorts(phi)}
+        self.sort_of = sort_of
         self._memo: dict = {}
 
     def forces(self, u: Label, phi: Formula, env: dict) -> bool:
@@ -397,8 +398,15 @@ class Evaluator:
         raise IllSorted(f"unknown formula node {phi!r}")
 
 
-def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context) -> bool:
-    """U forces phi in the given environment."""
+def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context, bound: int | None = None) -> bool:
+    """U forces phi in the given environment.
+
+    Forcing never builds a context product, but ``forall`` and
+    ``exists`` range over the same sections, so the query is refused
+    exactly when ``interpret`` would refuse it: every context product
+    that ``interpret`` builds for phi is checked against the bound,
+    resolved once here, before anything is evaluated.
+    """
     check_sorting(model, phi, context)
     if u not in model.site.category.object_set:
         raise UnknownObject(f"no object {u!r}")
@@ -411,24 +419,54 @@ def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context) -> boo
     for v, s in context:
         if env[v] not in model.sorts[s].value[u]:
             raise IllSorted(f"environment value for {v!r} is not a section of {s!r} over {u!r}")
-    return Evaluator(model, context, phi).forces(u, phi, env)
+    quantifiers = _quantifiers(phi)
+    _check_contexts(model, context, quantifiers, enumeration_bound(bound))
+    sort_of = {**dict(context), **{v: sort for v, sort, _ in quantifiers}}
+    return Evaluator(model, sort_of).forces(u, phi, env)
 
 
-def _collect_bound_sorts(phi: Formula) -> dict:
-    out = {}
+def _quantifiers(phi: Formula) -> list[tuple[str, str, int]]:
+    """(variable, sort, enclosing) for each quantifier of phi, in preorder.
 
-    def walk(node):
+    ``enclosing`` is 0 for the outer context and i + 1 for the i-th
+    quantifier of the list, so quantifier i binds its variable in the
+    context of its ``enclosing`` plus its own sort.
+    """
+    out = []
+
+    def walk(node, enclosing):
         if isinstance(node, (And, Or, Implies)):
-            walk(node.left)
-            walk(node.right)
+            walk(node.left, enclosing)
+            walk(node.right, enclosing)
         elif isinstance(node, Not):
-            walk(node.body)
+            walk(node.body, enclosing)
         elif isinstance(node, (Exists, Forall)):
-            out[node.var] = node.sort
-            walk(node.body)
+            out.append((node.var, node.sort, enclosing))
+            walk(node.body, len(out))
 
-    walk(phi)
+    walk(phi, 0)
     return out
+
+
+def _check_contexts(model: LogicModel, context, quantifiers, bound: int) -> None:
+    """Check each context product ``interpret`` builds, in the order it first
+    builds them: the outer context, then one more sort at each quantifier,
+    in preorder.  By the time a quantifier is reached, every running
+    product of its enclosing context has passed the check at every
+    object, so only the product with the new sort can exceed the bound."""
+    objects = model.site.category.objects
+    sorts = [model.sorts[s] for _, s in context]
+    outer = []
+    for u in objects:
+        factors = [len(s.value[u]) for s in sorts]
+        check_bound("context product", factors, bound)
+        outer.append(prod(factors))
+    sizes = [outer]
+    for _, sort, enclosing in quantifiers:
+        value = model.sorts[sort].value
+        sizes.append([n * len(value[u]) for n, u in zip(sizes[enclosing], objects)])
+        for n in sizes[-1]:
+            check_bound("context product", [n], bound)
 
 
 # -- compositional subobject semantics ---------------------------------------------------

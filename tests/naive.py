@@ -3,16 +3,29 @@
 These deliberately do not share code with the library: no kernel, no
 pruning, no canonical ordering tricks.  Each one enumerates the full
 candidate space and filters by the defining condition, so library
-results can be checked against them on small fixtures.  Two exceptions:
+results can be checked against them on small fixtures.  Three exceptions:
 ``naive_natural_families`` drops a candidate once a whole slot
-contradicts the earlier ones, so that kernel-sized cases stay fast, and
+contradicts the earlier ones, so that kernel-sized cases stay fast;
 ``naive_exponential`` builds its presheaf tables with the library's
-validated constructors; its naturals come from ``naive_naturals``.
+validated constructors, and its naturals come from ``naive_naturals``;
+the category and functor validators order morphisms by the library's
+``label_key`` and raise its error classes with its messages, because
+they must name the same first failure.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+from sheafkit.errors import (
+    AssociativityViolation,
+    DanglingReference,
+    IdentityViolation,
+    IntractableSize,
+    MissingComposite,
+    NotNatural,
+)
+from sheafkit.labels import label_key
 
 
 def naive_naturals(F, G):
@@ -211,3 +224,103 @@ def _subsets(xs):
     xs = list(xs)
     for mask in range(1 << len(xs)):
         yield frozenset(x for i, x in enumerate(xs) if mask >> i & 1)
+
+
+def naive_validate_category(objects, morphisms, identity, compose, hom_bound):
+    """Reference for ``fincat.validate_category``: its checks in its order,
+    each by a scan of every morphism, and associativity over every
+    composable triple whether or not a hom-set has two arrows.
+
+    Returns (objects, morphisms, src, tgt, identity, table) of the valid
+    category; raises what the library raises on the first failure.
+    """
+    objs = tuple(sorted(set(objects), key=label_key))
+    src, tgt = {}, {}
+    for name, a, b in morphisms:
+        if name in src:
+            raise DanglingReference(f"duplicate morphism name {name!r}")
+        if a not in objs:
+            raise DanglingReference(f"morphism {name!r} has unknown source {a!r}")
+        if b not in objs:
+            raise DanglingReference(f"morphism {name!r} has unknown target {b!r}")
+        src[name], tgt[name] = a, b
+    mors = tuple(sorted(src, key=label_key))
+
+    ident = dict(identity)
+    for u in objs:
+        if u not in ident:
+            raise IdentityViolation(f"object {u!r} has no identity entry")
+        m = ident[u]
+        if m not in src:
+            raise DanglingReference(f"identity of {u!r} names unknown morphism {m!r}")
+        if src[m] != u or tgt[m] != u:
+            raise IdentityViolation(f"identity {m!r} of {u!r} is not an endomorphism of {u!r}")
+    for u in ident:
+        if u not in objs:
+            raise DanglingReference(f"identity entry for unknown object {u!r}")
+
+    table = {}
+    for (g, f), gf in (compose.items() if hasattr(compose, "items") else compose):
+        for m in (g, f, gf):
+            if m not in src:
+                raise DanglingReference(f"compose entry ({g!r}, {f!r}) -> {gf!r} names unknown morphism {m!r}")
+        if tgt[f] != src[g]:
+            raise DanglingReference(f"compose entry for non-composable pair ({g!r}, {f!r})")
+        if src[gf] != src[f] or tgt[gf] != tgt[g]:
+            raise DanglingReference(f"composite {gf!r} of ({g!r}, {f!r}) should go {src[f]!r} -> {tgt[g]!r}")
+        table[(g, f)] = gf
+
+    for g in mors:
+        for f in mors:
+            if tgt[f] == src[g] and (g, f) not in table:
+                raise MissingComposite(f"composable pair ({g!r}, {f!r}) has no entry")
+
+    sizes = [sum(src[n] == src[m] and tgt[n] == tgt[m] for n in mors) for m in mors]
+    if sizes and max(sizes) > hom_bound:
+        m = mors[sizes.index(max(sizes))]
+        raise IntractableSize(f"Hom{(src[m], tgt[m])!r}", max(sizes), hom_bound)
+
+    for f in mors:
+        if table[(ident[tgt[f]], f)] != f:
+            raise IdentityViolation(f"id∘{f!r} != {f!r}")
+        if table[(f, ident[src[f]])] != f:
+            raise IdentityViolation(f"{f!r}∘id != {f!r}")
+
+    for h in mors:
+        for g in mors:
+            for f in mors:
+                if tgt[g] == src[h] and tgt[f] == src[g] and table[(table[(h, g)], f)] != table[(h, table[(g, f)])]:
+                    raise AssociativityViolation(
+                        f"(h∘g)∘f != h∘(g∘f) for (h, g, f) = ({h!r}, {g!r}, {f!r})"
+                    )
+    return objs, mors, src, tgt, ident, table
+
+
+def naive_fin_functor(source, target, on_objects, on_morphisms):
+    """Reference for ``fincat.fin_functor``: its checks in its order, and
+    composition over every composable pair of the source, read from the
+    raw tables, whether or not the target is thin."""
+    on_objects, on_morphisms = dict(on_objects), dict(on_morphisms)
+    for a in source.objects:
+        if a not in on_objects:
+            raise DanglingReference(f"functor misses object {a!r}")
+        if on_objects[a] not in target.objects:
+            raise DanglingReference(f"functor image {on_objects[a]!r} not in target")
+    for f in source.morphisms:
+        if f not in on_morphisms:
+            raise DanglingReference(f"functor misses morphism {f!r}")
+        ff = on_morphisms[f]
+        if ff not in target.morphisms:
+            raise DanglingReference(f"functor image {ff!r} not in target")
+        if target.src[ff] != on_objects[source.src[f]] or target.tgt[ff] != on_objects[source.tgt[f]]:
+            raise NotNatural(f"functor breaks endpoints at {f!r}")
+    for u in source.objects:
+        if on_morphisms[source.identity[u]] != target.identity[on_objects[u]]:
+            raise IdentityViolation(f"functor breaks identity at {u!r}")
+    for g in source.morphisms:
+        for f in source.morphisms:
+            if source.tgt[f] == source.src[g] and (
+                on_morphisms[source.table[(g, f)]] != target.table[(on_morphisms[g], on_morphisms[f])]
+            ):
+                raise AssociativityViolation(f"functor breaks composition at ({g!r}, {f!r})")
+    return on_objects, on_morphisms

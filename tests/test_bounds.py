@@ -3,9 +3,10 @@
 Each case runs one guarded search on a small fixture with an explicit
 bound.  T is the largest candidate count the search checks against its
 bound on that fixture, so the search passes at bound T and raises at
-bound T - 1, reporting the count T it reached.  The thresholds are those
-of the hand-written guards the single check replaced, so no raise
-decision moved.
+bound T - 1, reporting the count T it reached.  Where a search had a
+hand-written guard before the single check replaced it, T is that
+guard's threshold, so no raise decision moved.  ``forces`` is guarded
+by the context products ``interpret`` would build for the same formula.
 """
 
 import ast
@@ -23,6 +24,7 @@ from sheafkit.fincat import (
     arrow_category,
     enumerate_naturals,
     poset_category,
+    presheaf,
     to_point_functor,
     validate_category,
 )
@@ -136,6 +138,16 @@ def trivializations(bound):
     cocycles_equivalent(sign_cocycle(), unit_cocycle(site, G, PC_WHOLE, (PC_UX, PC_UY)), bound)
 
 
+def forces_nested(bound):
+    # three nested quantifiers over a two-section sort: 2**3 tuples at each object
+    site = discrete2_site()
+    two = presheaf(site.category, {u: ("p", "q") for u in site.category.objects},
+                   {f: {"p": "p", "q": "q"} for f in site.category.morphisms})
+    model = logic.logic_model(site, {"S": two}, {})
+    phi = logic.Forall("v0", "S", logic.Exists("v1", "S", logic.Forall("v2", "S", logic.Top())))
+    logic.forces(model, "{a,b}", phi, {}, (), bound)
+
+
 def formula_depth(bound):
     fd = load_documents([]).formula("pc-exists-section")
     with mock.patch.object(logic, "DEFAULT_FORMULA_DEPTH", bound):
@@ -158,6 +170,7 @@ CASES = {
     "glue_torsor": (glue_sign, 16, "glued sections"),
     "cocycles_equivalent": (trivializations, 4, "trivializations"),
     "formula depth": (formula_depth, 3, "formula depth"),
+    "forces": (forces_nested, 8, "context product"),
 }
 
 

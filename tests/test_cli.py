@@ -257,6 +257,14 @@ def test_interpret_obeys_the_bound():
     )
 
 
+def test_force_obeys_the_bound_as_interpret_does():
+    argv = ("force", "--formula", "pc-exists-section", "--at", "{a,b,y}")
+    assert invoke(*argv)[0] == 0
+    assert invoke(*argv, "--bound", "1") == (
+        2, "error: IntractableSize: context product: size 2 exceeds bound 1\n"
+    )
+
+
 # -- run reuses one parser per process; its calls stay independent ------------------
 
 def test_twenty_runs_build_the_parser_at_most_once(monkeypatch):

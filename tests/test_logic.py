@@ -7,11 +7,15 @@ from sheafkit.errors import IllSorted, IntractableSize, ParseError, UnknownSubob
 from sheafkit.fincat import presheaf
 from sheafkit.gallery import discrete2_site, sierpinski_site
 from sheafkit.logic import (
+    And,
     Bottom,
     Eq,
     Exists,
+    Forall,
     Implies,
     Mem,
+    Not,
+    Or,
     Top,
     check_sorting,
     forces,
@@ -262,3 +266,46 @@ def test_interpret_checks_every_context_product_against_the_bound():
     with pytest.raises(IntractableSize) as info:
         interpret(model, phi, (), bound=7)
     assert (info.value.search, info.value.size, info.value.bound) == ("context product", 8, 7)
+
+
+def refusal(engine, *args):
+    """The search, size and bound of the IntractableSize ``engine`` raises, if any."""
+    try:
+        engine(*args)
+    except IntractableSize as err:
+        return err.search, err.size, err.bound
+    return None
+
+
+def test_forcing_refuses_exactly_where_interpret_does():
+    # S shrinks and R grows toward the empty open, so which context crosses
+    # the bound first, and the size it reports, depend on the order the
+    # contexts are checked in
+    site = discrete2_site()
+    C = site.category
+
+    def sort(size):
+        return presheaf(C, {u: tuple(range(size[u])) for u in C.objects},
+                        {f: {i: min(i, size[C.src[f]] - 1) for i in range(size[C.tgt[f]])} for f in C.morphisms})
+
+    S = sort({"{a,b}": 3, "{a}": 2, "{b}": 2, "{}": 1})
+    R = sort({"{a,b}": 1, "{a}": 2, "{b}": 2, "{}": 4})
+    model = logic_model(site, {"S": S, "R": R}, {})
+    formulas = [
+        Top(),
+        Exists("v0", "S", Top()),
+        Or(Exists("v0", "S", Top()), Exists("v1", "R", Top())),
+        Or(Exists("v1", "R", Top()), Exists("v0", "S", Top())),
+        And(Forall("v0", "S", Exists("v1", "R", Top())), Exists("v2", "S", Top())),
+        Or(Exists("v0", "R", Top()), Forall("v1", "S", Forall("v2", "S", Eq("v1", "v2")))),
+        Not(Implies(Forall("v0", "R", Top()), Exists("v1", "S", Exists("v2", "S", Exists("v3", "S", Top()))))),
+    ]
+    refused = set()
+    for phi in formulas:
+        for context in ((), (("x", "S"),), (("x", "R"),)):
+            env = {v: 0 for v, _ in context}
+            for bound in range(30):
+                expected = refusal(interpret, model, phi, context, bound)
+                assert refusal(forces, model, "{}", phi, env, context, bound) == expected
+                refused.add(expected and expected[1])
+    assert {None, 3, 4} <= refused
