@@ -21,7 +21,7 @@ from .errors import (
 )
 from .fincat import NaturalTransformation, Presheaf, natural_transformation, presheaf
 from .labels import Label, label_key
-from .limits import is_pullback, pullback, set_fun
+from .limits import SetFun, is_pullback
 from .sheaf import terminal_presheaf
 from .site import GrothendieckTopology, Sieve, Site, all_sieves, maximal_sieve, pullback_sieve
 
@@ -90,7 +90,13 @@ def is_closed(J: GrothendieckTopology, A: Subobject) -> bool:
 
 
 def closure(J: GrothendieckTopology, A: Subobject) -> Subobject:
-    """J-closure.  A single pass suffices; a fixpoint assertion guards it."""
+    """J-closure.  A single pass suffices; a fixpoint assertion guards it.
+
+    Built without re-validation.  For f: V -> U the truth sieve of F(f)(x)
+    is the pullback along f of the truth sieve of x, because A is
+    restriction-stable; J is pullback-stable, so the closure is
+    restriction-stable too.
+    """
     F = A.ambient
     grown = {
         u: frozenset(
@@ -98,7 +104,7 @@ def closure(J: GrothendieckTopology, A: Subobject) -> Subobject:
         )
         for u in F.base.objects
     }
-    result = subobject(F, grown)
+    result = Subobject(F, grown)
     assert is_closed(J, result), "closure is not idempotent; topology not saturated?"
     return result
 
@@ -112,17 +118,27 @@ def bottom_sub(J: GrothendieckTopology, F: Presheaf) -> Subobject:
 
 
 def meet_sub(A: Subobject, B: Subobject) -> Subobject:
+    """Pointwise intersection of two subobjects of one presheaf.  Built
+    without re-validation: an intersection of restriction-stable parts is
+    restriction-stable."""
     F = A.ambient
-    return subobject(F, {u: A.parts[u] & B.parts[u] for u in F.base.objects})
+    return Subobject(F, {u: A.parts[u] & B.parts[u] for u in F.base.objects})
 
 
 def join_sub(J: GrothendieckTopology, A: Subobject, B: Subobject) -> Subobject:
+    """Closure of the pointwise union.  Built without re-validation: a
+    union of restriction-stable parts is restriction-stable."""
     F = A.ambient
-    return closure(J, subobject(F, {u: A.parts[u] | B.parts[u] for u in F.base.objects}))
+    return closure(J, Subobject(F, {u: A.parts[u] | B.parts[u] for u in F.base.objects}))
 
 
 def implies_sub(A: Subobject, B: Subobject) -> Subobject:
-    """Largest C with C ∧ A <= B: sections whose every restriction into A lands in B."""
+    """Largest C with C ∧ A <= B: sections whose every restriction into A lands in B.
+
+    Built without re-validation.  If x is kept at U and f: V -> U, every
+    restriction of F(f)(x) along g is the restriction of x along f∘g,
+    which lands in B when it lands in A; so F(f)(x) is kept at V.
+    """
     F = A.ambient
     base = F.base
     parts = {}
@@ -138,7 +154,7 @@ def implies_sub(A: Subobject, B: Subobject) -> Subobject:
             if ok:
                 keep.append(x)
         parts[u] = frozenset(keep)
-    return subobject(F, parts)
+    return Subobject(F, parts)
 
 
 def neg_sub(J: GrothendieckTopology, A: Subobject) -> Subobject:
@@ -204,6 +220,13 @@ class OmegaObject:
 
     def truth_label(self, u: Label) -> Label:
         return self.truth.components[u][()]
+
+    @cached_property
+    def true_maps(self) -> dict[Label, SetFun]:
+        """true at each object as a set function {()} -> Omega(U).  Built
+        without re-validation: () goes to the truth label, a section."""
+        value = self.presheaf.value
+        return {u: SetFun(((),), value[u], {(): self.truth_label(u)}) for u in value}
 
 
 def _sieve_label(S: Sieve) -> tuple:
@@ -311,15 +334,23 @@ def pullback_of_truth(om: OmegaObject, chi: NaturalTransformation) -> Subobject:
 
 
 def characteristic_square_is_pullback(om: OmegaObject, A: Subobject, chi: NaturalTransformation) -> bool:
-    """Pointwise: A(U) with (inclusion, !) is the pullback of chi against true."""
+    """Pointwise: A(U) with (inclusion, !) is the pullback of chi against true.
+
+    The four set functions of each square are built without
+    re-validation: chi's component is a validated map F(U) -> Omega(U),
+    the apex is A(U) in label order, filtered from F(U), and the
+    inclusion and the map to {()} are total on it.  ``is_pullback``
+    still compares the square with the canonical pullback exhaustively.
+    """
     F = A.ambient
+    omega_value = om.presheaf.value
     for u in F.base.objects:
-        chi_u = set_fun(F.value[u], om.presheaf.value[u], dict(chi.components[u]))
-        true_u = set_fun(((),), om.presheaf.value[u], {(): om.truth_label(u)})
-        apex = tuple(sorted(A.parts[u], key=label_key))
-        pa = set_fun(apex, F.value[u], {x: x for x in apex})
-        pb = set_fun(apex, ((),), {x: () for x in apex})
-        if not is_pullback(apex, pa, pb, chi_u, true_u):
+        chi_u = SetFun(F.value[u], omega_value[u], chi.components[u])
+        part = A.parts[u]
+        apex = tuple(x for x in F.value[u] if x in part)
+        pa = SetFun(apex, F.value[u], {x: x for x in apex})
+        pb = SetFun(apex, ((),), {x: () for x in apex})
+        if not is_pullback(apex, pa, pb, chi_u, om.true_maps[u]):
             return False
     return True
 

@@ -23,14 +23,22 @@ DEFAULT_FORMULA_DEPTH = 32
 
 
 def enumeration_bound(override: int | None = None) -> int:
+    """The bound in force: ``override``, else WORKBENCH_BOUND, else the
+    default.  A negative bound is a usage error; 0 is a bound like any
+    other."""
     if override is not None:
+        if override < 0:
+            raise UsageError(f"the enumeration bound must be at least 0, got {override}")
         return override
     env = os.environ.get("WORKBENCH_BOUND")
     if env:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise UsageError(f"WORKBENCH_BOUND must be an integer, got {env!r}") from None
+        if value < 0:
+            raise UsageError(f"WORKBENCH_BOUND must be at least 0, got {env!r}")
+        return value
     return DEFAULT_BOUND
 
 

@@ -16,6 +16,15 @@ sets and its morphisms by target and by (source, target), each list in
 ``morphisms`` order.  ``hom`` and ``into`` are dict lookups, and every
 validator finds the arrows it must check through these indexes, so
 validation stays exhaustive without rescanning the morphism list.
+
+Validation happens once, at the boundary where untrusted tables come in:
+documents and the public constructors ``validate_category``,
+``presheaf``, ``natural_transformation`` and ``fin_functor``.  A presheaf
+the library builds itself from validated inputs, such as a representable
+``yoneda_presheaf``, satisfies the axioms by construction, so it is built
+as ``Presheaf(...)`` directly; its docstring says why it is valid.  Such a
+table lists every arrow, identities included, in ``morphisms`` order, and
+each value set in ``label_key`` order, as ``presheaf`` would leave it.
 """
 
 from __future__ import annotations
@@ -391,15 +400,20 @@ def presheaf(base: FinCategory, value, restrict) -> Presheaf:
 
 
 def yoneda_presheaf(base: FinCategory, at: Label) -> Presheaf:
-    """h_A with h_A(X) = Hom(X, A) and restriction by precomposition."""
+    """h_A with h_A(X) = Hom(X, A) and restriction by precomposition.
+
+    Built without re-validation.  Each hom-set is in ``morphisms`` order,
+    which is label order.  For g: V -> U and f in Hom(U, A), f∘g lies in
+    Hom(V, A).  Restricting along an identity is the identity, and
+    restrict(f∘g) = restrict(g)∘restrict(f) is h∘(f∘g) = (h∘f)∘g: both are
+    axioms the validated category already satisfies.
+    """
     if at not in base.object_set:
         raise UnknownObject(f"no object {at!r}")
     value = {x: base.hom(x, at) for x in base.objects}
-    restrict = {}
-    for g in base.morphisms:
-        u, v = base.tgt[g], base.src[g]
-        restrict[g] = {f: base.compose(f, g) for f in value[u]}
-    return presheaf(base, value, restrict)
+    table = base.table
+    restrict = {g: {f: table[(f, g)] for f in value[base.tgt[g]]} for g in base.morphisms}
+    return Presheaf(base, value, restrict)
 
 
 # -- natural transformations ----------------------------------------------------

@@ -26,7 +26,7 @@ from .classifier import (
 )
 from .config import DEFAULT_FORMULA_DEPTH, check_bound, enumeration_bound
 from .errors import IllSorted, ParseError, UnknownObject, UnknownSubobject
-from .fincat import Presheaf, presheaf
+from .fincat import Presheaf
 from .labels import Label, label_key
 from .site import Site
 
@@ -475,7 +475,12 @@ def context_product(model: LogicModel, context, bound: int | None = None) -> Pre
     """Product of the context sorts, elements ordered as the context lists them.
 
     The tuple count at each object is checked against the enumeration
-    bound before its tuples are built.
+    bound before its tuples are built.  The product is built without
+    re-validation: every sort is a validated presheaf with its sections in
+    label order, so the tuples come out in label order, and restriction
+    acts componentwise, so it respects identities and composites because
+    each sort does.  Identities restrict to the identity, as ``presheaf``
+    would fill them in.
     """
     C = model.site.category
     sorts = [model.sorts[s] for _, s in context]
@@ -488,13 +493,13 @@ def context_product(model: LogicModel, context, bound: int | None = None) -> Pre
         value[u] = tuple(tuples)
     restrict = {}
     for f in C.morphisms:
-        if C.is_identity(f):
-            continue
         u = C.tgt[f]
-        restrict[f] = {
-            t: tuple(s.restrict[f][x] for s, x in zip(sorts, t)) for t in value[u]
-        }
-    return presheaf(C, value, restrict)
+        if C.is_identity(f):
+            restrict[f] = {t: t for t in value[u]}
+            continue
+        tabs = [s.restrict[f] for s in sorts]
+        restrict[f] = {t: tuple(tab[x] for tab, x in zip(tabs, t)) for t in value[u]}
+    return Presheaf(C, value, restrict)
 
 
 def interpret(model: LogicModel, phi: Formula, context, bound: int | None = None) -> Subobject:

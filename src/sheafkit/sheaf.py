@@ -31,20 +31,18 @@ from .fincat import (
     presheaf,
     yoneda_presheaf,
 )
-from .labels import Label, canon, label_key
+from .labels import Label, canon
 from .limits import ConeResult, diagram, limit
 from .site import GrothendieckTopology, Sieve, generate_sieve, maximal_sieve, pullback_sieve
 
 
 def sieve_presheaf(S: Sieve) -> Presheaf:
-    """A sieve as a subpresheaf of the representable at its apex."""
-    C = S.category
-    value = {v: tuple(sorted((f for f in S.arrows if C.src[f] == v), key=label_key)) for v in C.objects}
-    restrict = {}
-    for g in C.morphisms:
-        u = C.tgt[g]
-        restrict[g] = {f: C.compose(f, g) for f in value[u]}
-    return presheaf(C, value, restrict)
+    """A sieve as a subpresheaf of the representable at its apex.
+
+    Built once per sieve and kept on it; ``Sieve.presheaf`` says why it
+    is valid without re-validation.
+    """
+    return S.presheaf
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +52,10 @@ class MatchingFamily:
     assignment: dict[Label, Label]
 
     def key(self) -> tuple:
-        return tuple(sorted(self.assignment.items(), key=lambda kv: label_key(kv[0])))
+        """(arrow, value) pairs in the label order of the arrows.  Every
+        constructor assigns exactly the arrows of the sieve."""
+        a = self.assignment
+        return tuple((f, a[f]) for f in self.sieve.ordered)
 
     def same(self, other: "MatchingFamily") -> bool:
         return self.sieve == other.sieve and self.assignment == other.assignment
@@ -93,13 +94,12 @@ def matching_families(F: Presheaf, S: Sieve, bound: int | None = None) -> tuple[
     ``sp.value[src f]``, and its value's index is its position in
     ``F.value[src f]``, which is its section rank.
     """
-    sp = sieve_presheaf(S)
+    sp = S.presheaf
     C = F.base
-    slot = {w: k for k, w in enumerate(C.objects)}
-    at = {f: (slot[C.src[f]], sp.value[C.src[f]].index(f)) for f in S.arrows}
+    at = {f: (k, i) for k, w in enumerate(C.objects) for i, f in enumerate(sp.value[w])}
     cells = [(f, k, i, F.value[C.src[f]]) for f, (k, i) in at.items()]
     # in label order of their values, arrow by arrow
-    order = [at[f] for f in sorted(S.arrows, key=label_key)]
+    order = [at[f] for f in S.ordered]
     fams = sorted(
         natural_index_families(sp, F, bound),
         key=lambda fam: tuple(fam[k][i] for k, i in order),
@@ -416,26 +416,30 @@ def presheaf_limit(pd: PresheafDiagram) -> tuple[Presheaf, dict[Label, NaturalTr
 
 
 def terminal_presheaf(base: FinCategory) -> Presheaf:
+    """One section () everywhere.  Built without re-validation: every
+    restriction is the identity of {()}, so functoriality is immediate."""
     value = {u: ((),) for u in base.objects}
-    restrict = {f: {(): ()} for f in base.morphisms if not base.is_identity(f)}
-    return presheaf(base, value, restrict)
+    restrict = {f: {(): ()} for f in base.morphisms}
+    return Presheaf(base, value, restrict)
 
 
 def product_presheaf(F: Presheaf, G: Presheaf) -> Presheaf:
-    """Pointwise product; elements are (x, y) pairs."""
+    """Pointwise product; elements are (x, y) pairs.
+
+    Built without re-validation.  Both factors list their sections in
+    label order, so the pairs come out in label order.  Restriction acts
+    componentwise, so identities and composites are respected because
+    they are in each validated factor.
+    """
     if not F.base.same(G.base):
         raise BaseMismatch("factors live over different bases")
     base = F.base
     value = {u: tuple((x, y) for x in F.value[u] for y in G.value[u]) for u in base.objects}
     restrict = {}
     for f in base.morphisms:
-        if base.is_identity(f):
-            continue
-        u = base.tgt[f]
-        restrict[f] = {
-            (x, y): (F.restrict[f][x], G.restrict[f][y]) for (x, y) in value[u]
-        }
-    return presheaf(base, value, restrict)
+        rf, rg = F.restrict[f], G.restrict[f]
+        restrict[f] = {(x, y): (rf[x], rg[y]) for (x, y) in value[base.tgt[f]]}
+    return Presheaf(base, value, restrict)
 
 
 # -- exponentials ------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import (
     DanglingReference,
     SemanticError,
 )
-from .fincat import FinCategory, poset_category
+from .fincat import FinCategory, Presheaf, poset_category
 from .labels import Label, canon, label_key
 
 
@@ -35,7 +35,35 @@ class Sieve:
         return hash((self.apex, self.arrows))
 
     def key(self) -> tuple:
-        return (len(self.arrows),) + tuple(sorted((label_key(a) for a in self.arrows)))
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
+        return (len(self.arrows),) + tuple(label_key(a) for a in self.ordered)
+
+    @cached_property
+    def ordered(self) -> tuple[Label, ...]:
+        """The arrows in label order."""
+        return tuple(sorted(self.arrows, key=label_key))
+
+    @cached_property
+    def presheaf(self) -> Presheaf:
+        """The sieve as a subpresheaf of the representable at its apex.
+
+        Built without re-validation.  A sieve is closed under
+        precomposition, so for g: V -> W and f in the sieve with domain W,
+        f∘g is in the sieve with domain V.  Each value set keeps label
+        order.  Identities restrict to identities, and functoriality is
+        h∘(f∘g) = (h∘f)∘g, which the validated category already satisfies.
+        """
+        C = self.category
+        value = {v: [] for v in C.objects}
+        for f in self.ordered:
+            value[C.src[f]].append(f)
+        value = {v: tuple(fs) for v, fs in value.items()}
+        table = C.table
+        restrict = {g: {f: table[(f, g)] for f in value[C.tgt[g]]} for g in C.morphisms}
+        return Presheaf(C, value, restrict)
 
     def is_maximal(self) -> bool:
         return self.category.identity[self.apex] in self.arrows

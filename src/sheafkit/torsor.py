@@ -24,7 +24,7 @@ from .errors import (
 from .fincat import Presheaf, presheaf
 from .labels import Label, label_key
 from .sheaf import is_sheaf
-from .site import Site, slice_site, open_label
+from .site import Site, open_label, overlap, slice_site
 
 
 # -- groups --------------------------------------------------------------------
@@ -262,9 +262,7 @@ class Cocycle:
     values: dict[tuple[int, int], Label]   # (i, j) -> g_ij in G(U_i ∩ U_j)
 
     def overlap(self, i: int, j: int) -> Label:
-        from .site import overlap as _overlap
-
-        return _overlap(self.site, self.cover[i], self.cover[j])
+        return overlap(self.site, self.cover[i], self.cover[j])
 
 
 def cocycle(site: Site, G: GroupSheaf, target: Label, cover, values) -> Cocycle:
@@ -281,10 +279,8 @@ def cocycle(site: Site, G: GroupSheaf, target: Label, cover, values) -> Cocycle:
     if union != site.open_of[target]:
         raise CoverMismatch(f"cover does not exhaust {target!r}")
 
-    from .site import overlap as _overlap
-
     def ov(i: int, j: int) -> Label:
-        return _overlap(site, cover[i], cover[j])
+        return overlap(site, cover[i], cover[j])
 
     n = len(cover)
     vals: dict[tuple[int, int], Label] = {}
@@ -365,11 +361,9 @@ def extract_cocycle(T: TorsorCandidate, site: Site, target: Label, L: LocalSecti
             raise DanglingReference(f"chosen section over {u!r} does not exist")
     values: dict[tuple[int, int], Label] = {}
     n = len(L.cover)
-    from .site import overlap as _overlap
-
     for i in range(n):
         for j in range(n):
-            uij = _overlap(site, L.cover[i], L.cover[j])
+            uij = overlap(site, L.cover[i], L.cover[j])
             ri = C.hom(uij, L.cover[i])[0]
             rj = C.hom(uij, L.cover[j])[0]
             si = P.restrict[ri][L.sections[i]]
@@ -384,15 +378,23 @@ def extract_cocycle(T: TorsorCandidate, site: Site, target: Label, L: LocalSecti
 
 
 def restrict_group(G: GroupSheaf, sub: Site) -> GroupSheaf:
-    """The group sheaf restricted to the opens of a slice site."""
+    """The group sheaf restricted to the opens of a slice site.
+
+    The sections are built without re-validation.  The slice's opens
+    poset is a full subcategory of the ambient one, with the same object
+    and arrow labels, so each value set and restriction is copied from the
+    validated sections and composites agree; identities restrict to the
+    identity, as ``presheaf`` would fill them in.
+    """
     base = sub.category
     value = {u: G.sections.value[u] for u in base.objects}
     restrict = {
-        f: dict(G.sections.restrict[_lift_arrow(G.sections.base, f)])
+        f: {x: x for x in value[base.tgt[f]]}
+        if base.is_identity(f)
+        else dict(G.sections.restrict[_lift_arrow(G.sections.base, f)])
         for f in base.morphisms
-        if not base.is_identity(f)
     }
-    P = presheaf(base, value, restrict)
+    P = Presheaf(base, value, restrict)
     return GroupSheaf(
         P,
         {u: dict(G.mult[u]) for u in base.objects},
@@ -433,7 +435,6 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
     Gs = restrict_group(G, sl)
     C = sl.category
     n = len(c.cover)
-    from .site import overlap as _overlap
 
     def meet_label(v: Label, u: Label) -> Label:
         return open_label(sl.open_of[v] & site.open_of[u])
@@ -447,7 +448,7 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
             ok = True
             for i in range(n):
                 for j in range(n):
-                    uij = _overlap(site, c.cover[i], c.cover[j])
+                    uij = overlap(site, c.cover[i], c.cover[j])
                     w = open_label(sl.open_of[v] & site.open_of[uij])
                     ri = C.hom(w, pieces[i])[0]
                     rj = C.hom(w, pieces[j])[0]
@@ -530,21 +531,24 @@ def cocycles_equivalent(c1: Cocycle, c2: Cocycle, bound: int | None = None) -> E
     C = site.category
     n = len(c1.cover)
     check_bound("trivializations", (max(1, len(G.sections.value[u])) for u in c1.cover), bound)
+    # per pair (i, j), in the order the search tries them: the restrictions
+    # to U_ij of h_i and h_j, the group tables over U_ij, g_ij and g'_ij
+    pairs = []
+    for i in range(n):
+        for j in range(n):
+            uij = c1.overlap(i, j)
+            ri = C.hom(uij, c1.cover[i])[0]
+            rj = C.hom(uij, c1.cover[j])[0]
+            pairs.append((
+                i, j, G.sections.restrict[ri], G.sections.restrict[rj],
+                G.mult[uij], G.inverse[uij], c1.values[(i, j)], c2.values[(i, j)],
+            ))
     for combo in product(*(G.sections.value[u] for u in c1.cover)):
-        good = True
-        for i in range(n):
-            for j in range(n):
-                uij = c1.overlap(i, j)
-                ri = C.hom(uij, c1.cover[i])[0]
-                rj = C.hom(uij, c1.cover[j])[0]
-                hi = G.sections.restrict[ri][combo[i]]
-                hj = G.sections.restrict[rj][combo[j]]
-                expected = G.mul(uij, G.mul(uij, G.inv(uij, hi), c1.values[(i, j)]), hj)
-                if c2.values[(i, j)] != expected:
-                    good = False
-                    break
-            if not good:
+        for i, j, ri, rj, mult, inv, gij, gij2 in pairs:
+            hi = ri[combo[i]]
+            hj = rj[combo[j]]
+            if gij2 != mult[(mult[(inv[hi], gij)], hj)]:
                 break
-        if good:
+        else:
             return EquivalenceResult(True, {i: combo[i] for i in range(n)})
     return EquivalenceResult(False, None)

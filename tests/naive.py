@@ -324,3 +324,35 @@ def naive_fin_functor(source, target, on_objects, on_morphisms):
             ):
                 raise AssociativityViolation(f"functor breaks composition at ({g!r}, {f!r})")
     return on_objects, on_morphisms
+
+
+def naive_cocycles_equivalent(c1, c2):
+    """Reference for ``torsor.cocycles_equivalent``: (equivalent, witness).
+
+    Tries every family (h_i), h_i in G(U_i), in product order and keeps
+    the first with g'_ij = h_i^-1 · g_ij · h_j on every overlap U_ij,
+    after restricting h_i and h_j there.  The overlap is found as the
+    object whose open is U_i ∩ U_j, and the restriction arrows by a scan
+    of the morphism list.
+    """
+    site, G = c1.site, c1.group
+    C = site.category
+    cover = c1.cover
+    n = len(cover)
+
+    def object_of(points):
+        return next(u for u in C.objects if site.open_of[u] == points)
+
+    for combo in product(*(G.sections.value[u] for u in cover)):
+        good = True
+        for i in range(n):
+            for j in range(n):
+                uij = object_of(site.open_of[cover[i]] & site.open_of[cover[j]])
+                hi = G.sections.restrict[naive_hom(C, uij, cover[i])[0]][combo[i]]
+                hj = G.sections.restrict[naive_hom(C, uij, cover[j])[0]][combo[j]]
+                expected = G.mul(uij, G.mul(uij, G.inv(uij, hi), c1.values[(i, j)]), hj)
+                if c2.values[(i, j)] != expected:
+                    good = False
+        if good:
+            return True, dict(enumerate(combo))
+    return False, None

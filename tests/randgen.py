@@ -28,6 +28,22 @@ def random_poset(rng: random.Random, max_objs: int = 6):
     return poset_category(labels, lambda a, b: a in below[b])
 
 
+def cyclic_product(P, n):
+    """Raw tables of P × Z/n: an arrow (p, k) composes p in P and adds k mod n.
+    Every hom-set of P with an arrow has n arrows here."""
+    return (
+        list(P.objects),
+        [((m, k), P.src[m], P.tgt[m]) for m in P.morphisms for k in range(n)],
+        {u: (m, 0) for u, m in P.identity.items()},
+        {
+            ((g, j), (f, k)): (gf, (j + k) % n)
+            for (g, f), gf in P.table.items()
+            for j in range(n)
+            for k in range(n)
+        },
+    )
+
+
 def renamed_arrows(rng: random.Random, C):
     """C with its arrows renamed at random, so that the label order of the
     arrows into an object no longer follows the order of their sources."""

@@ -18,8 +18,10 @@ import pytest
 import sheafkit
 from sheafkit import logic
 from sheafkit.classifier import enumerate_subobjects, heyting_report
+from sheafkit.cli import run
+from sheafkit.config import check_bound, enumeration_bound
 from sheafkit.documents import load_documents
-from sheafkit.errors import IntractableSize
+from sheafkit.errors import IntractableSize, UsageError
 from sheafkit.fincat import (
     arrow_category,
     enumerate_naturals,
@@ -218,3 +220,38 @@ def test_only_check_bound_builds_intractable_size():
         builders.visit(ast.parse(path.read_text(encoding="utf-8")))
         found.extend(builders.found)
     assert found == [("config.py", "check_bound")]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_negative_bound_is_a_usage_error(case):
+    search, _, _ = CASES[case]
+    with pytest.raises(UsageError, match=r"^the enumeration bound must be at least 0, got -1$"):
+        search(-1)
+
+
+def test_zero_bound_is_legal():
+    assert enumeration_bound(0) == 0
+    check_bound("no candidates", [0], 0)
+    with pytest.raises(IntractableSize, match=r"^one candidate: size 1 exceeds bound 0$"):
+        check_bound("one candidate", [1], 0)
+
+
+def test_negative_bound_on_the_command_line_exits_2():
+    argv = ["check-sheaf", "--presheaf", "const2", "--site", "discrete2"]
+    assert run(argv + ["--bound", "-5"]) == (
+        2, "usage error: the enumeration bound must be at least 0, got -5\n"
+    )
+    code, text = run(argv + ["--bound", "0"])
+    assert (code, text) == (2, "error: IntractableSize: natural transformations: size 1 exceeds bound 0\n")
+
+
+def test_negative_enumeration_bound_env_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("WORKBENCH_BOUND", "-3")
+    with pytest.raises(UsageError, match=r"^WORKBENCH_BOUND must be at least 0, got '-3'$"):
+        enumeration_bound()
+    assert enumeration_bound(5) == 5  # an explicit bound wins
+    code, text = run(["cocycle-equiv", "--left", "pc-sign", "--right", "pc-unit"])
+    assert code == 2
+    assert "WORKBENCH_BOUND must be at least 0, got '-3'" in text
+    monkeypatch.setenv("WORKBENCH_BOUND", "0")
+    assert enumeration_bound() == 0

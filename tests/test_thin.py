@@ -32,7 +32,7 @@ from sheafkit.fincat import (
 )
 
 from naive import naive_fin_functor, naive_validate_category
-from randgen import random_poset
+from randgen import cyclic_product, random_poset
 
 
 def gallery_category(name):
@@ -46,22 +46,6 @@ def raw_tables(C):
         [(m, C.src[m], C.tgt[m]) for m in C.morphisms],
         dict(C.identity),
         dict(C.table),
-    )
-
-
-def cyclic_product(P, n):
-    """Raw tables of P × Z/n: an arrow (p, k) composes p in P and adds k mod n.
-    Every hom-set of P with an arrow has n arrows here."""
-    return (
-        list(P.objects),
-        [((m, k), P.src[m], P.tgt[m]) for m in P.morphisms for k in range(n)],
-        {u: (m, 0) for u, m in P.identity.items()},
-        {
-            ((g, j), (f, k)): (gf, (j + k) % n)
-            for (g, f), gf in P.table.items()
-            for j in range(n)
-            for k in range(n)
-        },
     )
 
 

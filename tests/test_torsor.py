@@ -1,9 +1,11 @@
 """Group sheaves, torsors, cocycles, descent."""
 
 import random
+from itertools import product
 
 import pytest
 
+from sheafkit.documents import load_documents
 from sheafkit.errors import CoverMismatch, InvalidCocycle, SemanticError
 from sheafkit.fincat import presheaf
 from sheafkit.gallery import (
@@ -11,6 +13,7 @@ from sheafkit.gallery import (
     PC_UY,
     PC_WHOLE,
     chain3_site,
+    connected_components,
     discrete2_site,
     finite_space,
     pc_double_cover,
@@ -21,7 +24,7 @@ from sheafkit.gallery import (
     z2_local_system,
 )
 from sheafkit.sheaf import is_sheaf
-from sheafkit.site import open_cover_topology
+from sheafkit.site import open_cover_topology, overlap
 from sheafkit.torsor import (
     LocalSections,
     canonical_map_check,
@@ -34,6 +37,8 @@ from sheafkit.torsor import (
     is_torsor,
     torsor_candidate,
 )
+
+from naive import naive_cocycles_equivalent
 
 
 def point_site():
@@ -331,3 +336,77 @@ def test_equivalence_requires_matching_covers():
     c2 = unit_cocycle(site, G, PC_UX, (PC_UX,))
     with pytest.raises(CoverMismatch):
         cocycles_equivalent(c1, c2)
+
+
+def zn_local_system(site, n):
+    """Locally constant Z/n-valued functions: one entry per connected
+    component, added componentwise mod n."""
+    C = site.category
+    comps = {u: connected_components(site, u) for u in C.objects}
+    value = {u: tuple(product(range(n), repeat=len(comps[u]))) for u in C.objects}
+    restrict = {}
+    for f in C.morphisms:
+        u, v = C.tgt[f], C.src[f]
+        place = [next(i for i, d in enumerate(comps[u]) if c <= d) for c in comps[v]]
+        restrict[f] = {t: tuple(t[i] for i in place) for t in value[u]}
+    G = presheaf(C, value, restrict)
+    mult = {
+        u: {(a, b): tuple((x + y) % n for x, y in zip(a, b)) for a in value[u] for b in value[u]}
+        for u in C.objects
+    }
+    return group_sheaf(G, mult)
+
+
+def assert_equivalence_matches_oracle(c1, c2):
+    res = cocycles_equivalent(c1, c2)
+    assert (res.equivalent, res.witness) == naive_cocycles_equivalent(c1, c2)
+    return res.equivalent
+
+
+def test_equivalence_matches_the_oracle_on_gallery_cocycles():
+    ds = load_documents([])
+    site = pseudocircle_site()
+    G = z2_local_system(site)
+    glued = pc_double_cover()
+    families = [
+        [ds.cocycle("pc-sign"), ds.cocycle("pc-unit")],
+        [
+            sign_cocycle(site, G),
+            unit_cocycle(site, G, PC_WHOLE, (PC_UX, PC_UY)),
+            extract_cocycle(glued.torsor, glued.site, PC_WHOLE, glued.canonical_sections),
+        ],
+    ]
+    for cocycles in families:
+        verdicts = [assert_equivalence_matches_oracle(a, b) for a in cocycles for b in cocycles]
+        assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize(
+    "make_site, n, cover, target",
+    [
+        (discrete2_site, 3, ("{a}", "{b}"), "{a,b}"),
+        (pseudocircle_site, 2, (PC_UX, PC_UY), PC_WHOLE),
+        (pseudocircle_site, 3, (PC_UX, PC_UY), PC_WHOLE),
+    ],
+)
+def test_equivalence_matches_the_oracle_on_cocycle_sweeps(make_site, n, cover, target):
+    """Every choice of local sections of the trivial torsor, as the
+    benchmark's cocycle sweep makes them, plus shape-checked cocycles with
+    random values, which are mostly not cohomologous."""
+    site = make_site()
+    G = zn_local_system(site, n)
+    T = trivial_torsor(G)
+    cocycles = [
+        extract_cocycle(T, site, target, LocalSections(cover, dict(enumerate(combo))))
+        for combo in product(*(G.sections.value[u] for u in cover))
+    ]
+    rng = random.Random(n)
+    for _ in range(6):
+        values = {}
+        for i, ui in enumerate(cover):
+            for j, uj in enumerate(cover):
+                uij = overlap(site, ui, uj)
+                values[(i, j)] = rng.choice(G.sections.value[uij])
+        cocycles.append(cocycle(site, G, target, cover, values))
+    verdicts = [assert_equivalence_matches_oracle(a, b) for a in cocycles for b in cocycles]
+    assert True in verdicts and False in verdicts
