@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import INFINITY, encode_basestring
 from pathlib import Path
 
 from .errors import (
@@ -25,6 +26,7 @@ from .errors import (
     ParseError,
     SemanticError,
     UnresolvedReference,
+    UsageError,
     WorkbenchError,
 )
 from .fincat import FinCategory, Presheaf, presheaf, validate_category
@@ -44,8 +46,62 @@ from .torsor import Cocycle, GroupSheaf, TorsorCandidate, cocycle, group_sheaf, 
 SCHEMA_VERSION = 1
 
 
+_CANONICAL = {"sort_keys": True, "indent": 2, "ensure_ascii": False}
+
+# how json.dumps renders the scalars it encodes without recursion
+_INFINITIES = {INFINITY: "Infinity", -INFINITY: "-Infinity"}
+_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    float: lambda x: "NaN" if x != x else _INFINITIES.get(x) or float.__repr__(x),
+}
+
+
 def serialize_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text: ``json.dumps(doc, **_CANONICAL)`` and a newline.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents.  This
+    writer gives the same bytes faster: strings go through the encoder's
+    own C ``encode_basestring``, a list of strings or of ints is joined in
+    one C call, and a list of equal-length lists of strings, such as a
+    category's ``compose`` entries, is filled into one row template in C
+    calls only.  Dicts with string keys and lists recurse;
+    any other value (a tuple, a dict with other keys, a subclass) is
+    rendered by ``json.dumps`` itself and re-indented to its depth, which
+    is exact because JSON text has no raw newline inside a string.
+    """
+    return _text(doc, "\n") + "\n"
+
+
+def _string_rows(rows: list) -> bool:
+    """Whether every row is a list of strings, all of one nonzero length."""
+    return len(set(map(len, rows))) == 1 and bool(rows[0]) and _all_are(str, chain.from_iterable(rows))
+
+
+def _text(value, pad: str) -> str:
+    """``value`` as ``json.dumps`` indents it on a line that starts ``pad``."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
+    inner = pad + "  "
+    if kind is list and value:
+        kinds = set(map(type, value))
+        if len(kinds) == 1 and kinds <= {str, int}:
+            items = map(_SCALARS[kinds.pop()], value)
+        elif kinds == {list} and _string_rows(value):
+            width = len(value[0])
+            row = "[" + inner + "  " + ("," + inner + "  ").join(["%s"] * width) + inner + "]"
+            strings = map(encode_basestring, chain.from_iterable(value))
+            items = map(row.__mod__, zip(*[strings] * width))
+        else:
+            items = [_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict and value and _all_are(str, value):
+        items = [encode_basestring(key) + ": " + _text(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value, **_CANONICAL).replace("\n", pad)
 
 
 def document_digest(doc: dict) -> str:
@@ -303,7 +359,8 @@ class DocumentSet:
         ``IntractableSize`` keeps its class and fields and only gains the
         prefix.  Errors that already name their document pass through
         unchanged: ``MalformedDocument`` and the located errors of a nested
-        build.
+        build.  So does a ``UsageError``, such as a bad ``WORKBENCH_BOUND``
+        met while building: it is the caller's fault, not the document's.
         """
         doc = self._doc(name, kinds)
         if (kinds, name) not in self._built:
@@ -312,7 +369,7 @@ class DocumentSet:
             schema.walk(doc, (where,))
             try:
                 self._built[kinds, name] = build({**schema.defaults, **doc})
-            except (UnresolvedReference, MalformedDocument):
+            except (UnresolvedReference, MalformedDocument, UsageError):
                 raise
             except WorkbenchError as err:
                 if getattr(err, "located", False):

@@ -3,13 +3,28 @@
 A category is a composition table; a presheaf is a table of value sets
 and restriction maps.  Validation is exhaustive: associativity over all
 composable triples, functoriality over all composable pairs, except
-where a proof covers them.  In a thin category, one with at most one
-arrow between any two objects (every poset), both sides of an
+where a proof covers them.  Everything is immutable after validation and
+ordered canonically, so enumerations are deterministic.
+
+Two proofs replace enumeration.  In a thin category, one with at most
+one arrow between any two objects (every poset), both sides of an
 associativity square and both sides of a functor's composition square
 lie in one hom-set of size at most one once composites are known to
 exist and to have the right ends, so they are equal without being
-compared.  Everything is immutable after validation and ordered
-canonically, so enumerations are deterministic.
+compared.  And when a category has no non-identity endomorphism and no
+cycle of arrows between distinct objects, every arrow is a composite of
+its irreducible arrows, its ``generators`` (the Hasse edges of a poset).
+A law about composites, such as r(f∘g) = r(g)∘r(f) for a presheaf's
+restrictions, that holds for every arrow f and every generator g, and
+for identities, then holds for every g, by induction on the length of
+a factorization of g and the associativity validation established.
+Presheaves, functors into a category that is not thin, diagrams,
+diagrams of presheaves and matching families check their composite law
+on generator pairs only, and naturality squares along generators only
+(``check_pairs``).  When a generator check fails, the full check runs,
+so every error names the same first failure as a full enumeration.
+That every composable pair has a composite is counted instead of
+enumerated (``validate_category``).
 
 Each category is indexed once, on first use: its object and morphism
 sets and its morphisms by target and by (source, target), each list in
@@ -29,6 +44,7 @@ each value set in ``label_key`` order, as ``presheaf`` would leave it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +58,7 @@ from .errors import (
     MissingComposite,
     NotNatural,
     UnknownObject,
+    WorkbenchError,
 )
 from .labels import Label, canon, label_key
 
@@ -90,6 +107,45 @@ class FinCategory:
         """At most one arrow between any two objects, as in a poset."""
         return all(len(ms) == 1 for ms in self._by_ends.values())
 
+    @cached_property
+    def generators(self) -> dict[Label, tuple[Label, ...]] | None:
+        """The irreducible arrows into each object, when they generate.
+
+        An arrow is irreducible when it is no identity and no composite
+        g∘f of two non-identity arrows; every object is a key, and each
+        group keeps ``morphisms`` order.  On a poset these are the Hasse
+        edges.  They generate, meaning every non-identity arrow is a
+        composite of them, when there is no non-identity endomorphism and
+        the objects are acyclic under "has an arrow to".  Then the objects
+        have a topological order, a reducible arrow u -> w splits as g∘f
+        through some v strictly between u and w, and induction on the
+        distance between the ends factors every arrow into irreducible
+        ones.  Otherwise (a group, a monoid, a cycle of isomorphisms) the
+        value is None and every check runs on all arrows.
+        """
+        succ: dict[Label, list[Label]] = {u: [] for u in self.objects}
+        indegree = dict.fromkeys(self.objects, 0)
+        for (a, b), ms in self._by_ends.items():
+            if a != b:
+                succ[a].append(b)
+                indegree[b] += 1
+            elif len(ms) > 1:
+                return None
+        ready = [u for u in self.objects if not indegree[u]]
+        for u in ready:
+            for v in succ[u]:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    ready.append(v)
+        if len(ready) < len(self.objects):
+            return None
+        ids = set(self.identity.values())
+        reducible = {gf for (g, f), gf in self.table.items() if g not in ids and f not in ids}
+        return {
+            u: tuple(m for m in self.into(u) if m not in ids and m not in reducible)
+            for u in self.objects
+        }
+
     def is_identity(self, m: Label) -> bool:
         return self.identity.get(self.src[m]) == m
 
@@ -104,6 +160,28 @@ class FinCategory:
 
     def same(self, other: "FinCategory") -> bool:
         return self is other or self.signature == other.signature
+
+
+def check_pairs(C: FinCategory, check) -> None:
+    """Run a composite check on the generators of C, and in full only if that fails.
+
+    ``check(inner)`` tests a law at every composable pair whose inner
+    factor, the arrow applied first, lies in ``inner(u)`` for u its
+    target, and raises at the first pair that fails.  It runs with the
+    generators of C, and with every arrow (``C.into``) when C has none
+    or when a generator pair fails.  A generator pair is one of the full
+    pairs, so the full run then fails too, at the first pair in its own
+    order: the error is the one a full check alone would raise.  Each
+    caller's docstring proves its law from the generator pairs.
+    """
+    gens = C.generators
+    if gens is not None:
+        try:
+            check(gens.__getitem__)
+            return
+        except WorkbenchError:
+            pass
+    check(C.into)
 
 
 def _group(items, key) -> dict:
@@ -125,13 +203,21 @@ def validate_category(
 
     ``morphisms`` is an iterable of (name, src, tgt) triples; ``compose``
     is an iterable of ((g, f), g∘f) pairs or a mapping.  Every axiom is
-    checked by full enumeration, except associativity in a thin category,
-    where it is proved instead.  By the time the triple loop would run,
-    every composable pair has a table entry and every entry g∘f goes
-    src f -> tgt g.  So (h∘g)∘f and h∘(g∘f) both exist and lie in
-    Hom(src f, tgt h); when no hom-set has two arrows, they are equal.
-    The triple loop runs for every category with a hom-set of two or
-    more arrows.
+    checked by full enumeration, with two proofs instead.
+
+    That every composable pair has an entry is counted, not enumerated.
+    Each entry is checked to name a composable pair, and the entries
+    have distinct keys, so the table is a subset of the composable
+    pairs, of which there are Σ_u |into(u)|·|out(u)|.  The table holds
+    them all exactly when it has that many entries; only when it has
+    fewer does the pair loop run, to name the first pair missing.
+
+    Associativity is proved in a thin category.  By the time the triple
+    loop would run, every composable pair has a table entry and every
+    entry g∘f goes src f -> tgt g.  So (h∘g)∘f and h∘(g∘f) both exist
+    and lie in Hom(src f, tgt h); when no hom-set has two arrows, they
+    are equal.  The triple loop runs for every category with a hom-set
+    of two or more arrows.
     """
     objs = canon(objects)
     obj_set = set(objs)
@@ -181,10 +267,12 @@ def validate_category(
     cat = FinCategory(objs, mors, src, tgt, ident, table)
     into = cat.into
 
-    for g in mors:
-        for f in into(src[g]):
-            if (g, f) not in table:
-                raise MissingComposite(f"composable pair ({g!r}, {f!r}) has no entry")
+    out = Counter(src.values())
+    if len(table) != sum(len(fs) * out[u] for u, fs in cat._by_target.items()):
+        for g in mors:
+            for f in into(src[g]):
+                if (g, f) not in table:
+                    raise MissingComposite(f"composable pair ({g!r}, {f!r}) has no entry")
 
     if mors:
         ends, widest = max(cat._by_ends.items(), key=lambda kv: len(kv[1]))
@@ -272,12 +360,19 @@ class FinFunctor:
 def fin_functor(source: FinCategory, target: FinCategory, on_objects, on_morphisms) -> FinFunctor:
     """Validate object and morphism maps and return the functor.
 
-    Endpoints and identities are checked for every object and morphism,
-    and composition for every composable pair of ``source`` unless
-    ``target`` is thin.  There the check is proved instead: once every
-    image F(f) goes F(src f) -> F(tgt f), the images F(g∘f) and
-    F(g)∘F(f) both go F(src f) -> F(tgt g), and the validated target has
-    the composite, so in a hom-set of at most one arrow they are equal.
+    Endpoints and identities are checked for every object and morphism.
+    Composition is proved when ``target`` is thin: once every image F(f)
+    goes F(src f) -> F(tgt f), the images F(g∘f) and F(g)∘F(f) both go
+    F(src f) -> F(tgt g), and the validated target has the composite, so
+    in a hom-set of at most one arrow they are equal.
+
+    Otherwise F(g∘f) = F(g)∘F(f) is checked for every arrow g and every
+    generator f of ``source`` (``check_pairs``), which proves it for
+    every f.  An identity f gives F(g) = F(g)∘id.  Otherwise f = f'∘e
+    with e a generator and f' shorter, and by associativity in both
+    categories F(g∘f) = F((g∘f')∘e) = F(g∘f')∘F(e) = F(g)∘F(f')∘F(e)
+    = F(g)∘F(f'∘e), by the generator pair, by induction, and by the
+    generator pair (f', e).
     """
     on_objects = dict(on_objects)
     on_morphisms = dict(on_morphisms)
@@ -297,11 +392,15 @@ def fin_functor(source: FinCategory, target: FinCategory, on_objects, on_morphis
     for u in source.objects:
         if on_morphisms[source.identity[u]] != target.identity[on_objects[u]]:
             raise IdentityViolation(f"functor breaks identity at {u!r}")
-    if not target.is_thin:
+
+    def composition(inner):
         for g in source.morphisms:
-            for f in source.into(source.src[g]):
+            for f in inner(source.src[g]):
                 if on_morphisms[source.compose(g, f)] != target.compose(on_morphisms[g], on_morphisms[f]):
                     raise AssociativityViolation(f"functor breaks composition at ({g!r}, {f!r})")
+
+    if not target.is_thin:
+        check_pairs(source, composition)
     return FinFunctor(source, target, on_objects, on_morphisms)
 
 
@@ -348,8 +447,15 @@ def presheaf(base: FinCategory, value, restrict) -> Presheaf:
     """Validate a contravariant value/restriction table.
 
     For f: V -> U, ``restrict[f]`` maps F(U) to F(V).  Identity entries
-    may be omitted; they are filled in.  Functoriality
-    restrict(f∘g) == restrict(g)∘restrict(f) is checked by enumeration.
+    may be omitted; they are filled in.  Identities must restrict to
+    identities.  Functoriality restrict(f∘g) == restrict(g)∘restrict(f)
+    is checked for every arrow f and every generator g into src f
+    (``check_pairs``), which proves it for every g.  An identity g holds
+    by the identity check.  Otherwise g = g'∘e with e a generator and g'
+    shorter, and by associativity restrict(f∘g) = restrict((f∘g')∘e)
+    = restrict(e)∘restrict(f∘g') = restrict(e)∘restrict(g')∘restrict(f)
+    = restrict(g'∘e)∘restrict(f), by the generator pair, by induction,
+    and by the generator pair (g', e).
     """
     vals: dict[Label, tuple[Label, ...]] = {}
     for u in base.objects:
@@ -387,15 +493,19 @@ def presheaf(base: FinCategory, value, restrict) -> Presheaf:
         for x in vals[u]:
             if rest[i][x] != x:
                 raise NotNatural(f"restrict(id_{u!r}) moves {x!r}")
-    for f in base.morphisms:
-        for g in base.into(base.src[f]):
-            fg = base.compose(f, g)
-            for x in vals[base.tgt[f]]:
-                if rest[fg][x] != rest[g][rest[f][x]]:
-                    raise NotNatural(
-                        f"contravariance fails: restrict({f!r}∘{g!r}) != "
-                        f"restrict({g!r})∘restrict({f!r}) at {x!r}"
-                    )
+
+    def contravariance(inner):
+        for f in base.morphisms:
+            for g in inner(base.src[f]):
+                fg = base.compose(f, g)
+                for x in vals[base.tgt[f]]:
+                    if rest[fg][x] != rest[g][rest[f][x]]:
+                        raise NotNatural(
+                            f"contravariance fails: restrict({f!r}∘{g!r}) != "
+                            f"restrict({g!r})∘restrict({f!r}) at {x!r}"
+                        )
+
+    check_pairs(base, contravariance)
     return Presheaf(base, vals, rest)
 
 
@@ -446,6 +556,17 @@ class NaturalTransformation:
 
 
 def natural_transformation(F: Presheaf, G: Presheaf, components) -> NaturalTransformation:
+    """Validate components F(u) -> G(u) and their naturality squares.
+
+    The squares η_v∘F(f) = G(f)∘η_u are checked along the generators of
+    the base only, when it has them (``FinCategory.generators``); they
+    hold along identities, and they compose: if they hold along g and e,
+    then η∘F(g∘e) = η∘F(e)∘F(g) = G(e)∘η∘F(g) = G(e)∘G(g)∘η = G(g∘e)∘η,
+    so by induction on the number of generators in a factorization they
+    hold along every arrow.  When a generator square fails, or there are
+    no generators, every arrow is checked in ``morphisms`` order, so the
+    first failing square is named as a full check names it.
+    """
     if not F.base.same(G.base):
         raise BaseMismatch("presheaves live over different base categories")
     comp: dict[Label, dict[Label, Label]] = {}
@@ -459,13 +580,24 @@ def natural_transformation(F: Presheaf, G: Presheaf, components) -> NaturalTrans
                 raise NotNatural(f"component at {u!r} sends {x!r} outside target")
         comp[u] = {x: tab[x] for x in F.value[u]}
     base = F.base
-    for f in base.morphisms:
-        u, v = base.tgt[f], base.src[f]
-        for x in F.value[u]:
-            if comp[v][F.restrict[f][x]] != G.restrict[f][comp[u][x]]:
-                raise NotNatural(
-                    f"naturality square fails along {f!r} at {x!r}"
-                )
+
+    def squares(arrows):
+        for f in arrows:
+            u, v = base.tgt[f], base.src[f]
+            for x in F.value[u]:
+                if comp[v][F.restrict[f][x]] != G.restrict[f][comp[u][x]]:
+                    raise NotNatural(
+                        f"naturality square fails along {f!r} at {x!r}"
+                    )
+
+    gens = base.generators
+    if gens is not None:
+        try:
+            squares([f for fs in gens.values() for f in fs])
+            return NaturalTransformation(F, G, comp)
+        except NotNatural:
+            pass
+    squares(base.morphisms)
     return NaturalTransformation(F, G, comp)
 
 

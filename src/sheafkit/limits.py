@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
     UsageError,
 )
-from .fincat import FinCategory, FinFunctor, to_point_functor, validate_category
+from .fincat import FinCategory, FinFunctor, check_pairs, to_point_functor, validate_category
 from .labels import Label, canon, label_key
 
 
@@ -67,6 +67,18 @@ class Diagram:
 
 
 def diagram(shape: FinCategory, value, action) -> Diagram:
+    """Validate a covariant value/action table.
+
+    For f: a -> b, ``action[f]`` maps D(a) to D(b).  Identity entries may
+    be omitted; they are filled in.  Identities must act as identities.
+    Functoriality act(g∘f) == act(g)∘act(f) is checked for every arrow g
+    and every generator f of the shape into src g (``check_pairs``), which
+    proves it for every f.  An identity f holds by the identity check.
+    Otherwise f = f'∘e with e a generator and f' shorter, and by
+    associativity act(g∘f) = act((g∘f')∘e) = act(g∘f')∘act(e)
+    = act(g)∘act(f')∘act(e) = act(g)∘act(f'∘e), by the generator pair,
+    by induction, and by the generator pair (f', e).
+    """
     vals: dict[Label, tuple[Label, ...]] = {}
     for j in shape.objects:
         if j not in value:
@@ -93,12 +105,16 @@ def diagram(shape: FinCategory, value, action) -> Diagram:
         for x in vals[j]:
             if act[i][x] != x:
                 raise NotNatural(f"action of id_{j!r} moves {x!r}")
-    for g in shape.morphisms:
-        for f in shape.into(shape.src[g]):
-            gf = shape.compose(g, f)
-            for x in vals[shape.src[f]]:
-                if act[gf][x] != act[g][act[f][x]]:
-                    raise NotNatural(f"functoriality fails along ({g!r}, {f!r}) at {x!r}")
+
+    def covariance(inner):
+        for g in shape.morphisms:
+            for f in inner(shape.src[g]):
+                gf = shape.compose(g, f)
+                for x in vals[shape.src[f]]:
+                    if act[gf][x] != act[g][act[f][x]]:
+                        raise NotNatural(f"functoriality fails along ({g!r}, {f!r}) at {x!r}")
+
+    check_pairs(shape, covariance)
     return Diagram(shape, vals, act)
 
 

@@ -24,6 +24,7 @@ from .fincat import (
     FinCategory,
     NaturalTransformation,
     Presheaf,
+    check_pairs,
     compose_naturals,
     enumerate_naturals,
     natural_index_families,
@@ -62,7 +63,16 @@ class MatchingFamily:
 
 
 def matching_family(F: Presheaf, S: Sieve, assignment) -> MatchingFamily:
-    """Validate compatibility: m(f∘g) == F(g)(m(f)) for every f in S and composable g."""
+    """Validate compatibility: m(f∘g) == F(g)(m(f)) for every f in S and composable g.
+
+    It is checked for every f in S and every generator g of the base into
+    src f (``check_pairs``), which proves it for every g.  An identity g
+    holds because F(id) is the identity.  Otherwise g = g'∘e with e a
+    generator and g' shorter; S is closed under precomposition, so f∘g'
+    is in S, and m(f∘g) = m((f∘g')∘e) = F(e)(m(f∘g')) = F(e)(F(g')(m(f)))
+    = F(g'∘e)(m(f)), by the generator pair, by induction, and because F
+    is a presheaf.
+    """
     C = F.base
     if not C.same(S.category):
         raise BaseMismatch("sieve and presheaf live over different categories")
@@ -76,13 +86,17 @@ def matching_family(F: Presheaf, S: Sieve, assignment) -> MatchingFamily:
     for f in assignment:
         if f not in S.arrows:
             raise IncompatibleFamily(f"family assigns to {f!r} outside the sieve")
-    for f in S.arrows:
-        for g in C.into(C.src[f]):
-            fg = C.compose(f, g)
-            if assignment[fg] != F.restrict[g][assignment[f]]:
-                raise IncompatibleFamily(
-                    f"family disagrees along {g!r}: m({f!r}∘{g!r}) != m({f!r})|{g!r}"
-                )
+
+    def compatibility(inner):
+        for f in S.arrows:
+            for g in inner(C.src[f]):
+                fg = C.compose(f, g)
+                if assignment[fg] != F.restrict[g][assignment[f]]:
+                    raise IncompatibleFamily(
+                        f"family disagrees along {g!r}: m({f!r}∘{g!r}) != m({f!r})|{g!r}"
+                    )
+
+    check_pairs(C, compatibility)
     return MatchingFamily(F, S, assignment)
 
 
@@ -339,6 +353,15 @@ class PresheafDiagram:
 
 
 def presheaf_diagram(shape: FinCategory, node, edge) -> PresheafDiagram:
+    """Validate a diagram of presheaves: a presheaf at each object of
+    ``shape`` and a natural map along each non-identity arrow.
+
+    Identities carry identity maps.  E(g∘f) == E(g)∘E(f) is checked for
+    every arrow g and every generator f of the shape into src g
+    (``check_pairs``), which proves it for every f, as in
+    ``limits.diagram``: for f = f'∘e with e a generator,
+    E(g∘f) = E((g∘f')∘e) = E(g∘f')∘E(e) = E(g)∘E(f')∘E(e) = E(g)∘E(f).
+    """
     node = dict(node)
     edge = dict(edge)
     if not node and shape.objects:
@@ -363,15 +386,18 @@ def presheaf_diagram(shape: FinCategory, node, edge) -> PresheafDiagram:
             raise BaseMismatch(f"map along {f!r} ends at the wrong presheaf")
     from .fincat import identity_natural
 
-    for g in shape.morphisms:
-        for f in shape.into(shape.src[g]):
-            if shape.is_identity(f) or shape.is_identity(g):
-                continue
-            gf = shape.compose(g, f)
-            left = compose_naturals(edge[g], edge[f])
-            right = edge[gf] if not shape.is_identity(gf) else identity_natural(node[shape.src[f]])
-            if not left.same(right):
-                raise BaseMismatch(f"diagram does not commute along ({g!r}, {f!r})")
+    def commutes(inner):
+        for g in shape.morphisms:
+            for f in inner(shape.src[g]):
+                if shape.is_identity(f) or shape.is_identity(g):
+                    continue
+                gf = shape.compose(g, f)
+                left = compose_naturals(edge[g], edge[f])
+                right = edge[gf] if not shape.is_identity(gf) else identity_natural(node[shape.src[f]])
+                if not left.same(right):
+                    raise BaseMismatch(f"diagram does not commute along ({g!r}, {f!r})")
+
+    check_pairs(shape, commutes)
     return PresheafDiagram(shape, node, edge)
 
 

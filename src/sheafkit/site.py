@@ -104,7 +104,11 @@ def generate_sieve(category: FinCategory, apex: Label, family) -> Sieve:
 
 
 def maximal_sieve(category: FinCategory, apex: Label) -> Sieve:
-    return sieve(category, apex, category.into(apex))
+    """Every arrow into apex.  Built without re-validation: f∘g ends at
+    apex whenever f does, so the set is closed under precomposition."""
+    if apex not in category.object_set:
+        raise DanglingReference(f"no object {apex!r}")
+    return Sieve(category, apex, frozenset(category.into(apex)))
 
 
 def empty_sieve(category: FinCategory, apex: Label) -> Sieve:

@@ -8,9 +8,12 @@ results can be checked against them on small fixtures.  Three exceptions:
 contradicts the earlier ones, so that kernel-sized cases stay fast;
 ``naive_exponential`` builds its presheaf tables with the library's
 validated constructors, and its naturals come from ``naive_naturals``;
-the category and functor validators order morphisms by the library's
-``label_key`` and raise its error classes with its messages, because
-they must name the same first failure.
+the validators of categories, functors, presheaves, diagrams, naturals
+and matching families order morphisms by the library's ``label_key``
+(or take the library's ordered inputs) and raise its error classes with
+its messages, because they must name the same first failure.  They check
+every composable pair and every arrow, where the library checks
+generating arrows only.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from itertools import product
 
 from sheafkit.errors import (
     AssociativityViolation,
+    BaseMismatch,
     DanglingReference,
     IdentityViolation,
+    IncompatibleFamily,
     IntractableSize,
     MissingComposite,
     NotNatural,
@@ -356,3 +361,164 @@ def naive_cocycles_equivalent(c1, c2):
         if good:
             return True, dict(enumerate(combo))
     return False, None
+
+
+def _into(C, u):
+    return [g for g in C.morphisms if C.tgt[g] == u]
+
+
+def _sorted(labels):
+    return tuple(sorted(set(labels), key=label_key))
+
+
+def naive_presheaf(base, value, restrict):
+    """Reference for ``fincat.presheaf``: its checks in its order, and
+    contravariance over every composable pair.  Returns (value, restrict)."""
+    vals = {}
+    for u in base.objects:
+        if u not in value:
+            raise DanglingReference(f"presheaf misses value set at {u!r}")
+        vals[u] = _sorted(value[u])
+    for u in value:
+        if u not in base.objects:
+            raise DanglingReference(f"presheaf value at unknown object {u!r}")
+    rest = {}
+    for f in base.morphisms:
+        u, v = base.tgt[f], base.src[f]
+        if base.identity[v] == f and f not in restrict:
+            rest[f] = {x: x for x in vals[u]}
+            continue
+        if f not in restrict:
+            raise DanglingReference(f"presheaf misses restriction along {f!r}")
+        tab = dict(restrict[f])
+        for x in vals[u]:
+            if x not in tab:
+                raise DanglingReference(f"restriction along {f!r} misses {x!r}")
+            if tab[x] not in vals[v]:
+                raise DanglingReference(f"restriction along {f!r} sends {x!r} outside F({v!r})")
+        for x in tab:
+            if x not in vals[u]:
+                raise DanglingReference(f"restriction along {f!r} defined on unknown {x!r}")
+        rest[f] = tab
+    for u in base.objects:
+        for x in vals[u]:
+            if rest[base.identity[u]][x] != x:
+                raise NotNatural(f"restrict(id_{u!r}) moves {x!r}")
+    for f in base.morphisms:
+        for g in _into(base, base.src[f]):
+            fg = base.table[(f, g)]
+            for x in vals[base.tgt[f]]:
+                if rest[fg][x] != rest[g][rest[f][x]]:
+                    raise NotNatural(
+                        f"contravariance fails: restrict({f!r}∘{g!r}) != "
+                        f"restrict({g!r})∘restrict({f!r}) at {x!r}"
+                    )
+    return vals, rest
+
+
+def naive_diagram(shape, value, action):
+    """Reference for ``limits.diagram``: its checks in its order, and
+    functoriality over every composable pair.  Returns (value, action)."""
+    vals = {}
+    for j in shape.objects:
+        if j not in value:
+            raise DanglingReference(f"diagram misses value at {j!r}")
+        vals[j] = _sorted(value[j])
+    act = {}
+    for f in shape.morphisms:
+        a, b = shape.src[f], shape.tgt[f]
+        if shape.identity[a] == f and f not in action:
+            act[f] = {x: x for x in vals[a]}
+            continue
+        if f not in action:
+            raise DanglingReference(f"diagram misses action along {f!r}")
+        tab = dict(action[f])
+        for x in vals[a]:
+            if x not in tab:
+                raise DanglingReference(f"action along {f!r} misses {x!r}")
+            if tab[x] not in vals[b]:
+                raise DanglingReference(f"action along {f!r} sends {x!r} outside D({b!r})")
+        act[f] = {x: tab[x] for x in vals[a]}
+    for j in shape.objects:
+        for x in vals[j]:
+            if act[shape.identity[j]][x] != x:
+                raise NotNatural(f"action of id_{j!r} moves {x!r}")
+    for g in shape.morphisms:
+        for f in _into(shape, shape.src[g]):
+            gf = shape.table[(g, f)]
+            for x in vals[shape.src[f]]:
+                if act[gf][x] != act[g][act[f][x]]:
+                    raise NotNatural(f"functoriality fails along ({g!r}, {f!r}) at {x!r}")
+    return vals, act
+
+
+def naive_natural_transformation(F, G, components):
+    """Reference for ``fincat.natural_transformation``: the naturality
+    square along every arrow.  Returns the components."""
+    if not F.base.same(G.base):
+        raise BaseMismatch("presheaves live over different base categories")
+    base = F.base
+    comp = {}
+    for u in base.objects:
+        tab = dict(components.get(u, {}))
+        for x in F.value[u]:
+            if x not in tab:
+                raise NotNatural(f"component at {u!r} misses {x!r}")
+            if tab[x] not in G.value[u]:
+                raise NotNatural(f"component at {u!r} sends {x!r} outside target")
+        comp[u] = {x: tab[x] for x in F.value[u]}
+    for f in base.morphisms:
+        u, v = base.tgt[f], base.src[f]
+        for x in F.value[u]:
+            if comp[v][F.restrict[f][x]] != G.restrict[f][comp[u][x]]:
+                raise NotNatural(f"naturality square fails along {f!r} at {x!r}")
+    return comp
+
+
+def naive_matching_family(F, S, assignment):
+    """Reference for ``sheaf.matching_family``: compatibility along every
+    arrow into the domain of every arrow of the sieve, in the sieve's
+    iteration order.  Returns the assignment."""
+    C = F.base
+    if not C.same(S.category):
+        raise BaseMismatch("sieve and presheaf live over different categories")
+    assignment = dict(assignment)
+    for f in S.arrows:
+        if f not in assignment:
+            raise IncompatibleFamily(f"family misses the arrow {f!r}")
+        if assignment[f] not in F.value[C.src[f]]:
+            raise IncompatibleFamily(f"value at {f!r} is not a section over its domain")
+    for f in assignment:
+        if f not in S.arrows:
+            raise IncompatibleFamily(f"family assigns to {f!r} outside the sieve")
+    for f in S.arrows:
+        for g in _into(C, C.src[f]):
+            fg = C.table[(f, g)]
+            if assignment[fg] != F.restrict[g][assignment[f]]:
+                raise IncompatibleFamily(
+                    f"family disagrees along {g!r}: m({f!r}∘{g!r}) != m({f!r})|{g!r}"
+                )
+    return assignment
+
+
+def naive_presheaf_diagram_commutes(shape, node, edge):
+    """Reference for the commutation check of ``sheaf.presheaf_diagram``
+    on a diagram whose nodes and edge ends are right: E(g∘f) = E(g)∘E(f)
+    for every composable pair of non-identity arrows, an identity g∘f
+    standing for the identity map."""
+    for g in shape.morphisms:
+        for f in _into(shape, shape.src[g]):
+            if shape.is_identity(f) or shape.is_identity(g):
+                continue
+            gf = shape.table[(g, f)]
+            a = shape.src[f]
+            left = {
+                u: {x: edge[g].components[u][edge[f].components[u][x]] for x in node[a].value[u]}
+                for u in node[a].base.objects
+            }
+            right = (
+                {u: {x: x for x in node[a].value[u]} for u in node[a].base.objects}
+                if shape.is_identity(gf) else edge[gf].components
+            )
+            if left != right:
+                raise BaseMismatch(f"diagram does not commute along ({g!r}, {f!r})")

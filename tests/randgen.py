@@ -44,6 +44,77 @@ def cyclic_product(P, n):
     )
 
 
+def raw_tables(C):
+    """C as the mutable (objects, morphisms, identity, compose) of ``validate_category``."""
+    return (
+        list(C.objects),
+        [(m, C.src[m], C.tgt[m]) for m in C.morphisms],
+        dict(C.identity),
+        dict(C.table),
+    )
+
+
+def opposite_tables(objs, mors, ident, comp):
+    """The raw tables of the opposite category: arrows reversed, composites swapped."""
+    return (
+        list(objs),
+        [(m, b, a) for m, a, b in mors],
+        dict(ident),
+        {(f, g): gf for (g, f), gf in comp.items()},
+    )
+
+
+def isomorphism_pair():
+    """Raw tables of inverse arrows i: a -> b and j: b -> a, arrows
+    f: a -> c and g: b -> c with f = g∘i and g = f∘j, and k: c -> d with
+    its composites kf = k∘f and kg = k∘g.  Thin, with no non-identity
+    endomorphism, but the cycle makes f and g composites of each other, so
+    the irreducible arrows i, j and k do not generate them."""
+    mors = [("ida", "a", "a"), ("idb", "b", "b"), ("idc", "c", "c"), ("idd", "d", "d"),
+            ("i", "a", "b"), ("j", "b", "a"), ("f", "a", "c"), ("g", "b", "c"),
+            ("k", "c", "d"), ("kf", "a", "d"), ("kg", "b", "d")]
+    comp = {("j", "i"): "ida", ("i", "j"): "idb", ("f", "j"): "g", ("g", "i"): "f",
+            ("k", "f"): "kf", ("k", "g"): "kg", ("kf", "j"): "kg", ("kg", "i"): "kf"}
+    for m, a, b in mors:
+        comp[(f"id{b}", m)] = m
+        comp[(m, f"id{a}")] = m
+    return ["a", "b", "c", "d"], mors, {u: f"id{u}" for u in "abcd"}, comp
+
+
+def free_dag(rng: random.Random, max_nodes: int = 5):
+    """Raw tables of the free category on a random acyclic graph.
+
+    Arrows are the paths, named by their edges in order of travel ("e01.e13"),
+    and compose by concatenation.  Two paths with the same ends are two
+    arrows, so the category is not thin unless no two paths are parallel;
+    its generators are the edges.
+    """
+    n = rng.randint(1, max_nodes)
+    edges = [f"e{i}{j}" for j in range(n) for i in range(j) if rng.random() < 0.5]
+    ends = {e: (int(e[1]), int(e[2])) for e in edges}
+    paths = {f"id{u}": (u, u) for u in range(n)}
+    frontier = dict(paths)
+    while frontier:
+        longer = {}
+        for p, (a, b) in frontier.items():
+            for e in edges:
+                if ends[e][0] == b:
+                    longer[e if p.startswith("id") else f"{p}.{e}"] = (a, ends[e][1])
+        paths.update(longer)
+        frontier = longer
+    comp = {}
+    for f, (a, b) in paths.items():
+        for g, (c, d) in paths.items():
+            if b == c:
+                comp[(g, f)] = g if f.startswith("id") else f if g.startswith("id") else f"{f}.{g}"
+    return (
+        list(range(n)),
+        [(p, a, b) for p, (a, b) in paths.items()],
+        {u: f"id{u}" for u in range(n)},
+        comp,
+    )
+
+
 def renamed_arrows(rng: random.Random, C):
     """C with its arrows renamed at random, so that the label order of the
     arrows into an object no longer follows the order of their sources."""

@@ -245,6 +245,17 @@ def test_negative_bound_on_the_command_line_exits_2():
     assert (code, text) == (2, "error: IntractableSize: natural transformations: size 1 exceeds bound 0\n")
 
 
+@pytest.mark.parametrize("env, message", [
+    ("-3", "WORKBENCH_BOUND must be at least 0, got '-3'"),
+    ("abc", "WORKBENCH_BOUND must be an integer, got 'abc'"),
+])
+def test_a_bad_bound_env_met_while_building_a_gallery_site_is_a_usage_error(monkeypatch, env, message):
+    # discrete2's topology is saturated from all sieves, under the bound
+    # the environment sets; the document does not take the blame
+    monkeypatch.setenv("WORKBENCH_BOUND", env)
+    assert run(["check-sheaf", "--presheaf", "const2", "--site", "discrete2"]) == (2, f"usage error: {message}\n")
+
+
 def test_negative_enumeration_bound_env_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("WORKBENCH_BOUND", "-3")
     with pytest.raises(UsageError, match=r"^WORKBENCH_BOUND must be at least 0, got '-3'$"):

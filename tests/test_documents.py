@@ -1,8 +1,12 @@
 """Document loading, validation, and canonical serialization."""
 
+import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheafkit.documents import (
     DocumentSet,
@@ -12,6 +16,7 @@ from sheafkit.documents import (
     serialize_document,
 )
 from sheafkit.errors import ParseError, SemanticError, UnresolvedReference
+from sheafkit.fincat import poset_category
 from sheafkit.gallery import build_documents, pc_double_cover
 
 
@@ -494,3 +499,79 @@ def test_bundled_fixtures_are_what_the_generator_writes(tmp_path):
     bundled = {e.name: e.read_bytes() for e in root.iterdir() if e.name.endswith(".json")}
     assert len(written) == 33
     assert written == bundled
+
+
+# -- the canonical writer ------------------------------------------------------
+
+def indented_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ["", "\"", "\\", "\n\t\x00\x1f", "\u2028", "\ud800", "\ud7ff", "é∘", "\U0001f600", "</script>"]
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, 1e300, -1e-300, math.inf, -math.inf, math.nan, 1.5])
+    | TEXT
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(TEXT, inner, max_size=4)
+        | st.lists(st.lists(TEXT, min_size=1, max_size=3), max_size=4)
+        | st.lists(st.lists(TEXT, min_size=2, max_size=2), max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+def test_the_writer_matches_indented_json_dumps(value):
+    assert serialize_document(value) == indented_dumps(value)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.tuples(inner, inner)
+        | st.dictionaries(st.integers(), inner, max_size=3)
+        | st.lists(inner, max_size=3)
+        | st.dictionaries(TEXT, inner, max_size=3)
+    ),
+    max_leaves=12,
+))
+def test_the_writer_hands_other_values_to_json_dumps(value):
+    # tuples and non-string keys are rendered by json.dumps itself, at their depth
+    assert serialize_document(value) == indented_dumps(value)
+
+
+def test_the_writer_matches_json_dumps_on_every_gallery_fixture():
+    docs = gallery_documents()
+    assert len(docs) == 33
+    for doc in docs.values():
+        assert serialize_document(doc) == indented_dumps(doc)
+
+
+def test_the_writer_matches_json_dumps_on_a_64_object_lattice():
+    points = "abcdef"
+    opens = ["".join(p for i, p in enumerate(points) if mask >> i & 1) for mask in range(64)]
+    C = poset_category(opens, lambda a, b: set(a) <= set(b), name=lambda a, b: f"{a}<{b}")
+    doc = {
+        "schema": 1, "kind": "category", "name": "lattice6",
+        "objects": list(C.objects),
+        "morphisms": [{"name": m, "src": C.src[m], "tgt": C.tgt[m]} for m in C.morphisms],
+        "identities": dict(C.identity),
+        "compose": sorted([g, f, gf] for (g, f), gf in C.table.items()),
+    }
+    assert len(C.morphisms) == 729 and len(doc["compose"]) == 4096
+    text = serialize_document(doc)
+    assert text == indented_dumps(doc)
+    assert document_digest(doc) == hashlib.sha256(text.encode("utf-8")).hexdigest()

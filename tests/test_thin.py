@@ -32,21 +32,11 @@ from sheafkit.fincat import (
 )
 
 from naive import naive_fin_functor, naive_validate_category
-from randgen import cyclic_product, random_poset
+from randgen import cyclic_product, random_poset, raw_tables
 
 
 def gallery_category(name):
     return load_documents([]).base_category(name)
-
-
-def raw_tables(C):
-    """C as the mutable (objects, morphisms, identity, compose) of ``validate_category``."""
-    return (
-        list(C.objects),
-        [(m, C.src[m], C.tgt[m]) for m in C.morphisms],
-        dict(C.identity),
-        dict(C.table),
-    )
 
 
 def unital_magma(rng):
