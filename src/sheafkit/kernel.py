@@ -39,13 +39,19 @@ Label tables reach the search in three steps:
 Callers that only count families, test them slot by slot or permute
 their indices stay on the index families and never decode.  Decoding
 turns each distinct slot function into its {x: y} dict once per call;
-the families that use that function share the dict.  ``label_families``
-is the three steps in a row.
+the families that use that function share the dict.  Each family gets
+its own outer {object: ...} dict, keyed in ``objects`` order.  Because
+families come in lexicographic order, neighbours share their prefix
+and differ in the last slot that varies at all, so the outer dict of a
+family with the same prefix as the one before it is a copy of that
+family's dict with one slot replaced, not a fresh dict from all slots.
+``label_families`` is the three steps in a row.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 
 
 def natural_families(f_sizes, g_sizes, morphisms):
@@ -136,15 +142,39 @@ def decode(objects, f_value, g_value, fams):
 
     Each distinct slot function becomes its {x: y} dict once; every
     family that uses it shares that dict, so callers must not mutate it.
+    The outer dicts belong to one family each and keep ``objects`` order.
+
+    Slot v is the last slot with more than one function among ``fams``;
+    the slots after it are the same in every family.  A run of families
+    with equal slots before v is, in lexicographic order, one prefix
+    with v counting up: its first family's dict is built from all slots,
+    and each later one is a copy of it with slot v replaced, which keeps
+    the key order.
     """
     tables = []
     for k, j in enumerate(objects):
         fv, gv = f_value[j], g_value[j]
         tables.append({
             func: {x: gv[i] for x, i in zip(fv, func)}
-            for func in {fam[k] for fam in fams}
+            for func in set(map(itemgetter(k), fams))
         })
-    return [dict(zip(objects, map(dict.__getitem__, tables, fam))) for fam in fams]
+    varying = [k for k, table in enumerate(tables) if len(table) > 1]
+    if not varying:  # at most one family
+        return [dict(zip(objects, map(dict.__getitem__, tables, fam))) for fam in fams]
+    v = varying[-1]
+    u, table = objects[v], tables[v]
+    out = []
+    prefix = None
+    for fam in fams:
+        head = fam[:v]
+        if head != prefix:
+            prefix = head
+            shared = comp = dict(zip(objects, map(dict.__getitem__, tables, fam)))
+        else:
+            comp = shared.copy()
+            comp[u] = table[fam[v]]
+        out.append(comp)
+    return out
 
 
 def label_families(objects, f_value, g_value, arrows):

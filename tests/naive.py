@@ -5,9 +5,11 @@ pruning, no canonical ordering tricks.  Each one enumerates the full
 candidate space and filters by the defining condition, so library
 results can be checked against them on small fixtures.  Three exceptions:
 ``naive_natural_families`` drops a candidate once a whole slot
-contradicts the earlier ones, so that kernel-sized cases stay fast;
-``naive_exponential`` builds its presheaf tables with the library's
-validated constructors, and its naturals come from ``naive_naturals``;
+contradicts the earlier ones, so that kernel-sized cases stay fast, and
+``naive_decode`` shares the {x: y} dicts of slot functions as the
+library does; ``naive_exponential`` builds its presheaf tables with the
+library's validated constructors, and its naturals come from
+``naive_naturals``;
 the validators of categories, functors, presheaves, diagrams, naturals
 and matching families order morphisms by the library's ``label_key``
 (or take the library's ordered inputs) and raise its error classes with
@@ -122,6 +124,20 @@ def naive_natural_families(f_sizes, g_sizes, morphisms):
 
     rec(0)
     return out
+
+
+def naive_decode(objects, f_value, g_value, fams):
+    """Reference for ``kernel.decode``: each family's outer dict is built
+    from all of its slots.  Each distinct slot function becomes its
+    {x: y} dict once, and the families that use it share that dict."""
+    tables = []
+    for k, j in enumerate(objects):
+        fv, gv = f_value[j], g_value[j]
+        tables.append({
+            func: {x: gv[i] for x, i in zip(fv, func)}
+            for func in {fam[k] for fam in fams}
+        })
+    return [dict(zip(objects, map(dict.__getitem__, tables, fam))) for fam in fams]
 
 
 def naive_limit(D):
@@ -477,13 +493,14 @@ def naive_natural_transformation(F, G, components):
 
 def naive_matching_family(F, S, assignment):
     """Reference for ``sheaf.matching_family``: compatibility along every
-    arrow into the domain of every arrow of the sieve, in the sieve's
-    iteration order.  Returns the assignment."""
+    arrow into the domain of every arrow of the sieve, the sieve's arrows
+    in label order.  Returns the assignment."""
     C = F.base
     if not C.same(S.category):
         raise BaseMismatch("sieve and presheaf live over different categories")
     assignment = dict(assignment)
-    for f in S.arrows:
+    arrows = sorted(S.arrows, key=label_key)
+    for f in arrows:
         if f not in assignment:
             raise IncompatibleFamily(f"family misses the arrow {f!r}")
         if assignment[f] not in F.value[C.src[f]]:
@@ -491,7 +508,7 @@ def naive_matching_family(F, S, assignment):
     for f in assignment:
         if f not in S.arrows:
             raise IncompatibleFamily(f"family assigns to {f!r} outside the sieve")
-    for f in S.arrows:
+    for f in arrows:
         for g in _into(C, C.src[f]):
             fg = C.table[(f, g)]
             if assignment[fg] != F.restrict[g][assignment[f]]:

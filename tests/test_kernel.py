@@ -3,17 +3,31 @@
 ``naive.naive_natural_families`` has the kernel's contract and output
 order but never narrows single elements, so the two agree only if the
 kernel's forward checking loses no family and keeps the order.
+``naive.naive_decode`` builds each family's outer dict from all of its
+slots, so ``decode`` agrees with it only if sharing prefixes between
+neighbouring families loses no slot and keeps every key order.
 """
 
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sheafkit.kernel import natural_families
+from sheafkit.fincat import (
+    enumerate_naturals,
+    natural_transformation,
+    presheaf,
+    terminal_category,
+    validate_category,
+    yoneda_presheaf,
+)
+from sheafkit.kernel import decode, natural_families
+from sheafkit.sheaf import product_presheaf
 
-from naive import naive_natural_families
+from naive import naive_decode, naive_natural_families, naive_naturals
+from randgen import cyclic_product, random_poset, random_presheaf
 
 
 CASES = [
@@ -124,3 +138,108 @@ def test_empty_slot_semantics():
     assert natural_families([1], [0], []) == []
     # no slots at all: one empty family
     assert natural_families([], [], []) == [()]
+
+
+# -- decode ---------------------------------------------------------------------------
+
+# object and value labels of mixed kinds, so that no key order is the label order
+LABELS = ["m", 3, ("t", 1), "a", 0, "z", ("s",), 7]
+
+
+def labelled(fs, gs, rng):
+    """Objects, source values and target values for slot sizes ``fs``, ``gs``."""
+    objects = rng.sample(LABELS, len(fs))
+    f_value = {j: tuple(rng.sample(LABELS, n)) for j, n in zip(objects, fs)}
+    g_value = {j: tuple(rng.sample(LABELS, n)) for j, n in zip(objects, gs)}
+    return objects, f_value, g_value
+
+
+def assert_same_decoding(got, want):
+    """Equal values, and equal key order in the outer and the inner dicts."""
+    assert got == want
+    assert [list(comp) for comp in got] == [list(comp) for comp in want]
+    assert [[list(tab) for tab in comp.values()] for comp in got] == [
+        [list(tab) for tab in comp.values()] for comp in want
+    ]
+    # every family has its own outer dict
+    assert len({id(comp) for comp in got}) == len(got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kernel_instances(), st.randoms(use_true_random=False))
+@example(([], [], []), random.Random(0))  # no objects: one empty family
+@example(([3], [2], []), random.Random(0))  # one object
+@example(([0, 2, 0], [1, 2, 3], []), random.Random(0))  # slots with no source values
+@example(([1, 2], [0, 2], []), random.Random(0))  # no families
+@example(([2, 1, 1], [2, 2, 1], [(1, 2, [0], [0, 0])]), random.Random(0))  # constant last slot
+def test_decode_matches_the_reference(case, rng):
+    fs, gs, mors = case
+    fams = natural_families(fs, gs, mors)
+    objects, f_value, g_value = labelled(fs, gs, rng)
+    assert_same_decoding(decode(objects, f_value, g_value, fams), naive_decode(objects, f_value, g_value, fams))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2), max_size=4), st.data())
+def test_decode_does_not_need_the_kernel_order(fs, data):
+    """Any list of families, with repeats and in any order, decodes as the
+    reference decodes it; the kernel's lexicographic order only makes the
+    shared prefixes long."""
+    gs = [data.draw(st.integers(1, 3)) for _ in fs]
+    family = st.tuples(*[st.tuples(*[st.integers(0, g - 1)] * f) for f, g in zip(fs, gs)])
+    fams = data.draw(st.lists(family, max_size=12))
+    objects, f_value, g_value = labelled(fs, gs, data.draw(st.randoms(use_true_random=False)))
+    assert_same_decoding(decode(objects, f_value, g_value, fams), naive_decode(objects, f_value, g_value, fams))
+
+
+def test_decode_edge_cases():
+    assert decode([], {}, {}, [()]) == [{}]
+    assert decode([], {}, {}, []) == []
+    assert decode(["u"], {"u": ("x",)}, {"u": ()}, []) == []
+    assert decode(["u"], {"u": ()}, {"u": ()}, [((),)]) == [{"u": {}}]
+
+
+# -- enumerate_naturals on random bases ---------------------------------------------
+
+BASES = {
+    "poset": lambda rng: random_poset(rng, 4),
+    "poset x Z/n": lambda rng: validate_category(*cyclic_product(random_poset(rng, 3), rng.choice([2, 3]))),
+    "monoid Z/n": lambda rng: validate_category(*cyclic_product(terminal_category(), rng.choice([2, 3, 4]))),
+}
+
+# candidate families the full-product oracle enumerates at most
+ORACLE_SPACE = 5000
+
+
+def candidate_space(F, G):
+    return math.prod(len(G.value[u]) ** len(F.value[u]) for u in F.base.objects)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(BASES)), st.randoms(use_true_random=False))
+def test_enumerated_naturals_are_the_validated_ones_in_order(kind, rng):
+    """Each enumerated transformation is what ``natural_transformation``
+    builds from its components, with the same key orders; they come in
+    lexicographic order of their index tuples, and on small candidate
+    spaces they are exactly the full-product oracle's, in its order."""
+    C = BASES[kind](rng)
+    F = random_presheaf(rng, C, 2)
+    if C.objects and rng.random() < 0.5:
+        F = yoneda_presheaf(C, rng.choice(C.objects))  # Z/n acts freely
+    G = random_presheaf(rng, C, 3)
+    if rng.random() < 0.5:
+        two = presheaf(C, dict.fromkeys(C.objects, (0, 1)), dict.fromkeys(C.morphisms, {0: 0, 1: 1}))
+        G = product_presheaf(G, two)
+    if candidate_space(F, G) > 10**5:
+        G = random_presheaf(rng, C, 1)
+    nats = enumerate_naturals(F, G)
+    for eta in nats:
+        checked = natural_transformation(F, G, eta.components)
+        assert_same_decoding([eta.components], [checked.components])
+    indices = [
+        tuple(G.value[u].index(eta.components[u][x]) for u in C.objects for x in F.value[u])
+        for eta in nats
+    ]
+    assert indices == sorted(set(indices))
+    if candidate_space(F, G) <= ORACLE_SPACE:
+        assert [eta.components for eta in nats] == naive_naturals(F, G)

@@ -18,6 +18,7 @@ from sheafkit.gallery import (
     const2_full_presheaf,
     const2_presheaf,
     discrete2_site,
+    discrete3_site,
     sierpinski_site,
 )
 from sheafkit.limits import pullback as set_pullback
@@ -196,6 +197,36 @@ def test_glue_product_sheaf_on_discrete2():
             glued = glue(P, site.topology, S, fam)
             assert P.restrict[f"{{a}}<{D2}"][glued] == sa
             assert P.restrict[f"{{b}}<{D2}"][glued] == sb
+
+
+def test_family_from_cover_names_the_first_disagreement_in_label_order():
+    """The generated sieve is walked in label order, not in the iteration
+    order of its frozenset, so the named arrow does not depend on string
+    hashing; ``test_hash_stability`` runs the same case under two seeds."""
+    site = discrete3_site()
+    F = const2_full_presheaf(site)
+    with pytest.raises(IncompatibleFamily) as err:
+        family_from_cover(site, F, "{a,b,c}", {"{a,b}": "0", "{a,c}": "1"})
+    assert str(err.value) == (
+        "sections disagree on the overlap seen by '{a}<{a,b,c}': via '{a,b}': '0', via '{a,c}': '1'"
+    )
+    S, m = family_from_cover(site, F, "{a,b,c}", {"{a,b}": "1", "{a,c}": "1"})
+    assert list(m.assignment) == list(S.ordered)
+
+
+def test_matching_family_names_the_first_arrow_in_label_order():
+    site = discrete3_site()
+    F = const2_full_presheaf(site)
+    S = generate_sieve(site.category, "{a,b,c}", ["{a,b}<{a,b,c}", "{a,c}<{a,b,c}"])
+    with pytest.raises(IncompatibleFamily, match=r"^family misses the arrow '\{a,b\}<\{a,b,c\}'$"):
+        matching_family(F, S, {})
+    assignment = {f: "0" for f in S.arrows}
+    assignment["{a}<{a,b,c}"] = assignment["{}<{a,b,c}"] = "1"
+    with pytest.raises(IncompatibleFamily) as err:
+        matching_family(F, S, assignment)
+    assert str(err.value) == (
+        "family disagrees along '{a}<{a,b}': m('{a,b}<{a,b,c}'∘'{a}<{a,b}') != m('{a,b}<{a,b,c}')|'{a}<{a,b}'"
+    )
 
 
 def test_glue_rejects_families_with_no_section():
