@@ -202,6 +202,7 @@ def enumerate_subobjects(
         chosen[stage] = None
 
     rec(0)
+    del rec  # it refers to itself through its closure cell
     subs = [Subobject(F, parts) for parts in found]
     subs = [A for A in subs if is_closed(J, A)]
     rank = F.section_rank()  # in label order, part by part

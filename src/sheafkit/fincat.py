@@ -147,6 +147,19 @@ class FinCategory:
             for u in self.objects
         }
 
+    @cached_property
+    def generating_arrows(self) -> tuple[Label, ...]:
+        """The arrows a law along every arrow is checked on, in ``morphisms`` order.
+
+        These are the generators when there are any (see ``generators``),
+        and every non-identity arrow otherwise.
+        """
+        gens = self.generators
+        if gens is None:
+            return tuple(m for m in self.morphisms if not self.is_identity(m))
+        keep = {m for ms in gens.values() for m in ms}
+        return tuple(m for m in self.morphisms if m in keep)
+
     def is_identity(self, m: Label) -> bool:
         return self.identity.get(self.src[m]) == m
 
@@ -627,10 +640,9 @@ def natural_transformation(F: Presheaf, G: Presheaf, components) -> NaturalTrans
                         f"naturality square fails along {f!r} at {x!r}"
                     )
 
-    gens = base.generators
-    if gens is not None:
+    if base.generators is not None:
         try:
-            squares([f for fs in gens.values() for f in fs])
+            squares(base.generating_arrows)
             return NaturalTransformation(F, G, comp)
         except NotNatural:
             pass
@@ -660,6 +672,14 @@ def natural_index_families(F: Presheaf, G: Presheaf, bound: int | None = None) -
     image of ``F.value[u][i]``.  Families come in lexicographic order,
     which is the order of ``enumerate_naturals``.  The candidate count is
     guarded by the enumeration bound before any search.
+
+    The kernel gets one naturality constraint per generating arrow of the
+    base (``FinCategory.generating_arrows``), not one per arrow.  That
+    loses no constraint: squares hold along identities, and if they hold
+    along g and e they hold along g∘e (see ``natural_transformation``),
+    so by induction on the number of generators in a factorization they
+    hold along every arrow.  Without generators every non-identity arrow
+    is a constraint.
     """
     if not F.base.same(G.base):
         raise BaseMismatch("presheaves live over different base categories")
@@ -670,11 +690,7 @@ def natural_index_families(F: Presheaf, G: Presheaf, bound: int | None = None) -
         bound,
     )
 
-    arrows = [
-        (base.tgt[f], base.src[f], F.restrict[f], G.restrict[f])
-        for f in base.morphisms
-        if not base.is_identity(f)
-    ]
+    arrows = [(base.tgt[f], base.src[f], F.restrict[f], G.restrict[f]) for f in base.generating_arrows]
     return kernel.natural_families(*kernel.encode(base.objects, F.value, G.value, arrows))
 
 

@@ -19,7 +19,7 @@ and exponentials.
 Families come out in lexicographic order of the concatenated function
 tuples.
 
-Slots are filled in order, and a constraint is applied at slot
+Slots are filled in order.  Every constraint is applied at slot
 max(p, q), once the earlier slots are fixed.  There it narrows the
 domains of single elements of the slot before any candidate is built
 (forward checking, Haralick & Elliott 1980):
@@ -28,7 +28,27 @@ domains of single elements of the slot before any candidate is built
     q < p:   restricts family[p][x] to the gtab-preimage of family[q][ftab[x]]
     p == q:  filters the slot's candidates, the product of the domains
 
+A bad partial family is rejected as soon as the filled slots show the
+conflict, which can be before max(p, q).  When slots p0 < p1 both force
+element e of slot q (p1 < q), the two constraints together say that
+gtab1[family[p1][x1]] == gtab0[family[p0][x0]].  This is checked at
+slot p1, as one more narrowing: family[p1][x1] lies in the
+gtab1-preimage of the value that p0 forces.  Each later forcer of an
+element is checked against its earliest one; the original constraints
+still run at slot q, so the checks add no family and lose none.
+
+A slot with no source values, or with one target value and no
+narrowing at it, has exactly one function, and every check at that
+slot accepts it: a forced value or a p == q filter can only ask for
+the one target value there is.  Such a slot is fixed once, before the
+search, and the recursion skips it, so a family whose remaining slots
+all have one function costs no call of its own.  A slot with one
+target value that a narrowing lands on is searched, since the
+narrowing can reject it.
+
 Domains stay in ascending order, so the product keeps the order.
+Callers pass one constraint per generating arrow of their base
+category, not one per arrow (``fincat.natural_index_families``).
 
 Label tables reach the search in three steps:
 
@@ -57,25 +77,50 @@ from operator import itemgetter
 def natural_families(f_sizes, g_sizes, morphisms):
     """All families satisfying ``morphisms``, in order; see the module docstring."""
     n = len(f_sizes)
+    if any(f and not g for f, g in zip(f_sizes, g_sizes)):
+        return []  # a slot with no function at all
     forced = [[] for _ in range(n)]    # (p, ftab, gtab) with p < q == k
-    narrowed = [[] for _ in range(n)]  # (q, ftab, gtab preimages) with q < p == k
+    narrowed = [[] for _ in range(n)]  # (s, i, x, pre): family[k][x] in pre[family[s][i]], s < k
     closed = [[] for _ in range(n)]    # (ftab, gtab) with p == q == k
+    forcings = []  # the p < q constraints
     for p, q, ftab, gtab in morphisms:
         if p < q:
-            forced[q].append((p, ftab, gtab))
+            forcings.append((p, q, ftab, gtab))
         elif q < p:
-            preimages = [[] for _ in range(g_sizes[q])]
-            for y, v in enumerate(gtab):
-                preimages[v].append(y)
-            narrowed[p].append((q, ftab, preimages))
+            pre = _preimages(gtab, g_sizes[q])
+            narrowed[p] += [(q, i, x, pre) for x, i in enumerate(ftab)]
         else:
             closed[p].append((ftab, gtab))
 
-    if not n:
-        return [()]
+    # early forcer checks: each later forcer of element e of slot q is
+    # checked against the earliest one, at its own slot
+    forcings.sort(key=itemgetter(0))
+    first = {}     # (q, e) -> (constraint, slot, element) of its earliest forcer
+    composed = {}  # (earliest constraint, later constraint) -> preimage table
+    for c, (p, q, ftab, gtab) in enumerate(forcings):
+        forced[q].append((p, ftab, gtab))
+        for x, e in enumerate(ftab):
+            c0, p0, x0 = first.setdefault((q, e), (c, p, x))
+            if p0 < p:
+                pre = composed.get((c0, c))
+                if pre is None:
+                    own = _preimages(gtab, g_sizes[q])
+                    pre = composed[c0, c] = [own[v] for v in forcings[c0][3]]
+                narrowed[p].append((p0, x0, x, pre))
+
+    # slots with exactly one function are fixed once; the search visits the rest
+    fam = [None] * n
+    order = []
+    for k in range(n):
+        if not f_sizes[k] or (g_sizes[k] == 1 and not narrowed[k]):
+            fam[k] = (0,) * f_sizes[k]
+        else:
+            order.append(k)
+    if not order:
+        return [tuple(fam)]
     out = []
-    fam: list = [None] * n
-    last = n - 1
+    last = order[-1]
+    following = dict(zip(order, order[1:]))
 
     def rec(k: int) -> None:
         domains = [range(g_sizes[k])] * f_sizes[k]
@@ -85,13 +130,11 @@ def natural_families(f_sizes, g_sizes, morphisms):
                 if v not in domains[ftab[x]]:
                     return
                 domains[ftab[x]] = (v,)
-        for q, ftab, preimages in narrowed[k]:
-            row = fam[q]
-            for x in range(f_sizes[k]):
-                allowed = [y for y in preimages[row[ftab[x]]] if y in domains[x]]
-                if not allowed:
-                    return
-                domains[x] = allowed
+        for s, i, x, pre in narrowed[k]:
+            allowed = [y for y in pre[fam[s][i]] if y in domains[x]]
+            if not allowed:
+                return
+            domains[x] = allowed
         cands = product(*domains)
         if closed[k]:
             cands = [
@@ -103,12 +146,22 @@ def natural_families(f_sizes, g_sizes, morphisms):
                 fam[k] = func
                 out.append(tuple(fam))
             return
+        nxt = following[k]
         for func in cands:
             fam[k] = func
-            rec(k + 1)
+            rec(nxt)
 
-    rec(0)
+    rec(order[0])
+    del rec  # it refers to itself through its closure cell
     return out
+
+
+def _preimages(gtab, size):
+    """pre[v]: the y with gtab[y] == v, ascending, for every v < size."""
+    pre = [[] for _ in range(size)]
+    for y, v in enumerate(gtab):
+        pre[v].append(y)
+    return pre
 
 
 def encode(objects, f_value, g_value, arrows):

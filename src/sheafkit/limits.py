@@ -134,13 +134,18 @@ def diagram_naturals(F: Diagram, G: Diagram, bound: int | None = None):
 
 
 def _naturals(F: Diagram, G: Diagram):
-    """All F => G, unbounded; callers check the bound their search needs."""
+    """All F => G, unbounded; callers check the bound their search needs.
+
+    The kernel gets one constraint per generating arrow of the shape
+    (``FinCategory.generating_arrows``), not one per arrow.  The squares
+    η_b∘F(f) = G(f)∘η_a hold along identities, and if they hold along e
+    and g they hold along g∘e: η∘F(g∘e) = η∘F(g)∘F(e) = G(g)∘η∘F(e) =
+    G(g)∘G(e)∘η = G(g∘e)∘η.  By induction on the number of generators in
+    a factorization they hold along every arrow.  Without generators
+    every non-identity arrow is a constraint.
+    """
     shape = F.shape
-    arrows = [
-        (shape.src[f], shape.tgt[f], F.action[f], G.action[f])
-        for f in shape.morphisms
-        if not shape.is_identity(f)
-    ]
+    arrows = [(shape.src[f], shape.tgt[f], F.action[f], G.action[f]) for f in shape.generating_arrows]
     return kernel.label_families(shape.objects, F.value, G.value, arrows)
 
 

@@ -257,42 +257,44 @@ def check_sorting(model: LogicModel, phi: Formula, context) -> None:
         if s not in model.sorts:
             raise IllSorted(f"context names unknown sort {s!r}")
 
-    def walk(node, scope):
-        if isinstance(node, (Top, Bottom)):
-            return
-        if isinstance(node, Mem):
-            if node.var not in scope:
-                raise IllSorted(f"unbound variable {node.var!r}")
-            if node.pred not in model.predicates:
-                raise UnknownSubobject(f"unknown predicate {node.pred!r}")
-            if model.predicates[node.pred][0] != scope[node.var]:
-                raise IllSorted(
-                    f"predicate {node.pred!r} lives on sort "
-                    f"{model.predicates[node.pred][0]!r}, not {scope[node.var]!r}"
-                )
-            return
-        if isinstance(node, Eq):
-            for v in (node.left, node.right):
-                if v not in scope:
-                    raise IllSorted(f"unbound variable {v!r}")
-            if scope[node.left] != scope[node.right]:
-                raise IllSorted("equality between different sorts")
-            return
-        if isinstance(node, (And, Or, Implies)):
-            walk(node.left, scope)
-            walk(node.right, scope)
-            return
-        if isinstance(node, Not):
-            walk(node.body, scope)
-            return
-        if node.var in scope:
-            raise IllSorted(f"variable {node.var!r} bound twice")
-        if node.sort not in model.sorts:
-            raise IllSorted(f"quantifier names unknown sort {node.sort!r}")
-        walk(node.body, {**scope, node.var: node.sort})
-
-    walk(phi, dict(context))
+    _check_scope(model, phi, dict(context))
     check_bound("formula depth", [depth(phi)], DEFAULT_FORMULA_DEPTH)
+
+
+def _check_scope(model: LogicModel, node: Formula, scope: dict) -> None:
+    """Raise at the first unbound, ill-sorted or unknown name below ``node``."""
+    if isinstance(node, (Top, Bottom)):
+        return
+    if isinstance(node, Mem):
+        if node.var not in scope:
+            raise IllSorted(f"unbound variable {node.var!r}")
+        if node.pred not in model.predicates:
+            raise UnknownSubobject(f"unknown predicate {node.pred!r}")
+        if model.predicates[node.pred][0] != scope[node.var]:
+            raise IllSorted(
+                f"predicate {node.pred!r} lives on sort "
+                f"{model.predicates[node.pred][0]!r}, not {scope[node.var]!r}"
+            )
+        return
+    if isinstance(node, Eq):
+        for v in (node.left, node.right):
+            if v not in scope:
+                raise IllSorted(f"unbound variable {v!r}")
+        if scope[node.left] != scope[node.right]:
+            raise IllSorted("equality between different sorts")
+        return
+    if isinstance(node, (And, Or, Implies)):
+        _check_scope(model, node.left, scope)
+        _check_scope(model, node.right, scope)
+        return
+    if isinstance(node, Not):
+        _check_scope(model, node.body, scope)
+        return
+    if node.var in scope:
+        raise IllSorted(f"variable {node.var!r} bound twice")
+    if node.sort not in model.sorts:
+        raise IllSorted(f"quantifier names unknown sort {node.sort!r}")
+    _check_scope(model, node.body, {**scope, node.var: node.sort})
 
 
 # -- forcing ------------------------------------------------------------------------
@@ -433,19 +435,19 @@ def _quantifiers(phi: Formula) -> list[tuple[str, str, int]]:
     context of its ``enclosing`` plus its own sort.
     """
     out = []
-
-    def walk(node, enclosing):
-        if isinstance(node, (And, Or, Implies)):
-            walk(node.left, enclosing)
-            walk(node.right, enclosing)
-        elif isinstance(node, Not):
-            walk(node.body, enclosing)
-        elif isinstance(node, (Exists, Forall)):
-            out.append((node.var, node.sort, enclosing))
-            walk(node.body, len(out))
-
-    walk(phi, 0)
+    _collect_quantifiers(phi, 0, out)
     return out
+
+
+def _collect_quantifiers(node: Formula, enclosing: int, out: list) -> None:
+    if isinstance(node, (And, Or, Implies)):
+        _collect_quantifiers(node.left, enclosing, out)
+        _collect_quantifiers(node.right, enclosing, out)
+    elif isinstance(node, Not):
+        _collect_quantifiers(node.body, enclosing, out)
+    elif isinstance(node, (Exists, Forall)):
+        out.append((node.var, node.sort, enclosing))
+        _collect_quantifiers(node.body, len(out), out)
 
 
 def _check_contexts(model: LogicModel, context, quantifiers, bound: int) -> None:

@@ -61,6 +61,26 @@ def naive_naturals(F, G):
     return found
 
 
+def naive_diagram_naturals(F, G):
+    """All natural families F => G of covariant diagrams as {object: {x: y}}
+    dicts, each square checked along every arrow."""
+    shape = F.shape
+    per_object = [
+        [dict(zip(F.value[j], choice)) for choice in product(G.value[j], repeat=len(F.value[j]))]
+        for j in shape.objects
+    ]
+    found = []
+    for combo in product(*per_object):
+        comp = dict(zip(shape.objects, combo))
+        if all(
+            comp[shape.tgt[f]][F.action[f][x]] == G.action[f][comp[shape.src[f]][x]]
+            for f in shape.morphisms
+            for x in F.value[shape.src[f]]
+        ):
+            found.append(comp)
+    return found
+
+
 def naive_exponential(A, B):
     """B^A as ``sheaf.exponential`` builds it, with every natural found by
     ``naive_naturals``: element ``n{i}`` at U is the i-th natural

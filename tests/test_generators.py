@@ -10,8 +10,15 @@ and requires the library and the oracle to agree on the verdict, the
 error class and the message.  The mutation that matters most changes
 the table of an arrow that is no generator: only the proof catches it
 there, through a generator pair whose composite it is.
+
+The searches (naturals of presheaves and of diagrams, the test (co)cones
+of the certificates, matching families) give the kernel one constraint
+per generating arrow.  They are compared with the kernel on every arrow
+and, where the candidate space is small, with the full-product oracles,
+which check every arrow.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -30,6 +37,7 @@ from sheafkit.fincat import (
     discrete_category,
     enumerate_naturals,
     fin_functor,
+    natural_index_families,
     natural_transformation,
     poset_category,
     presheaf,
@@ -37,16 +45,20 @@ from sheafkit.fincat import (
     validate_category,
     yoneda_presheaf,
 )
+from sheafkit.kernel import encode, natural_families
 from sheafkit.labels import label_key
-from sheafkit.limits import diagram
-from sheafkit.sheaf import induced_family, matching_family, presheaf_diagram, product_presheaf
+from sheafkit.limits import certify_colimit, certify_limit, colimit, diagram, diagram_naturals, limit
+from sheafkit.sheaf import induced_family, matching_families, matching_family, presheaf_diagram, product_presheaf
 from sheafkit.site import all_sieves, maximal_sieve
 
 from naive import (
     naive_diagram,
+    naive_diagram_naturals,
     naive_fin_functor,
+    naive_matching_families,
     naive_matching_family,
     naive_natural_transformation,
+    naive_naturals,
     naive_presheaf,
     naive_presheaf_diagram_commutes,
     naive_validate_category,
@@ -335,6 +347,109 @@ def test_the_mutations_provoke_each_verdict():
             assert (case, base, "changed", NotNatural) in seen
         assert ("matching family", base, "changed", IncompatibleFamily) in seen
     assert ("presheaf diagram", "free dag", "changed", BaseMismatch) in seen
+
+
+# -- searches on generating arrows --------------------------------------------------
+
+# candidate families the full-product oracles enumerate at most
+ORACLE_SPACE = 3000
+# test apexes of the certificates have at most this many elements
+MAX_APEX = 2
+# no search here is refused
+BOUND = 10**12
+
+
+def search_presheaf(rng, C, max_sections):
+    """A small random presheaf on C, or a representable one, on which Z/n acts freely."""
+    if C.objects and rng.random() < 0.4:
+        return yoneda_presheaf(C, rng.choice(C.objects))
+    return random_presheaf(rng, C, max_sections)
+
+
+def space(F_value, G_value, objects):
+    return math.prod(len(G_value[u]) ** len(F_value[u]) for u in objects)
+
+
+def every_arrow(C):
+    return [f for f in C.morphisms if not C.is_identity(f)]
+
+
+def all_arrow_index_families(F, G):
+    """The kernel's families F => G with one constraint per non-identity arrow."""
+    C = F.base
+    arrows = [(C.tgt[f], C.src[f], F.restrict[f], G.restrict[f]) for f in every_arrow(C)]
+    return natural_families(*encode(C.objects, F.value, G.value, arrows))
+
+
+def all_arrow_cone_count(F, G):
+    """How many naturals F => G of diagrams the kernel finds on every arrow."""
+    shape = F.shape
+    arrows = [(shape.src[f], shape.tgt[f], F.action[f], G.action[f]) for f in every_arrow(shape)]
+    return len(natural_families(*encode(shape.objects, F.value, G.value, arrows)))
+
+
+def as_diagram(shape, F):
+    """A presheaf on C as the covariant diagram on the opposite of C."""
+    return diagram(shape, F.value, F.restrict)
+
+
+def constant(shape, T):
+    return diagram(shape, dict.fromkeys(shape.objects, T), dict.fromkeys(shape.morphisms, {t: t for t in T}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(BASES)))
+def test_searches_on_generating_arrows_lose_nothing(rng, base):
+    """Each search finds what the kernel finds with a constraint on every
+    non-identity arrow, in the same order, and on small candidate spaces
+    what the full-product oracle finds; bases without generators (poset x
+    Z/n, Z/n, the isomorphism pair) run on every arrow as before."""
+    tables = BASES[base](rng)
+    C = validate_category(*tables)
+    shape = validate_category(*opposite_tables(*tables))
+    F, G = search_presheaf(rng, C, 2), search_presheaf(rng, C, 3)
+    if rng.random() < 0.5:
+        two = presheaf(C, dict.fromkeys(C.objects, (0, 1)), dict.fromkeys(C.morphisms, {0: 0, 1: 1}))
+        G = product_presheaf(G, two)
+    small = space(F.value, G.value, C.objects) <= ORACLE_SPACE
+
+    # naturals of presheaves, as index families, in order
+    fams = natural_index_families(F, G, BOUND)
+    assert fams == all_arrow_index_families(F, G)
+    if small:
+        assert fams == [
+            tuple(tuple(G.value[u].index(comp[u][x]) for x in F.value[u]) for u in C.objects)
+            for comp in naive_naturals(F, G)
+        ]
+
+    # naturals of diagrams, as component dicts, in order
+    DF, DG = as_diagram(shape, F), as_diagram(shape, G)
+    nats = diagram_naturals(DF, DG, BOUND)
+    assert len(nats) == all_arrow_cone_count(DF, DG)
+    if small:
+        assert nats == naive_diagram_naturals(DF, DG)
+
+    # the test (co)cones of the certificates
+    lcert = certify_limit(limit(DF), max_apex=MAX_APEX, bound=BOUND)
+    ccert = certify_colimit(colimit(DF), max_apex=MAX_APEX, bound=BOUND)
+    assert lcert.ok and ccert.ok
+    apexes = [tuple(f"t{i}" for i in range(s)) for s in range(MAX_APEX + 1)]
+    assert lcert.cones_checked == sum(all_arrow_cone_count(constant(shape, T), DF) for T in apexes)
+    assert ccert.cones_checked == sum(all_arrow_cone_count(DF, constant(shape, T)) for T in apexes)
+    if space(dict.fromkeys(C.objects, apexes[-1]), F.value, C.objects) <= ORACLE_SPACE:
+        assert lcert.cones_checked == sum(len(naive_diagram_naturals(constant(shape, T), DF)) for T in apexes)
+    if space(F.value, dict.fromkeys(C.objects, apexes[-1]), C.objects) <= ORACLE_SPACE:
+        assert ccert.cones_checked == sum(len(naive_diagram_naturals(DF, constant(shape, T))) for T in apexes)
+
+    # matching families over every sieve on one object
+    if C.objects:
+        for S in all_sieves(C, rng.choice(C.objects), 10**5):
+            found = matching_families(G, S, BOUND)
+            assert len(found) == len(all_arrow_index_families(S.presheaf, G))
+            if math.prod(len(G.value[C.src[f]]) for f in S.arrows) <= ORACLE_SPACE:
+                oracle = naive_matching_families(G, S.arrows, C)
+                assert len(found) == len(oracle)
+                assert {frozenset(m.assignment.items()) for m in found} == {frozenset(m.items()) for m in oracle}
 
 
 # -- the first failure, in the order of the full check --------------------------------

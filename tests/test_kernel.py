@@ -8,6 +8,7 @@ slots, so ``decode`` agrees with it only if sharing prefixes between
 neighbouring families loses no slot and keeps every key order.
 """
 
+import gc
 import math
 import random
 
@@ -17,14 +18,16 @@ from hypothesis import strategies as st
 
 from sheafkit.fincat import (
     enumerate_naturals,
+    natural_index_families,
     natural_transformation,
     presheaf,
     terminal_category,
     validate_category,
     yoneda_presheaf,
 )
-from sheafkit.kernel import decode, natural_families
-from sheafkit.sheaf import product_presheaf
+from sheafkit.kernel import decode, label_families, natural_families
+from sheafkit.sheaf import matching_families, product_presheaf
+from sheafkit.site import all_sieves
 
 from naive import naive_decode, naive_natural_families, naive_naturals
 from randgen import cyclic_product, random_poset, random_presheaf
@@ -45,6 +48,30 @@ CASES = [
     ([2, 1], [2, 2], [(0, 1, [0, 0], [0, 1])]),
     # a forced value outside the preimage narrowing of a later constraint
     ([1, 1, 1], [2, 2, 2], [(0, 2, [0], [1, 1]), (2, 1, [0], [0, 0])]),
+    # slots 0 and 2 both force element 0 of slot 3, with a free slot
+    # between them: the early check at slot 2 keeps the pairs that agree
+    ([1, 2, 1, 1], [2, 2, 2, 2], [(0, 3, [0], [0, 1]), (2, 3, [0], [1, 0])]),
+    # ... and rejects every pair when they never agree
+    ([1, 2, 1, 1], [2, 2, 2, 2], [(0, 3, [0], [0, 0]), (2, 3, [0], [1, 1])]),
+    # three forcers of one element, two of them in one slot
+    ([2, 1, 1, 2], [3, 2, 2, 2], [(0, 3, [1, 1], [0, 1, 1]), (1, 3, [1], [1, 0]), (2, 3, [1], [0, 1])]),
+    # single-function slots (no source values, or one target value) first,
+    # in the middle and last, with constraints running through them
+    ([0, 2, 1, 2, 0], [3, 2, 1, 2, 4], [(1, 2, [0, 0], [0, 0]), (3, 2, [0, 0], [0, 0]), (1, 3, [1, 0], [1, 0])]),
+    ([2, 0, 1, 2, 1], [1, 2, 1, 3, 1], [(3, 0, [1, 0], [0, 0, 0]), (3, 4, [0, 0], [0, 0, 0]), (3, 2, [0, 0], [0, 0, 0])]),
+    ([0, 0, 1, 0], [3, 1, 2, 1], [(1, 2, [], [1]), (3, 2, [], [0])]),
+    # every slot has one function
+    ([1, 1], [1, 1], [(0, 1, [0], [0])]),
+    # a slot with one target value that narrows an earlier slot is searched:
+    # here slot 1 forces slot 0's second element to 2
+    ([2, 1], [3, 1], [(1, 0, [1], [2])]),
+    # ... and so is one that an early forcer check lands on
+    ([1, 1, 1], [2, 1, 2], [(0, 2, [0], [0, 1]), (1, 2, [0], [1])]),
+    # p == q on single-function slots
+    ([2, 2], [2, 1], [(1, 1, [1, 0], [0])]),
+    ([0, 2], [2, 2], [(0, 0, [], [1, 0]), (1, 1, [0, 0], [0, 1])]),
+    # a slot with source values and no target values: no family at all
+    ([0, 1, 2], [1, 0, 2], []),
 ]
 
 
@@ -77,16 +104,27 @@ def test_backends_agree_on_random_cases():
         assert natural_families(fs, gs, mors) == naive_natural_families(fs, gs, mors), (fs, gs, mors)
 
 
+# candidate families an instance may have at most, so that the reference
+# enumerator stays fast on six slots
+INSTANCE_SPACE = 4096
+
+
 @st.composite
 def kernel_instances(draw):
-    """Valid kernel inputs: empty slots, p == q and p > q constraints, and
-    tables that force one element to clashing values all occur."""
-    n = draw(st.integers(0, 4))
-    fs = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    gs = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    """Valid kernel inputs: empty slots, slots with one target value, p ==
+    q and p > q constraints, tables that force one element to clashing
+    values, and elements that several slots force all occur."""
+    n = draw(st.integers(0, 6))
+    fs, gs = [], []
+    room = INSTANCE_SPACE
+    for _ in range(n):
+        f, g = draw(st.sampled_from([(f, g) for f in range(4) for g in range(4) if g**f <= room]))
+        fs.append(f)
+        gs.append(g)
+        room //= max(g**f, 1)
     mors = []
     if n:
-        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
         for p, q in pairs:
             if (fs[p] and not fs[q]) or (gs[p] and not gs[q]):
                 continue  # no table can exist
@@ -129,6 +167,31 @@ def test_output_is_lexicographically_sorted():
     flat = [sum(fam, ()) for fam in fams]
     assert flat == sorted(flat)
     assert len(fams) == 2 ** 2 * 2
+
+
+def test_a_search_leaves_no_cyclic_garbage():
+    """Every object a search makes is freed when its last reference goes,
+    not left in a reference cycle for the cyclic collector."""
+    rng = random.Random(5)
+    C = random_poset(rng, 4)
+    F, G = random_presheaf(rng, C, 2), random_presheaf(rng, C, 3)
+    objects, f_value, g_value = labelled([2, 1, 2], [2, 3, 2], rng)
+    arrows = [(objects[0], objects[1], {x: f_value[objects[1]][0] for x in f_value[objects[0]]},
+               dict(zip(g_value[objects[0]], g_value[objects[1]])))]
+    sieves = all_sieves(C, C.objects[-1])
+    assert label_families(objects, f_value, g_value, arrows)
+    gc.collect()
+    gc.disable()
+    try:
+        for case in CASES + [chain_case(3, 5), triangle_case(3)]:
+            natural_families(*case)
+        natural_index_families(F, G)
+        label_families(objects, f_value, g_value, arrows)
+        for S in sieves:
+            matching_families(G, S)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_empty_slot_semantics():
