@@ -5,6 +5,12 @@ presheaf topoi (trivial topology: every sieve is closed) and sheaf
 topoi.  Subobjects are restriction-stable pointwise subsets that are
 additionally J-closed; for the trivial topology the closedness condition
 is vacuous, and over a sheaf it picks out exactly the subsheaves.
+
+The Heyting operations exist once, on bitmasks of sections
+(``MaskAlgebra``).  ``heyting`` certifies them against the exhaustive
+set of closed subobjects, and ``logic.interpret`` evaluates formulas on
+them.  The same operations on ``Subobject`` parts, written directly from
+their definitions, live in ``tests/naive.py`` as the oracle for both.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .fincat import NaturalTransformation, Presheaf, natural_transformation, pre
 from .labels import Label, label_key
 from .limits import SetFun, is_pullback
 from .sheaf import terminal_presheaf
-from .site import GrothendieckTopology, Sieve, Site, all_sieves, maximal_sieve, pullback_sieve
+from .site import GrothendieckTopology, Sieve, Site, all_sieves, maximal_sieve, open_label, pullback_sieve
 
 
 # -- subobjects -----------------------------------------------------------------
@@ -87,78 +93,6 @@ def is_closed(J: GrothendieckTopology, A: Subobject) -> bool:
             if J.covers_with(u, truth_sieve(J, A, u, x)):
                 return False
     return True
-
-
-def closure(J: GrothendieckTopology, A: Subobject) -> Subobject:
-    """J-closure.  A single pass suffices; a fixpoint assertion guards it.
-
-    Built without re-validation.  For f: V -> U the truth sieve of F(f)(x)
-    is the pullback along f of the truth sieve of x, because A is
-    restriction-stable; J is pullback-stable, so the closure is
-    restriction-stable too.
-    """
-    F = A.ambient
-    grown = {
-        u: frozenset(
-            x for x in F.value[u] if J.covers_with(u, truth_sieve(J, A, u, x))
-        )
-        for u in F.base.objects
-    }
-    result = Subobject(F, grown)
-    assert is_closed(J, result), "closure is not idempotent; topology not saturated?"
-    return result
-
-
-def top_sub(F: Presheaf) -> Subobject:
-    return subobject(F, {u: frozenset(F.value[u]) for u in F.base.objects})
-
-
-def bottom_sub(J: GrothendieckTopology, F: Presheaf) -> Subobject:
-    return closure(J, subobject(F, {}))
-
-
-def meet_sub(A: Subobject, B: Subobject) -> Subobject:
-    """Pointwise intersection of two subobjects of one presheaf.  Built
-    without re-validation: an intersection of restriction-stable parts is
-    restriction-stable."""
-    F = A.ambient
-    return Subobject(F, {u: A.parts[u] & B.parts[u] for u in F.base.objects})
-
-
-def join_sub(J: GrothendieckTopology, A: Subobject, B: Subobject) -> Subobject:
-    """Closure of the pointwise union.  Built without re-validation: a
-    union of restriction-stable parts is restriction-stable."""
-    F = A.ambient
-    return closure(J, Subobject(F, {u: A.parts[u] | B.parts[u] for u in F.base.objects}))
-
-
-def implies_sub(A: Subobject, B: Subobject) -> Subobject:
-    """Largest C with C ∧ A <= B: sections whose every restriction into A lands in B.
-
-    Built without re-validation.  If x is kept at U and f: V -> U, every
-    restriction of F(f)(x) along g is the restriction of x along f∘g,
-    which lands in B when it lands in A; so F(f)(x) is kept at V.
-    """
-    F = A.ambient
-    base = F.base
-    parts = {}
-    for u in base.objects:
-        keep = []
-        for x in F.value[u]:
-            ok = True
-            for f in base.into(u):
-                y = F.restrict[f][x]
-                if y in A.parts[base.src[f]] and y not in B.parts[base.src[f]]:
-                    ok = False
-                    break
-            if ok:
-                keep.append(x)
-        parts[u] = frozenset(keep)
-    return Subobject(F, parts)
-
-
-def neg_sub(J: GrothendieckTopology, A: Subobject) -> Subobject:
-    return implies_sub(A, bottom_sub(J, A.ambient))
 
 
 def enumerate_subobjects(
@@ -284,8 +218,6 @@ def omega_open_iso(om: OmegaObject) -> OmegaOpenIso:
     site = om.site
     if not site.is_open_cover_site():
         return OmegaOpenIso(False, {}, "not an open-cover site")
-    from .site import open_label
-
     C = site.category
     table = {}
     for u in C.objects:
@@ -395,15 +327,14 @@ def classify_round_trip(site: Site, X: Presheaf, bound: int | None = None) -> Cl
 
 # -- the Heyting algebra of subobjects ----------------------------------------------
 
-@dataclass(frozen=True)
-class SubobjectLattice:
-    """The Heyting algebra of J-closed subobjects of ``ambient``, on bitmasks.
+class MaskAlgebra:
+    """The Heyting algebra of J-closed subobjects of ``ambient``, on node masks.
 
     Each node (u, x), a section x of the ambient presheaf at object u, owns
     one bit, numbered by ``node_index`` in object order and then section
-    order.  A subobject is the mask of the nodes in its parts, and
-    ``masks[i]`` is the mask of ``elements[i]``.  Two tables, one entry per
-    node (u, x), turn the operations into bit arithmetic:
+    order; ``nodes`` lists the nodes by bit.  A subobject is the mask of
+    the nodes in its parts.  Two tables, one entry per node (u, x), each
+    built on first use, turn the operations into bit arithmetic:
 
     - ``below``: the mask of x's restrictions along every arrow into u;
     - ``covering``: for each covering sieve S of u, the mask of x's
@@ -413,28 +344,68 @@ class SubobjectLattice:
     ``r`` such that ``r & ~m == 0``, which is ``J.covers_with`` applied to
     the truth sieve of x; join is the closure of ``a | b``.  Implication
     keeps the nodes with ``below & a & ~b == 0``, negation is implication
-    into ``closure(0)``, and top is every node.
+    into ``bottom``, the closure of 0, and ``top`` is every node.
 
-    ``elements`` is the exhaustive ``enumerate_subobjects``: exactly the
-    restriction-stable, J-closed subobjects.  Every result is looked up in
-    ``index`` (mask -> element), and a mask outside it raises ``KeyError``
-    rather than being rounded to a neighbour.  So each result is certified
-    a closed, restriction-stable subobject by membership alone; the
-    ``Subobject`` functions (``meet_sub`` and the rest) compute the same
-    elements on parts and serve as the oracle in the tests.
+    On restriction-stable masks every operation gives a restriction-stable
+    mask: intersections and unions of stable parts are stable; if x is
+    kept by an implication, every restriction of a restriction of x is a
+    restriction of x, so the restrictions of x are kept too; and for
+    f: V -> U the truth sieve of F(f)(x) is the pullback along f of the
+    truth sieve of x, so by pullback stability of J the closure keeps
+    F(f)(x) when it keeps x.  Nothing here enumerates Sub(F), so the
+    algebra serves any presheaf: ``heyting`` certifies it against the
+    exhaustive enumeration, and ``logic.interpret`` runs on it over each
+    context product.
     """
 
-    site: Site
-    ambient: Presheaf
-    elements: tuple[Subobject, ...]
-    masks: tuple[int, ...]
-    index: dict[int, int]          # mask -> position in elements
-    node_index: dict[tuple, int]   # (object, section) -> bit
-    below: tuple[int, ...]
-    covering: tuple[tuple[int, ...], ...]
+    def __init__(self, J: GrothendieckTopology, F: Presheaf):
+        self.topology = J
+        self.ambient = F
+        self.nodes = tuple((u, x) for u in F.base.objects for x in F.value[u])
+        self.node_index = {node: bit for bit, node in enumerate(self.nodes)}
+        self.top = (1 << len(self.nodes)) - 1
 
-    def locate(self, A: Subobject) -> int:
-        return self.index[_mask(self.node_index, A)]
+    def _restrictions(self, x: Label, arrows) -> int:
+        F, node_index = self.ambient, self.node_index
+        m = 0
+        for f in arrows:
+            m |= 1 << node_index[(F.base.src[f], F.restrict[f][x])]
+        return m
+
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        into = self.ambient.base.into
+        return tuple(self._restrictions(x, into(u)) for u, x in self.nodes)
+
+    @cached_property
+    def covering(self) -> tuple[tuple[int, ...], ...]:
+        covers = self.topology.covers
+        return tuple(
+            tuple(self._restrictions(x, S.arrows) for S in covers[u]) for u, x in self.nodes
+        )
+
+    def mask(self, A: Subobject) -> int:
+        m = 0
+        for u, part in A.parts.items():
+            for x in part:
+                m |= 1 << self.node_index[(u, x)]
+        return m
+
+    def mask_where(self, keep) -> int:
+        """The mask of the nodes (u, x) with ``keep(u, x)``."""
+        m = 0
+        for bit, (u, x) in enumerate(self.nodes):
+            if keep(u, x):
+                m |= 1 << bit
+        return m
+
+    def parts(self, m: int) -> dict[Label, frozenset]:
+        """The parts of the mask ``m``, one per object in object order."""
+        found = {u: [] for u in self.ambient.base.objects}
+        for bit, (u, x) in enumerate(self.nodes):
+            if m >> bit & 1:
+                found[u].append(x)
+        return {u: frozenset(xs) for u, xs in found.items()}
 
     def _close(self, m: int) -> int:
         closed, bit = 0, 1
@@ -446,13 +417,16 @@ class SubobjectLattice:
             bit <<= 1
         return closed
 
+    def is_closed(self, m: int) -> bool:
+        return self._close(m) == m
+
     def closure(self, m: int) -> int:
         """J-closure of a mask.  A single pass suffices; a fixpoint assertion guards it."""
         closed = self._close(m)
-        assert self._close(closed) == closed, "closure is not idempotent; topology not saturated?"
+        assert self.is_closed(closed), "closure is not idempotent; topology not saturated?"
         return closed
 
-    def _implies(self, a: int, b: int) -> int:
+    def implies(self, a: int, b: int) -> int:
         escapes = a & ~b
         kept, bit = 0, 1
         for d in self.below:
@@ -462,62 +436,58 @@ class SubobjectLattice:
         return kept
 
     @cached_property
-    def _bottom(self) -> int:
+    def bottom(self) -> int:
         return self.closure(0)
+
+
+@dataclass(frozen=True)
+class SubobjectLattice:
+    """The Heyting algebra of J-closed subobjects, certified element by element.
+
+    ``algebra`` computes every operation on masks.  ``elements`` is the
+    exhaustive ``enumerate_subobjects``: exactly the restriction-stable,
+    J-closed subobjects, and ``masks[i]`` is the mask of ``elements[i]``.
+    Every result is looked up in ``index`` (mask -> element), and a mask
+    outside it raises ``KeyError`` rather than being rounded to a
+    neighbour.  So each result is certified a closed, restriction-stable
+    subobject by membership alone.  The tests compare every entry with
+    the same operations computed on parts, the oracle in ``tests/naive.py``.
+    """
+
+    algebra: MaskAlgebra
+    elements: tuple[Subobject, ...]
+    masks: tuple[int, ...]
+    index: dict[int, int]          # mask -> position in elements
+
+    def locate(self, A: Subobject) -> int:
+        return self.index[self.algebra.mask(A)]
 
     def meet(self, i: int, j: int) -> int:
         return self.index[self.masks[i] & self.masks[j]]
 
     def join(self, i: int, j: int) -> int:
-        return self.index[self.closure(self.masks[i] | self.masks[j])]
+        return self.index[self.algebra.closure(self.masks[i] | self.masks[j])]
 
     def implies(self, i: int, j: int) -> int:
-        return self.index[self._implies(self.masks[i], self.masks[j])]
+        return self.index[self.algebra.implies(self.masks[i], self.masks[j])]
 
     def neg(self, i: int) -> int:
-        return self.index[self._implies(self.masks[i], self._bottom)]
+        return self.index[self.algebra.implies(self.masks[i], self.algebra.bottom)]
 
     @property
     def top(self) -> int:
-        return self.index[(1 << len(self.node_index)) - 1]
+        return self.index[self.algebra.top]
 
     @property
     def bottom(self) -> int:
-        return self.index[self._bottom]
-
-
-def _mask(node_index: dict[tuple, int], A: Subobject) -> int:
-    m = 0
-    for u, part in A.parts.items():
-        for x in part:
-            m |= 1 << node_index[(u, x)]
-    return m
+        return self.index[self.algebra.bottom]
 
 
 def heyting(site: Site, F: Presheaf, bound: int | None = None) -> SubobjectLattice:
     subs = enumerate_subobjects(site.topology, F, bound)
-    base = F.base
-    node_index = {}
-    for u in base.objects:
-        for x in F.value[u]:
-            node_index[(u, x)] = len(node_index)
-
-    def restrictions(x, arrows) -> int:
-        m = 0
-        for f in arrows:
-            m |= 1 << node_index[(base.src[f], F.restrict[f][x])]
-        return m
-
-    below, covering = [], []
-    for u in base.objects:
-        for x in F.value[u]:
-            below.append(restrictions(x, base.into(u)))
-            covering.append(tuple(restrictions(x, S.arrows) for S in site.topology.covers[u]))
-    masks = [_mask(node_index, A) for A in subs]
-    index = {m: i for i, m in enumerate(masks)}
-    return SubobjectLattice(
-        site, F, subs, tuple(masks), index, node_index, tuple(below), tuple(covering)
-    )
+    algebra = MaskAlgebra(site.topology, F)
+    masks = tuple(algebra.mask(A) for A in subs)
+    return SubobjectLattice(algebra, subs, masks, {m: i for i, m in enumerate(masks)})
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ family of test (co)cones, a mediating map must exist and be unique.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product, takewhile
 
@@ -252,23 +253,21 @@ def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) 
     """Check every test cone (apex size <= max_apex) has a unique mediating map."""
     _check_size("max_apex", max_apex)
     D = res.diagram
-    shape = D.shape
+    objs = D.shape.objects
+    # how many apex elements have each tuple of legs
+    images = Counter(tuple(res.legs[j][p] for j in objs) for p in res.apex)
     failures = []
     checked = 0
     for T in _test_apexes(max_apex):
-        check_bound("test cones", (len(D.value[j]) ** len(T) for j in shape.objects), bound)
+        check_bound("test cones", (len(D.value[j]) ** len(T) for j in objs), bound)
         for legs in _cones_from(T, D):
             checked += 1
             # the mediating map is forced pointwise; check existence+uniqueness
             for t in T:
-                hits = [
-                    p
-                    for p in res.apex
-                    if all(res.legs[j][p] == legs[j][t] for j in shape.objects)
-                ]
-                if len(hits) != 1:
+                hits = images[tuple(legs[j][t] for j in objs)]
+                if hits != 1:
                     failures.append(
-                        f"test cone over apex size {len(T)}: {len(hits)} mediating images for {t!r}"
+                        f"test cone over apex size {len(T)}: {hits} mediating images for {t!r}"
                     )
                     break
     return Certificate(not failures, checked, tuple(failures))

@@ -4,8 +4,11 @@ Two engines evaluate the same formula language.  ``forces`` is the
 recursive local semantics: disjunction and existence pass to a covering
 sieve, implication and universal quantification range over every
 restriction.  ``interpret`` is compositional: connectives become the
-Heyting operations on subobjects and quantifiers the adjoints to
-pullback along a projection.  The two are cross-validated on fixtures.
+Heyting operations of ``classifier.MaskAlgebra`` on the context product
+and quantifiers the adjoints to pullback along a projection.  The two
+are cross-validated on fixtures.  ``naive_interpret`` in
+``tests/naive.py`` is the same compositional semantics on ``Subobject``
+parts, the oracle that ``interpret`` is tested against.
 """
 
 from __future__ import annotations
@@ -13,17 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .classifier import (
-    Subobject,
-    bottom_sub,
-    closure,
-    implies_sub,
-    is_closed,
-    join_sub,
-    meet_sub,
-    subobject,
-    top_sub,
-)
+from .classifier import MaskAlgebra, Subobject, is_closed, subobject
 from .config import DEFAULT_FORMULA_DEPTH, check_bound, enumeration_bound
 from .errors import IllSorted, ParseError, UnknownObject, UnknownSubobject
 from .fincat import Presheaf
@@ -326,14 +319,11 @@ class Evaluator:
             v: self.model.sorts[self.sort_of[v]].restrict[f][x] for v, x in env.items()
         }
 
-    def _covers(self, u: Label, arrows: frozenset) -> bool:
-        return self.J.covers_with(u, arrows)
-
     def _eval(self, u: Label, phi: Formula, env: dict) -> bool:
         if isinstance(phi, Top):
             return True
         if isinstance(phi, Bottom):
-            return self._covers(u, frozenset())
+            return self.J.covers_with(u, frozenset())
         if isinstance(phi, Mem):
             sub = self.model.predicates[phi.pred][1]
             return env[phi.var] in sub.parts[u]
@@ -347,7 +337,7 @@ class Evaluator:
                 for f in self.C.into(u)
                 if ls.restrict[f][env[phi.left]] == rs.restrict[f][env[phi.right]]
             )
-            return self._covers(u, agree)
+            return self.J.covers_with(u, agree)
         if isinstance(phi, And):
             return self.forces(u, phi.left, env) and self.forces(u, phi.right, env)
         if isinstance(phi, Or):
@@ -357,7 +347,7 @@ class Evaluator:
                 if self.forces(self.C.src[f], phi.left, self._restrict_env(env, f))
                 or self.forces(self.C.src[f], phi.right, self._restrict_env(env, f))
             )
-            return self._covers(u, holds)
+            return self.J.covers_with(u, holds)
         if isinstance(phi, Implies):
             for f in self.C.into(u):
                 v = self.C.src[f]
@@ -368,7 +358,7 @@ class Evaluator:
         if isinstance(phi, Not):
             for f in self.C.into(u):
                 v = self.C.src[f]
-                if self.forces(v, phi.body, self._restrict_env(env, f)) and not self._covers(
+                if self.forces(v, phi.body, self._restrict_env(env, f)) and not self.J.covers_with(
                     v, frozenset()
                 ):
                     return False
@@ -387,7 +377,7 @@ class Evaluator:
                     for a in sort.value[self.C.src[f]]
                 )
             )
-            return self._covers(u, witnessed)
+            return self.J.covers_with(u, witnessed)
         if isinstance(phi, Forall):
             sort = self.model.sorts[phi.sort]
             for f in self.C.into(u):
@@ -409,6 +399,7 @@ def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context, bound:
     that ``interpret`` builds for phi is checked against the bound,
     resolved once here, before anything is evaluated.
     """
+    context = tuple((v, s) for v, s in context)
     check_sorting(model, phi, context)
     if u not in model.site.category.object_set:
         raise UnknownObject(f"no object {u!r}")
@@ -507,75 +498,59 @@ def context_product(model: LogicModel, context, bound: int | None = None) -> Pre
 def interpret(model: LogicModel, phi: Formula, context, bound: int | None = None) -> Subobject:
     """The subobject of the context product carved out by the formula.
 
-    Every context product the recursion builds is guarded by the bound,
-    which is resolved once here rather than at each product.
+    The formula is evaluated on node masks (``classifier.MaskAlgebra``).
+    Each context's product and algebra are built once, when the preorder
+    walk first reaches that context, so every context product is checked
+    against the bound, resolved once here, in the order ``forces`` checks
+    them.  The result becomes a ``Subobject`` once, at the end, through
+    the validating ``subobject``.
     """
+    context = tuple((v, s) for v, s in context)
     check_sorting(model, phi, context)
-    return _interpret(model, phi, tuple(context), enumeration_bound(bound))
+    algebras: dict[tuple, MaskAlgebra] = {}
+    m = _interpret(model, phi, context, enumeration_bound(bound), algebras)
+    outer = algebras[context]
+    return subobject(outer.ambient, outer.parts(m))
 
 
-def _interpret(model: LogicModel, phi: Formula, context, bound) -> Subobject:
-    J = model.site.topology
-    C = model.site.category
-    Pctx = context_product(model, context, bound)
+def _interpret(model: LogicModel, phi: Formula, context: tuple, bound: int, algebras: dict) -> int:
+    """The mask of phi in the algebra of the context product."""
+    alg = algebras.get(context)
+    if alg is None:
+        alg = algebras[context] = MaskAlgebra(model.site.topology, context_product(model, context, bound))
     index = {v: i for i, (v, _) in enumerate(context)}
 
     if isinstance(phi, Top):
-        return top_sub(Pctx)
+        return alg.top
     if isinstance(phi, Bottom):
-        return bottom_sub(J, Pctx)
+        return alg.bottom
     if isinstance(phi, Mem):
-        sub = model.predicates[phi.pred][1]
+        parts = model.predicates[phi.pred][1].parts
         i = index[phi.var]
-        parts = {
-            u: frozenset(t for t in Pctx.value[u] if t[i] in sub.parts[u])
-            for u in C.objects
-        }
-        return subobject(Pctx, parts)
+        return alg.mask_where(lambda u, t: t[i] in parts[u])
     if isinstance(phi, Eq):
         i, j = index[phi.left], index[phi.right]
-        strict = subobject(
-            Pctx,
-            {u: frozenset(t for t in Pctx.value[u] if t[i] == t[j]) for u in C.objects},
-        )
-        return closure(J, strict)
-    if isinstance(phi, And):
-        return meet_sub(_interpret(model, phi.left, context, bound), _interpret(model, phi.right, context, bound))
-    if isinstance(phi, Or):
-        return join_sub(J, _interpret(model, phi.left, context, bound), _interpret(model, phi.right, context, bound))
-    if isinstance(phi, Implies):
-        return implies_sub(_interpret(model, phi.left, context, bound), _interpret(model, phi.right, context, bound))
+        return alg.closure(alg.mask_where(lambda u, t: t[i] == t[j]))
+    if isinstance(phi, (And, Or, Implies)):
+        a = _interpret(model, phi.left, context, bound, algebras)
+        b = _interpret(model, phi.right, context, bound, algebras)
+        if isinstance(phi, And):
+            return a & b
+        return alg.closure(a | b) if isinstance(phi, Or) else alg.implies(a, b)
     if isinstance(phi, Not):
-        return implies_sub(_interpret(model, phi.body, context, bound), bottom_sub(J, Pctx))
+        return alg.implies(_interpret(model, phi.body, context, bound, algebras), alg.bottom)
     if isinstance(phi, (Exists, Forall)):
         inner_ctx = context + ((phi.var, phi.sort),)
-        body = _interpret(model, phi.body, inner_ctx, bound)
-        sort = model.sorts[phi.sort]
+        body = _interpret(model, phi.body, inner_ctx, bound, algebras)
+        # the fibre of (u, t): the nodes (u, t + (a,)) for every section a
+        fibres = [0] * len(alg.nodes)
+        for bit, (u, t) in enumerate(algebras[inner_ctx].nodes):
+            fibres[alg.node_index[(u, t[:-1])]] |= 1 << bit
         if isinstance(phi, Exists):
-            image = {
-                u: frozenset(
-                    t
-                    for t in Pctx.value[u]
-                    if any(t + (a,) in body.parts[u] for a in sort.value[u])
-                )
-                for u in C.objects
-            }
-            return closure(J, subobject(Pctx, image))
-        parts = {}
-        for u in C.objects:
-            keep = []
-            for t in Pctx.value[u]:
-                ok = True
-                for f in C.into(u):
-                    v = C.src[f]
-                    t_v = Pctx.restrict[f][t]
-                    if any(t_v + (a,) not in body.parts[v] for a in sort.value[v]):
-                        ok = False
-                        break
-                if ok:
-                    keep.append(t)
-            parts[u] = frozenset(keep)
-        result = subobject(Pctx, parts)
-        assert is_closed(J, result), "universal quantification left a non-closed subobject"
+            return alg.closure(sum(1 << n for n, fibre in enumerate(fibres) if fibre & body))
+        # keep (u, t) when the fibre of every restriction of t lies in the body
+        inside = sum(1 << n for n, fibre in enumerate(fibres) if not fibre & ~body)
+        result = alg.implies(alg.top, inside)
+        assert alg.is_closed(result), "universal quantification left a non-closed subobject"
         return result
     raise IllSorted(f"unknown formula node {phi!r}")

@@ -3,7 +3,7 @@
 These deliberately do not share code with the library: no kernel, no
 pruning, no canonical ordering tricks.  Each one enumerates the full
 candidate space and filters by the defining condition, so library
-results can be checked against them on small fixtures.  Three exceptions:
+results can be checked against them on small fixtures.  Four exceptions:
 ``naive_natural_families`` drops a candidate once a whole slot
 contradicts the earlier ones, so that kernel-sized cases stay fast, and
 ``naive_decode`` shares the {x: y} dicts of slot functions as the
@@ -15,7 +15,15 @@ and matching families order morphisms by the library's ``label_key``
 (or take the library's ordered inputs) and raise its error classes with
 its messages, because they must name the same first failure.  They check
 every composable pair and every arrow, where the library checks
-generating arrows only.
+generating arrows only;
+the Heyting operations on ``Subobject`` parts (``meet_sub``, ``join_sub``,
+``implies_sub``, ``neg_sub``, ``closure``, ``top_sub``, ``bottom_sub``)
+and ``naive_interpret`` build on the library's ``Subobject``,
+``subobject``, ``truth_sieve``, ``is_closed``, ``check_sorting`` and
+``logic.context_product``, and resolve the bound with its
+``enumeration_bound``, because they are the oracle for the library's
+mask algebra (``classifier.MaskAlgebra``), and ``naive_interpret`` must
+refuse a formula with the same ``IntractableSize`` as ``interpret``.
 """
 
 from __future__ import annotations
@@ -32,7 +40,22 @@ from sheafkit.errors import (
     MissingComposite,
     NotNatural,
 )
+from sheafkit.classifier import Subobject, is_closed, subobject, truth_sieve
+from sheafkit.config import enumeration_bound
 from sheafkit.labels import label_key
+from sheafkit.logic import (
+    And,
+    Bottom,
+    Eq,
+    Exists,
+    Implies,
+    Mem,
+    Not,
+    Or,
+    Top,
+    check_sorting,
+    context_product,
+)
 
 
 def naive_naturals(F, G):
@@ -265,6 +288,120 @@ def _subsets(xs):
     xs = list(xs)
     for mask in range(1 << len(xs)):
         yield frozenset(x for i, x in enumerate(xs) if mask >> i & 1)
+
+
+# -- the Heyting algebra on Subobject parts, and the internal logic on it ---------
+
+def closure(J, A):
+    """J-closure: the sections whose truth sieve covers.  A single pass
+    suffices; a fixpoint assertion guards it."""
+    F = A.ambient
+    grown = {
+        u: frozenset(x for x in F.value[u] if J.covers_with(u, truth_sieve(J, A, u, x)))
+        for u in F.base.objects
+    }
+    result = Subobject(F, grown)
+    assert is_closed(J, result), "closure is not idempotent; topology not saturated?"
+    return result
+
+
+def top_sub(F):
+    return subobject(F, {u: frozenset(F.value[u]) for u in F.base.objects})
+
+
+def bottom_sub(J, F):
+    return closure(J, subobject(F, {}))
+
+
+def meet_sub(A, B):
+    F = A.ambient
+    return Subobject(F, {u: A.parts[u] & B.parts[u] for u in F.base.objects})
+
+
+def join_sub(J, A, B):
+    """Closure of the pointwise union."""
+    F = A.ambient
+    return closure(J, Subobject(F, {u: A.parts[u] | B.parts[u] for u in F.base.objects}))
+
+
+def implies_sub(A, B):
+    """Largest C with C ∧ A <= B: sections whose every restriction into A lands in B."""
+    F = A.ambient
+    base = F.base
+    parts = {}
+    for u in base.objects:
+        parts[u] = frozenset(
+            x
+            for x in F.value[u]
+            if not any(
+                F.restrict[f][x] in A.parts[base.src[f]] and F.restrict[f][x] not in B.parts[base.src[f]]
+                for f in base.into(u)
+            )
+        )
+    return Subobject(F, parts)
+
+
+def neg_sub(J, A):
+    return implies_sub(A, bottom_sub(J, A.ambient))
+
+
+def naive_interpret(model, phi, context, bound=None):
+    """Reference for ``logic.interpret``: the same compositional semantics
+    on ``Subobject`` parts, rebuilding the context product at every node."""
+    check_sorting(model, phi, context)
+    return _naive_interpret(model, phi, tuple(context), enumeration_bound(bound))
+
+
+def _naive_interpret(model, phi, context, bound):
+    J = model.site.topology
+    C = model.site.category
+    Pctx = context_product(model, context, bound)
+    index = {v: i for i, (v, _) in enumerate(context)}
+
+    if isinstance(phi, Top):
+        return top_sub(Pctx)
+    if isinstance(phi, Bottom):
+        return bottom_sub(J, Pctx)
+    if isinstance(phi, Mem):
+        sub = model.predicates[phi.pred][1]
+        i = index[phi.var]
+        return subobject(Pctx, {u: frozenset(t for t in Pctx.value[u] if t[i] in sub.parts[u]) for u in C.objects})
+    if isinstance(phi, Eq):
+        i, j = index[phi.left], index[phi.right]
+        strict = subobject(Pctx, {u: frozenset(t for t in Pctx.value[u] if t[i] == t[j]) for u in C.objects})
+        return closure(J, strict)
+    if isinstance(phi, And):
+        return meet_sub(_naive_interpret(model, phi.left, context, bound), _naive_interpret(model, phi.right, context, bound))
+    if isinstance(phi, Or):
+        return join_sub(J, _naive_interpret(model, phi.left, context, bound), _naive_interpret(model, phi.right, context, bound))
+    if isinstance(phi, Implies):
+        return implies_sub(_naive_interpret(model, phi.left, context, bound), _naive_interpret(model, phi.right, context, bound))
+    if isinstance(phi, Not):
+        return implies_sub(_naive_interpret(model, phi.body, context, bound), bottom_sub(J, Pctx))
+    inner_ctx = context + ((phi.var, phi.sort),)
+    body = _naive_interpret(model, phi.body, inner_ctx, bound)
+    sort = model.sorts[phi.sort]
+    if isinstance(phi, Exists):
+        image = {
+            u: frozenset(t for t in Pctx.value[u] if any(t + (a,) in body.parts[u] for a in sort.value[u]))
+            for u in C.objects
+        }
+        return closure(J, subobject(Pctx, image))
+    parts = {
+        u: frozenset(
+            t
+            for t in Pctx.value[u]
+            if all(
+                Pctx.restrict[f][t] + (a,) in body.parts[C.src[f]]
+                for f in C.into(u)
+                for a in sort.value[C.src[f]]
+            )
+        )
+        for u in C.objects
+    }
+    result = subobject(Pctx, parts)
+    assert is_closed(J, result), "universal quantification left a non-closed subobject"
+    return result
 
 
 def naive_validate_category(objects, morphisms, identity, compose, hom_bound):

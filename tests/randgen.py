@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import random
 
-from sheafkit.fincat import poset_category, presheaf, validate_category
+from sheafkit.fincat import poset_category, presheaf, terminal_category, validate_category
 from sheafkit.limits import diagram
+from sheafkit.site import finite_space, open_cover_topology, saturate_topology
 
 
 def random_poset(rng: random.Random, max_objs: int = 6):
@@ -42,6 +43,46 @@ def cyclic_product(P, n):
             for k in range(n)
         },
     )
+
+
+def random_base(rng: random.Random):
+    """A random poset, a random poset times Z/n, or the monoid Z/n."""
+    kind = rng.choice(("poset", "poset x Z/n", "monoid Z/n"))
+    if kind == "poset":
+        return random_poset(rng, 4)
+    if kind == "poset x Z/n":
+        return validate_category(*cyclic_product(random_poset(rng, 3), rng.choice([2, 3])))
+    return validate_category(*cyclic_product(terminal_category(), rng.choice([2, 3, 4])))
+
+
+def random_topology(rng: random.Random, C):
+    """The topology generated by one random family of arrows at about half the objects."""
+    families = {}
+    for u in C.objects:
+        incoming = C.into(u)
+        if incoming and rng.random() < 0.5:
+            families[u] = [rng.sample(incoming, rng.randint(1, len(incoming)))]
+    return saturate_topology(C, families)
+
+
+def random_space_site(rng: random.Random):
+    """The open-cover site of a random finite space on at most three points:
+    its opens are the down-sets of a random preorder."""
+    points = [f"p{i}" for i in range(rng.randint(1, 3))]
+    below = {p: {p} for p in points}
+    for i, p in enumerate(points):
+        for q in points[:i]:
+            if rng.random() < 0.4:
+                below[p] |= below[q]
+    opens = [
+        frozenset(s)
+        for s in (
+            {p for i, p in enumerate(points) if mask >> i & 1}
+            for mask in range(1 << len(points))
+        )
+        if all(below[p] <= s for p in s)
+    ]
+    return open_cover_topology(finite_space(points, opens))
 
 
 def raw_tables(C):

@@ -18,17 +18,15 @@ from hypothesis import strategies as st
 
 from sheafkit import sheaf
 from sheafkit.classifier import (
+    MaskAlgebra,
+    Subobject,
     characteristic,
     characteristic_square_is_pullback,
-    closure,
     enumerate_subobjects,
-    implies_sub,
-    join_sub,
-    meet_sub,
     omega,
     subobject,
 )
-from sheafkit.fincat import presheaf, terminal_category, validate_category, yoneda_presheaf
+from sheafkit.fincat import presheaf, yoneda_presheaf
 from sheafkit.labels import label_key
 from sheafkit.limits import set_fun
 from sheafkit.logic import context_product, logic_model
@@ -45,27 +43,16 @@ from sheafkit.sheaf import (
 from sheafkit.site import (
     Site,
     all_sieves,
-    finite_space,
-    open_cover_topology,
-    saturate_topology,
     slice_site,
     trivial_topology,
 )
 from sheafkit.gallery import z2_local_system
 from sheafkit.torsor import group_sheaf, restrict_group
 
-from randgen import cyclic_product, random_poset, random_presheaf
+from naive import closure, implies_sub, join_sub, meet_sub
+from randgen import random_base, random_poset, random_presheaf, random_space_site, random_topology
 
 RANDOM = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
-def random_base(rng):
-    kind = rng.choice(("poset", "poset x Z/n", "monoid Z/n"))
-    if kind == "poset":
-        return random_poset(rng, 4)
-    if kind == "poset x Z/n":
-        return validate_category(*cyclic_product(random_poset(rng, 3), rng.choice([2, 3])))
-    return validate_category(*cyclic_product(terminal_category(), rng.choice([2, 3, 4])))
 
 
 def random_presheaves(rng, C):
@@ -76,15 +63,6 @@ def random_presheaves(rng, C):
         found.append(yoneda_presheaf(C, rng.choice(C.objects)))
         found.append(product_presheaf(found[0], found[-1]))
     return found
-
-
-def random_topology(rng, C):
-    families = {}
-    for u in C.objects:
-        incoming = C.into(u)
-        if incoming and rng.random() < 0.5:
-            families[u] = [rng.sample(incoming, rng.randint(1, len(incoming)))]
-    return saturate_topology(C, families)
 
 
 def assert_presheaf_round_trip(P):
@@ -140,32 +118,22 @@ def test_trusted_subobjects_pass_validation(rng):
     C = random_base(rng)
     J = rng.choice((trivial_topology(C), random_topology(rng, C)))
     F = rng.choice([F for F in random_presheaves(rng, C) if F.size() <= 8])
+    alg = MaskAlgebra(J, F)
     subs = enumerate_subobjects(J, F)
+
+    def assert_mask_round_trip(m, oracle):
+        result = Subobject(F, alg.parts(m))
+        assert_subobject_round_trip(result)
+        assert result.parts == oracle.parts
+
     for A, B in product(rng.sample(subs, min(4, len(subs))), repeat=2):
-        for result in (meet_sub(A, B), join_sub(J, A, B), implies_sub(A, B)):
-            assert_subobject_round_trip(result)
+        a, b = alg.mask(A), alg.mask(B)
+        assert_mask_round_trip(a & b, meet_sub(A, B))
+        assert_mask_round_trip(alg.closure(a | b), join_sub(J, A, B))
+        assert_mask_round_trip(alg.implies(a, b), implies_sub(A, B))
     for _ in range(3):
-        assert_subobject_round_trip(closure(J, generated_part(rng, F)))
-
-
-def random_space_site(rng):
-    """The open-cover site of a random finite space on at most three points:
-    its opens are the down-sets of a random preorder."""
-    points = [f"p{i}" for i in range(rng.randint(1, 3))]
-    below = {p: {p} for p in points}
-    for i, p in enumerate(points):
-        for q in points[:i]:
-            if rng.random() < 0.4:
-                below[p] |= below[q]
-    opens = [
-        frozenset(s)
-        for s in (
-            {p for i, p in enumerate(points) if mask >> i & 1}
-            for mask in range(1 << len(points))
-        )
-        if all(below[p] <= s for p in s)
-    ]
-    return open_cover_topology(finite_space(points, opens))
+        A = generated_part(rng, F)
+        assert_mask_round_trip(alg.closure(alg.mask(A)), closure(J, A))
 
 
 def constant_group(site, n):
