@@ -7,10 +7,12 @@ additionally J-closed; for the trivial topology the closedness condition
 is vacuous, and over a sheaf it picks out exactly the subsheaves.
 
 The Heyting operations exist once, on bitmasks of sections
-(``MaskAlgebra``).  ``heyting`` certifies them against the exhaustive
-set of closed subobjects, and ``logic.interpret`` evaluates formulas on
-them.  The same operations on ``Subobject`` parts, written directly from
-their definitions, live in ``tests/naive.py`` as the oracle for both.
+(``MaskAlgebra``).  ``enumerate_subobjects`` lists the closed subobjects
+as the J-closed down-sets of the sections under restriction, found by
+``kernel.down_sets``; ``heyting`` certifies the operations against that
+list, and ``logic.interpret`` evaluates formulas on them.  The same
+operations on ``Subobject`` parts, written directly from their
+definitions, live in ``tests/naive.py`` as the oracle for both.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     NotRestrictionStable,
 )
 from .fincat import NaturalTransformation, Presheaf, natural_transformation, presheaf
+from .kernel import down_sets
 from .labels import Label, label_key
 from .limits import SetFun, is_pullback
 from .sheaf import terminal_presheaf
@@ -98,47 +101,15 @@ def is_closed(J: GrothendieckTopology, A: Subobject) -> bool:
 def enumerate_subobjects(
     J: GrothendieckTopology, F: Presheaf, bound: int | None = None
 ) -> tuple[Subobject, ...]:
-    """All J-closed restriction-stable subobjects, canonically ordered."""
+    """All J-closed restriction-stable subobjects, canonically ordered:
+    the closed down-sets of the sections under restriction.  The bound
+    counts every pointwise subset, as the down-sets may be all of them."""
     if not F.base.same(J.category):
         raise BaseMismatch("presheaf and topology live over different categories")
-    base = F.base
-    check_bound("subobjects", (2 ** len(F.value[u]) for u in base.objects), bound)
-
-    objs = base.objects
-    pos = {u: i for i, u in enumerate(objs)}
-    stage_mors = [[] for _ in objs]
-    for f in base.morphisms:
-        if base.is_identity(f):
-            continue
-        a, b = pos[base.src[f]], pos[base.tgt[f]]
-        stage_mors[max(a, b)].append(f)
-
-    found = []
-    chosen: list = [None] * len(objs)
-
-    def stable(stage):
-        for f in stage_mors[stage]:
-            u, v = base.tgt[f], base.src[f]
-            cu, cv = chosen[pos[u]], chosen[pos[v]]
-            if any(F.restrict[f][x] not in cv for x in cu):
-                return False
-        return True
-
-    def rec(stage):
-        if stage == len(objs):
-            found.append({objs[i]: chosen[i] for i in range(len(objs))})
-            return
-        elems = F.value[objs[stage]]
-        for mask in range(2 ** len(elems)):
-            chosen[stage] = frozenset(x for i, x in enumerate(elems) if mask >> i & 1)
-            if stable(stage):
-                rec(stage + 1)
-        chosen[stage] = None
-
-    rec(0)
-    del rec  # it refers to itself through its closure cell
-    subs = [Subobject(F, parts) for parts in found]
-    subs = [A for A in subs if is_closed(J, A)]
+    objs = F.base.objects
+    check_bound("subobjects", (2 ** len(F.value[u]) for u in objs), bound)
+    algebra = MaskAlgebra(J, F)
+    subs = [Subobject(F, algebra.parts(m)) for m in down_sets(algebra.below) if algebra.is_closed(m)]
     rank = F.section_rank()  # in label order, part by part
     return tuple(sorted(subs, key=lambda A: [sorted(rank[u][x] for x in A.parts[u]) for u in objs]))
 
@@ -353,9 +324,10 @@ class MaskAlgebra:
     f: V -> U the truth sieve of F(f)(x) is the pullback along f of the
     truth sieve of x, so by pullback stability of J the closure keeps
     F(f)(x) when it keeps x.  Nothing here enumerates Sub(F), so the
-    algebra serves any presheaf: ``heyting`` certifies it against the
-    exhaustive enumeration, and ``logic.interpret`` runs on it over each
-    context product.
+    algebra serves any presheaf: ``enumerate_subobjects`` runs
+    ``kernel.down_sets`` on ``below`` and keeps the closed masks,
+    ``heyting`` certifies the operations against that list, and
+    ``logic.interpret`` runs on it over each context product.
     """
 
     def __init__(self, J: GrothendieckTopology, F: Presheaf):
@@ -444,8 +416,9 @@ class MaskAlgebra:
 class SubobjectLattice:
     """The Heyting algebra of J-closed subobjects, certified element by element.
 
-    ``algebra`` computes every operation on masks.  ``elements`` is the
-    exhaustive ``enumerate_subobjects``: exactly the restriction-stable,
+    ``algebra`` computes every operation on masks.  ``elements`` is
+    ``enumerate_subobjects``: every down-set of the sections under
+    restriction that is J-closed, which is exactly the restriction-stable,
     J-closed subobjects, and ``masks[i]`` is the mask of ``elements[i]``.
     Every result is looked up in ``index`` (mask -> element), and a mask
     outside it raises ``KeyError`` rather than being rounded to a

@@ -436,10 +436,6 @@ class Presheaf:
     value: dict[Label, tuple[Label, ...]]
     restrict: dict[Label, dict[Label, Label]]
 
-    def restrict_along(self, f: Label, x: Label) -> Label:
-        """F(f)(x) for f: V -> U and x in F(U)."""
-        return self.restrict[f][x]
-
     def size(self) -> int:
         return sum(len(v) for v in self.value.values())
 

@@ -66,6 +66,10 @@ and differ in the last slot that varies at all, so the outer dict of a
 family with the same prefix as the one before it is a copy of that
 family's dict with one slot replaced, not a fresh dict from all slots.
 ``label_families`` is the three steps in a row.
+
+Sieves and subobjects are enumerated as down-sets of a preorder by
+``down_sets``: arrows into an object under precomposition, and sections
+of a presheaf under restriction.
 """
 
 from __future__ import annotations
@@ -153,6 +157,32 @@ def natural_families(f_sizes, g_sizes, morphisms):
 
     rec(order[0])
     del rec  # it refers to itself through its closure cell
+    return out
+
+
+def down_sets(below):
+    """Every down-set of a finite preorder, as a mask, each exactly once.
+
+    ``below[i]`` is the mask of the nodes at or below node i, reflexive
+    and transitive; cycles are allowed.  The lowest undecided node is
+    taken with everything below it, or dropped with everything above it.
+    Neither branch contradicts an earlier choice, so every branch ends in
+    a down-set (Squire, "Enumerating the ideals of a poset", 1995).
+    """
+    n = len(below)
+    above = [sum(1 << j for j in range(n) if below[j] >> i & 1) for i in range(n)]
+    full = (1 << n) - 1
+    out = []
+    stack = [(0, 0)]  # (taken, decided)
+    while stack:
+        taken, decided = stack.pop()
+        if decided == full:
+            out.append(taken)
+            continue
+        free = full & ~decided
+        i = (free & -free).bit_length() - 1
+        stack.append((taken, decided | above[i]))
+        stack.append((taken | below[i], decided | below[i]))
     return out
 
 

@@ -19,6 +19,7 @@ from .errors import (
     SemanticError,
 )
 from .fincat import FinCategory, Presheaf, poset_category
+from .kernel import down_sets
 from .labels import Label, canon, label_key
 
 
@@ -64,9 +65,6 @@ class Sieve:
         table = C.table
         restrict = {g: {f: table[(f, g)] for f in value[C.tgt[g]]} for g in C.morphisms}
         return Presheaf(C, value, restrict)
-
-    def is_maximal(self) -> bool:
-        return self.category.identity[self.apex] in self.arrows
 
 
 def sieve(category: FinCategory, apex: Label, arrows) -> Sieve:
@@ -125,18 +123,19 @@ def pullback_sieve(category: FinCategory, f: Label, S: Sieve) -> Sieve:
 
 
 def all_sieves(category: FinCategory, apex: Label, bound: int | None = None) -> tuple[Sieve, ...]:
-    """Every sieve on apex, canonically ordered."""
-    incoming = category.into(apex)
+    """Every sieve on apex, canonically ordered: the down-sets of the
+    arrows into apex, with the arrows f∘g below f.  The bound still
+    counts all 2^n subsets of the arrows."""
+    C = category
+    incoming = C.into(apex)
     check_bound(f"sieves on {apex!r}", [2 ** len(incoming)], bound)
-    found = []
-    for mask in range(2 ** len(incoming)):
-        arrows = frozenset(m for i, m in enumerate(incoming) if mask >> i & 1)
-        if all(
-            category.compose(f, g) in arrows
-            for f in arrows
-            for g in category.into(category.src[f])
-        ):
-            found.append(Sieve(category, apex, arrows))
+    bit = {f: 1 << i for i, f in enumerate(incoming)}
+    # a set of distinct bits sums to their union
+    below = [sum({bit[C.table[(f, g)]] for g in C.into(C.src[f])}) for f in incoming]
+    found = [
+        Sieve(C, apex, frozenset(f for f in incoming if bit[f] & m))
+        for m in down_sets(below)
+    ]
     return tuple(sorted(found, key=Sieve.key))
 
 
@@ -312,10 +311,6 @@ def finite_space(points, opens) -> FiniteSpace:
 
 def open_label(o: frozenset) -> str:
     return "{" + ",".join(str(p) for p in sorted(o, key=label_key)) + "}"
-
-
-def inclusion_label(v: frozenset, u: frozenset) -> str:
-    return f"{open_label(v)}<{open_label(u)}"
 
 
 # -- sites ---------------------------------------------------------------------------

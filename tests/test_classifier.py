@@ -1,5 +1,7 @@
 """Subobject classifier, characteristic maps, Heyting algebra."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from sheafkit.classifier import (
     subobject,
 )
 from sheafkit.errors import NotClosedSubobject, NotRestrictionStable
-from sheafkit.fincat import presheaf
+from sheafkit.fincat import presheaf, validate_category, yoneda_presheaf
 from sheafkit.gallery import (
     arrow_site,
     const2_presheaf,
@@ -29,8 +31,8 @@ from sheafkit.gallery import (
     pseudocircle_site,
     sierpinski_site,
 )
-from sheafkit.sheaf import is_sheaf, terminal_presheaf
-from sheafkit.site import Site, trivial_topology
+from sheafkit.sheaf import is_sheaf, product_presheaf, terminal_presheaf
+from sheafkit.site import Site, Sieve, all_sieves, trivial_topology
 
 from naive import (
     bottom_sub,
@@ -38,11 +40,20 @@ from naive import (
     implies_sub,
     join_sub,
     meet_sub,
+    naive_sieves,
     naive_stable_subsets,
     neg_sub,
     top_sub,
 )
-from randgen import random_poset, random_presheaf
+from randgen import (
+    free_dag,
+    isomorphism_pair,
+    random_base,
+    random_poset,
+    random_presheaf,
+    random_space_site,
+    random_topology,
+)
 
 
 SIER_TOP = "{b,t}"
@@ -275,8 +286,9 @@ def test_lattice_meet_join_locate_consistently():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.randoms(use_true_random=False))
-def test_lattice_agrees_with_subobject_operations_on_random_presheaves(rng):
+@given(st.integers(0, 2**32 - 1))
+def test_lattice_agrees_with_subobject_operations_on_random_presheaves(seed):
+    rng = random.Random(seed)
     make = rng.choice((sierpinski_site, discrete2_site, discrete3_site, pseudocircle_site, None))
     if make is None:
         C = random_poset(rng, max_objs=4)
@@ -284,3 +296,48 @@ def test_lattice_agrees_with_subobject_operations_on_random_presheaves(rng):
     else:
         site = make()
     assert_lattice_matches_subobject_operations(site, random_presheaf(rng, site.category))
+
+
+# -- sieves and subobjects against the oracles ---------------------------------------
+
+BASES = {
+    "random base": random_base,  # a poset, a poset times Z/n, or the monoid Z/n
+    "free dag": lambda rng: validate_category(*free_dag(rng, 4)),
+    "isomorphism pair": lambda rng: validate_category(*isomorphism_pair()),
+    "space": None,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(BASES)), st.integers(0, 2**32 - 1))
+def test_sieves_and_subobjects_are_what_the_oracles_find(kind, seed):
+    """At every object ``all_sieves`` is the oracle's set of sieves, once
+    each, sorted by key; the subobjects are the oracle's restriction-stable
+    part families that ``is_closed`` keeps, once each, in section order."""
+    rng = random.Random(seed)
+    if kind == "space":
+        site = random_space_site(rng)
+    else:
+        C = BASES[kind](rng)
+        site = Site(C, rng.choice((trivial_topology(C), random_topology(rng, C))))
+    C, J = site.category, site.topology
+    for u in C.objects:
+        found = all_sieves(C, u)
+        want = naive_sieves(C, u)
+        assert len(found) == len(want)
+        assert {S.arrows for S in found} == set(want)
+        assert list(found) == sorted(found, key=Sieve.key)
+    F = random_presheaf(rng, C)
+    if C.objects and rng.random() < 0.6:
+        h = yoneda_presheaf(C, rng.choice(C.objects))  # Z/n acts freely
+        F = h if rng.random() < 0.4 else product_presheaf(F, h)
+    if F.size() > 12:  # the oracle filters all 2^size part families
+        F = random_presheaf(rng, C, 2)
+    subs = enumerate_subobjects(J, F)
+    closed = [parts for parts in naive_stable_subsets(F) if is_closed(J, Subobject(F, parts))]
+    got = [tuple(A.parts[u] for u in C.objects) for A in subs]
+    assert len(got) == len(closed)
+    assert set(got) == {tuple(parts[u] for u in C.objects) for parts in closed}
+    rank = F.section_rank()
+    order = [[sorted(rank[u][x] for x in part) for u, part in zip(C.objects, parts)] for parts in got]
+    assert order == sorted(order)

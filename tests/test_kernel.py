@@ -1,4 +1,5 @@
-"""The enumeration kernel against the slot-level reference enumerator.
+"""The enumeration kernel against the slot-level reference enumerator,
+and the down-set enumerator against a filter of every subset.
 
 ``naive.naive_natural_families`` has the kernel's contract and output
 order but never narrows single elements, so the two agree only if the
@@ -25,7 +26,7 @@ from sheafkit.fincat import (
     validate_category,
     yoneda_presheaf,
 )
-from sheafkit.kernel import decode, label_families, natural_families
+from sheafkit.kernel import decode, down_sets, label_families, natural_families
 from sheafkit.sheaf import matching_families, product_presheaf
 from sheafkit.site import all_sieves
 
@@ -260,6 +261,56 @@ def test_decode_edge_cases():
     assert decode([], {}, {}, []) == []
     assert decode(["u"], {"u": ("x",)}, {"u": ()}, []) == []
     assert decode(["u"], {"u": ()}, {"u": ()}, [((),)]) == [{"u": {}}]
+
+
+# -- down_sets ----------------------------------------------------------------------
+
+def brute_down_sets(below):
+    """Every mask that holds, with each node, everything below it."""
+    return [
+        m for m in range(1 << len(below))
+        if all(not m >> i & 1 or below[i] & ~m == 0 for i in range(len(below)))
+    ]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_down_sets_of_a_chain_and_an_antichain(n):
+    chain = [(1 << (i + 1)) - 1 for i in range(n)]  # node i lies above nodes 0..i-1
+    assert sorted(down_sets(chain)) == [(1 << k) - 1 for k in range(n + 1)]
+    antichain = [1 << i for i in range(n)]
+    assert sorted(down_sets(antichain)) == list(range(1 << n))
+
+
+def test_down_sets_of_a_two_node_cycle_take_both_or_neither():
+    assert sorted(down_sets([0b11, 0b11])) == [0b00, 0b11]
+    # the cycle above a third node, numbered first and last
+    assert sorted(down_sets([0b001, 0b111, 0b111])) == [0b000, 0b001, 0b111]
+    assert sorted(down_sets([0b111, 0b111, 0b100])) == [0b000, 0b100, 0b111]
+
+
+@st.composite
+def preorders(draw):
+    """``below`` tables of random reflexive, transitive relations; the
+    random edges go both ways, so cycles are common."""
+    n = draw(st.integers(0, 8))
+    below = [1 << i for i in range(n)]
+    if n:
+        node = st.sampled_from(range(n))
+        for lower, upper in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+            below[upper] |= 1 << lower
+    for k in range(n):  # transitive closure through node k
+        for i in range(n):
+            if below[i] >> k & 1:
+                below[i] |= below[k]
+    return below
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(preorders())
+def test_down_sets_are_the_closed_subsets_once_each(below):
+    found = down_sets(below)
+    assert len(found) == len(set(found))
+    assert set(found) == set(brute_down_sets(below))
 
 
 # -- enumerate_naturals on random bases ---------------------------------------------
