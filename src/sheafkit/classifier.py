@@ -102,16 +102,29 @@ def enumerate_subobjects(
     J: GrothendieckTopology, F: Presheaf, bound: int | None = None
 ) -> tuple[Subobject, ...]:
     """All J-closed restriction-stable subobjects, canonically ordered:
-    the closed down-sets of the sections under restriction.  The bound
-    counts every pointwise subset, as the down-sets may be all of them."""
+    the closed down-sets of the sections under restriction."""
+    algebra, masks = _closed_masks(J, F, bound)
+    return tuple(Subobject(F, algebra.parts(m)) for m in masks)
+
+
+def _closed_masks(
+    J: GrothendieckTopology, F: Presheaf, bound: int | None
+) -> tuple["MaskAlgebra", tuple[int, ...]]:
+    """The mask algebra of F and its closed down-sets, in label order part
+    by part.  The bound counts every pointwise subset, as the down-sets
+    may be all of them."""
     if not F.base.same(J.category):
         raise BaseMismatch("presheaf and topology live over different categories")
-    objs = F.base.objects
-    check_bound("subobjects", (2 ** len(F.value[u]) for u in objs), bound)
+    sizes = [len(F.value[u]) for u in F.base.objects]
+    check_bound("subobjects", (2 ** n for n in sizes), bound)
     algebra = MaskAlgebra(J, F)
-    subs = [Subobject(F, algebra.parts(m)) for m in down_sets(algebra.below) if algebra.is_closed(m)]
-    rank = F.section_rank()  # in label order, part by part
-    return tuple(sorted(subs, key=lambda A: [sorted(rank[u][x] for x in A.parts[u]) for u in objs]))
+    # bits run object by object, each in section order, which is label order
+    blocks = [(sum(sizes[:k]), n) for k, n in enumerate(sizes)]
+
+    def ranks(m):
+        return [[i for i in range(n) if m >> start + i & 1] for start, n in blocks]
+
+    return algebra, tuple(sorted(filter(algebra.is_closed, down_sets(algebra.below)), key=ranks))
 
 
 # -- Omega ------------------------------------------------------------------------
@@ -144,7 +157,7 @@ def _is_j_closed_sieve(J: GrothendieckTopology, S: Sieve) -> bool:
     for f in C.into(S.apex):
         if f in S.arrows:
             continue
-        if J.has(pullback_sieve(C, f, S)):
+        if J.covers_with(C.src[f], pullback_sieve(C, f, S).arrows):
             return False
     return True
 
@@ -308,12 +321,13 @@ class MaskAlgebra:
     built on first use, turn the operations into bit arithmetic:
 
     - ``below``: the mask of x's restrictions along every arrow into u;
-    - ``covering``: for each covering sieve S of u, the mask of x's
-      restrictions along the arrows of S.
+    - ``covering``: the mask of x's restrictions along the arrows of the
+      least covering sieve ``J.least[u]``.
 
-    Meet is ``a & b``.  Closure keeps the nodes with some covering entry
-    ``r`` such that ``r & ~m == 0``, which is ``J.covers_with`` applied to
-    the truth sieve of x; join is the closure of ``a | b``.  Implication
+    Meet is ``a & b``.  Closure keeps the nodes whose ``covering`` entry
+    ``r`` has ``r & ~m == 0``: the truth sieve of x contains the least
+    covering sieve, which is ``J.covers_with`` on it.  Join is the
+    closure of ``a | b``.  Implication
     keeps the nodes with ``below & a & ~b == 0``, negation is implication
     into ``bottom``, the closure of 0, and ``top`` is every node.
 
@@ -350,11 +364,9 @@ class MaskAlgebra:
         return tuple(self._restrictions(x, into(u)) for u, x in self.nodes)
 
     @cached_property
-    def covering(self) -> tuple[tuple[int, ...], ...]:
-        covers = self.topology.covers
-        return tuple(
-            tuple(self._restrictions(x, S.arrows) for S in covers[u]) for u, x in self.nodes
-        )
+    def covering(self) -> tuple[int, ...]:
+        least = self.topology.least
+        return tuple(self._restrictions(x, least[u].arrows) for u, x in self.nodes)
 
     def mask(self, A: Subobject) -> int:
         m = 0
@@ -381,11 +393,9 @@ class MaskAlgebra:
 
     def _close(self, m: int) -> int:
         closed, bit = 0, 1
-        for entries in self.covering:
-            for r in entries:
-                if not r & ~m:
-                    closed |= bit
-                    break
+        for r in self.covering:
+            if not r & ~m:
+                closed |= bit
             bit <<= 1
         return closed
 
@@ -457,9 +467,8 @@ class SubobjectLattice:
 
 
 def heyting(site: Site, F: Presheaf, bound: int | None = None) -> SubobjectLattice:
-    subs = enumerate_subobjects(site.topology, F, bound)
-    algebra = MaskAlgebra(site.topology, F)
-    masks = tuple(algebra.mask(A) for A in subs)
+    algebra, masks = _closed_masks(site.topology, F, bound)
+    subs = tuple(Subobject(F, algebra.parts(m)) for m in masks)
     return SubobjectLattice(algebra, subs, masks, {m: i for i, m in enumerate(masks)})
 
 

@@ -89,16 +89,6 @@ class Forall(Formula):
     body: Formula
 
 
-def depth(phi: Formula) -> int:
-    if isinstance(phi, (Top, Bottom, Mem, Eq)):
-        return 0
-    if isinstance(phi, Not):
-        return 1 + depth(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return 1 + max(depth(phi.left), depth(phi.right))
-    return 1 + depth(phi.body)
-
-
 # -- parenthesized prefix syntax ----------------------------------------------------
 
 def _tokenize(text: str):
@@ -241,8 +231,14 @@ def logic_model(site: Site, sorts, predicates) -> LogicModel:
     return LogicModel(site, sorts, preds)
 
 
-def check_sorting(model: LogicModel, phi: Formula, context) -> None:
-    """Variables bound once, atoms matching their variable's sort."""
+def check_sorting(model: LogicModel, phi: Formula, context) -> list[tuple[str, str, int]]:
+    """Variables bound once, atoms matching their variable's sort.
+
+    Returns (variable, sort, enclosing) for each quantifier of phi, in
+    preorder.  ``enclosing`` is 0 for the outer context and i + 1 for the
+    i-th quantifier of the list, so quantifier i binds its variable in
+    the context of its ``enclosing`` plus its own sort.
+    """
     seen = [v for v, _ in context]
     if len(set(seen)) != len(seen):
         raise IllSorted("context binds a variable twice")
@@ -250,14 +246,17 @@ def check_sorting(model: LogicModel, phi: Formula, context) -> None:
         if s not in model.sorts:
             raise IllSorted(f"context names unknown sort {s!r}")
 
-    _check_scope(model, phi, dict(context))
-    check_bound("formula depth", [depth(phi)], DEFAULT_FORMULA_DEPTH)
+    quantifiers = []
+    depth = _check_scope(model, phi, dict(context), 0, quantifiers)
+    check_bound("formula depth", [depth], DEFAULT_FORMULA_DEPTH)
+    return quantifiers
 
 
-def _check_scope(model: LogicModel, node: Formula, scope: dict) -> None:
-    """Raise at the first unbound, ill-sorted or unknown name below ``node``."""
+def _check_scope(model: LogicModel, node: Formula, scope: dict, enclosing: int, quantifiers: list) -> int:
+    """Raise at the first unbound, ill-sorted or unknown name below ``node``;
+    otherwise return its depth, appending its quantifiers to ``quantifiers``."""
     if isinstance(node, (Top, Bottom)):
-        return
+        return 0
     if isinstance(node, Mem):
         if node.var not in scope:
             raise IllSorted(f"unbound variable {node.var!r}")
@@ -268,26 +267,25 @@ def _check_scope(model: LogicModel, node: Formula, scope: dict) -> None:
                 f"predicate {node.pred!r} lives on sort "
                 f"{model.predicates[node.pred][0]!r}, not {scope[node.var]!r}"
             )
-        return
+        return 0
     if isinstance(node, Eq):
         for v in (node.left, node.right):
             if v not in scope:
                 raise IllSorted(f"unbound variable {v!r}")
         if scope[node.left] != scope[node.right]:
             raise IllSorted("equality between different sorts")
-        return
+        return 0
     if isinstance(node, (And, Or, Implies)):
-        _check_scope(model, node.left, scope)
-        _check_scope(model, node.right, scope)
-        return
+        left = _check_scope(model, node.left, scope, enclosing, quantifiers)
+        return 1 + max(left, _check_scope(model, node.right, scope, enclosing, quantifiers))
     if isinstance(node, Not):
-        _check_scope(model, node.body, scope)
-        return
+        return 1 + _check_scope(model, node.body, scope, enclosing, quantifiers)
     if node.var in scope:
         raise IllSorted(f"variable {node.var!r} bound twice")
     if node.sort not in model.sorts:
         raise IllSorted(f"quantifier names unknown sort {node.sort!r}")
-    _check_scope(model, node.body, {**scope, node.var: node.sort})
+    quantifiers.append((node.var, node.sort, enclosing))
+    return 1 + _check_scope(model, node.body, {**scope, node.var: node.sort}, len(quantifiers), quantifiers)
 
 
 # -- forcing ------------------------------------------------------------------------
@@ -400,7 +398,7 @@ def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context, bound:
     resolved once here, before anything is evaluated.
     """
     context = tuple((v, s) for v, s in context)
-    check_sorting(model, phi, context)
+    quantifiers = check_sorting(model, phi, context)
     if u not in model.site.category.object_set:
         raise UnknownObject(f"no object {u!r}")
     env = dict(env)
@@ -412,33 +410,9 @@ def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context, bound:
     for v, s in context:
         if env[v] not in model.sorts[s].value[u]:
             raise IllSorted(f"environment value for {v!r} is not a section of {s!r} over {u!r}")
-    quantifiers = _quantifiers(phi)
     _check_contexts(model, context, quantifiers, enumeration_bound(bound))
     sort_of = {**dict(context), **{v: sort for v, sort, _ in quantifiers}}
     return Evaluator(model, sort_of).forces(u, phi, env)
-
-
-def _quantifiers(phi: Formula) -> list[tuple[str, str, int]]:
-    """(variable, sort, enclosing) for each quantifier of phi, in preorder.
-
-    ``enclosing`` is 0 for the outer context and i + 1 for the i-th
-    quantifier of the list, so quantifier i binds its variable in the
-    context of its ``enclosing`` plus its own sort.
-    """
-    out = []
-    _collect_quantifiers(phi, 0, out)
-    return out
-
-
-def _collect_quantifiers(node: Formula, enclosing: int, out: list) -> None:
-    if isinstance(node, (And, Or, Implies)):
-        _collect_quantifiers(node.left, enclosing, out)
-        _collect_quantifiers(node.right, enclosing, out)
-    elif isinstance(node, Not):
-        _collect_quantifiers(node.body, enclosing, out)
-    elif isinstance(node, (Exists, Forall)):
-        out.append((node.var, node.sort, enclosing))
-        _collect_quantifiers(node.body, len(out), out)
 
 
 def _check_contexts(model: LogicModel, context, quantifiers, bound: int) -> None:

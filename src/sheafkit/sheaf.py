@@ -4,9 +4,9 @@ pointwise presheaf limits, and exponentials.
 A matching family over a sieve is the same thing as a natural
 transformation out of the sieve viewed as a subpresheaf of the
 representable, so the enumeration kernel does the heavy lifting here
-too.  Sheafification is the plus construction applied twice, with
-refinement-equivalence decided by exhaustive search over covering
-sieves.
+too.  Sheafification is the plus construction applied twice; each
+application reads F+(U) off the matching families over the least
+covering sieve of U.
 """
 
 from __future__ import annotations
@@ -37,16 +37,7 @@ from .fincat import (
 )
 from .labels import Label, canon
 from .limits import ConeResult, diagram, limit
-from .site import GrothendieckTopology, Sieve, generate_sieve, maximal_sieve, pullback_sieve
-
-
-def sieve_presheaf(S: Sieve) -> Presheaf:
-    """A sieve as a subpresheaf of the representable at its apex.
-
-    Built once per sieve and kept on it; ``Sieve.presheaf`` says why it
-    is valid without re-validation.
-    """
-    return S.presheaf
+from .site import GrothendieckTopology, Sieve, generate_sieve
 
 
 class MatchingFamily(FrozenRecord):
@@ -255,82 +246,51 @@ def glue(F: Presheaf, J: GrothendieckTopology, S: Sieve, m: MatchingFamily) -> L
 
 # -- sheafification -----------------------------------------------------------------
 
-def _families_agree_on(m1: MatchingFamily, m2: MatchingFamily, R: Sieve) -> bool:
-    return all(m1.assignment[f] == m2.assignment[f] for f in R.arrows)
-
-
 def plus_construction(
     F: Presheaf, J: GrothendieckTopology, bound: int | None = None
 ) -> tuple[Presheaf, NaturalTransformation]:
     """One application of the plus construction.
 
-    F+(U) is the set of matching families over covering sieves of U, two
-    families identified when they agree after refinement to a common
-    covering sieve.  Class labels are ``p0, p1, ...`` in the canonical
-    order of their least representative.
+    F+(U) is the colimit over covering sieves R of U of Match(R, F), two
+    families identified when they agree on a covering sieve inside both.
+    With L(U) = ``J.least[U]``, the least covering sieve, it is
+    Match(L(U), F).  Every class holds a family on L(U): restrict any
+    member to L(U), which lies inside its sieve.  It holds only one: two
+    families on L(U) that agree on a covering R ⊆ L(U) have R = L(U).
+
+    Class ``p{i}`` is the i-th family of ``matching_families(F, L(U))``.
+    That is the order of the least (sieve key, section ranks) member of
+    each class, the canonical order of the colimit: L(U) has strictly
+    fewer arrows than any other covering sieve of U, and
+    ``matching_families`` lists families in rank order.  For f: V -> U,
+    f*L(U) covers V, so it contains L(V), and the class of m restricts to
+    the family g |-> m(f∘g) on L(V).  The unit sends x to the family it
+    induces on L(U).
     """
     if not F.base.same(J.category):
         raise BaseMismatch("presheaf and topology live over different categories")
     C = F.base
-    pairs: dict[Label, list[tuple[Sieve, MatchingFamily]]] = {}
-    for u in C.objects:
-        at_u = []
-        for S in J.covers[u]:
-            for m in matching_families(F, S, bound):
-                at_u.append((S, m))
-        pairs[u] = at_u
+    least = J.least
+    fams = {u: matching_families(F, least[u], bound) for u in C.objects}
+    label_of = {u: {m.key(): f"p{i}" for i, m in enumerate(fams[u])} for u in C.objects}
 
-    def equivalent(u, a, b):
-        S1, m1 = a
-        S2, m2 = b
-        meet = S1.arrows & S2.arrows
-        for R in J.covers[u]:
-            if R.arrows <= meet and _families_agree_on(m1, m2, R):
-                return True
-        return False
-
-    classes: dict[Label, list[list]] = {}
-    rep_of: dict[Label, dict] = {}
-    rank = F.section_rank()
-    for u in C.objects:
-        groups: list[list] = []
-        for item in pairs[u]:
-            placed = False
-            for group in groups:
-                if equivalent(u, group[0], item):
-                    group.append(item)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([item])
-        groups.sort(key=lambda g: min((S.key(), [rank[C.src[f]][x] for f, x in m.key()]) for S, m in g))
-        classes[u] = groups
-        rep_of[u] = {}
-        for i, group in enumerate(groups):
-            for S, m in group:
-                rep_of[u][(S, m.key())] = f"p{i}"
-
-    value = {u: tuple(f"p{i}" for i in range(len(classes[u]))) for u in C.objects}
+    value = {u: tuple(f"p{i}" for i in range(len(fams[u]))) for u in C.objects}
     restrict = {}
     for f in C.morphisms:
         if C.is_identity(f):
             continue
         u, v = C.tgt[f], C.src[f]
-        tab = {}
-        for i, group in enumerate(classes[u]):
-            S, m = group[0]
-            fS = pullback_sieve(C, f, S)
-            pulled = {g: m.assignment[C.compose(f, g)] for g in fS.arrows}
-            tab[f"p{i}"] = rep_of[v][(fS, MatchingFamily(F, fS, pulled).key())]
-        restrict[f] = tab
+        at_v = least[v].ordered
+        restrict[f] = {
+            f"p{i}": label_of[v][tuple((g, m.assignment[C.compose(f, g)]) for g in at_v)]
+            for i, m in enumerate(fams[u])
+        }
     plus = presheaf(C, value, restrict)
 
-    unit_components = {}
-    for u in C.objects:
-        M = maximal_sieve(C, u)
-        unit_components[u] = {
-            x: rep_of[u][(M, induced_family(F, M, x).key())] for x in F.value[u]
-        }
+    unit_components = {
+        u: {x: label_of[u][induced_family(F, least[u], x).key()] for x in F.value[u]}
+        for u in C.objects
+    }
     unit = natural_transformation(F, plus, unit_components)
     return plus, unit
 

@@ -3,6 +3,9 @@
 Topologies are stored extensionally: every covering sieve is listed, so
 the transitivity axiom can be checked by full enumeration.  A generator
 form (covering families per object) is accepted and saturated on load.
+The least covering sieve of each object (``GrothendieckTopology.least``)
+is derived from the listed ones, and every covering test is one subset
+test against it.
 """
 
 from __future__ import annotations
@@ -146,24 +149,34 @@ class GrothendieckTopology:
     category: FinCategory
     covers: dict[Label, tuple[Sieve, ...]]
 
-    def covering(self, u: Label) -> tuple[Sieve, ...]:
-        return self.covers[u]
-
-    def has(self, S: Sieve) -> bool:
-        return S in self._listed[S.apex]
-
     @cached_property
     def _listed(self) -> dict[Label, frozenset]:
         """The covering sieves at each object, as a set."""
         return {u: frozenset(sieves) for u, sieves in self.covers.items()}
 
-    def covers_with(self, u: Label, arrows: frozenset) -> bool:
-        """Does the (upward-closed) family of covering sieves reach below ``arrows``?
-
-        Since a sieve containing a covering sieve is covering, this is the
-        membership test for any sieve given by its arrow set.
+    @cached_property
+    def least(self) -> dict[Label, Sieve]:
+        """The least covering sieve L(u) of each object u: the intersection
+        of its listed covering sieves.  For R and S covering u and f in R,
+        f*(R ∩ S) = f*S covers, so R ∩ S covers by transitivity; hence L(u)
+        covers, and a sieve covers exactly when it contains L(u).  A cover
+        table with no sieve at u, or without the intersection, raises
+        ``SemanticError`` naming u; ``validate_topology`` never reads this.
         """
-        return any(S.arrows <= arrows for S in self.covers[u])
+        least = {}
+        for u in self.category.objects:
+            sieves = self.covers.get(u, ())
+            if not sieves:
+                raise SemanticError(f"no covering sieve is listed at {u!r}")
+            least[u] = Sieve(self.category, u, frozenset.intersection(*(S.arrows for S in sieves)))
+            if least[u] not in self._listed[u]:
+                raise SemanticError(f"the covering sieves at {u!r} are not closed under intersection")
+        return least
+
+    def covers_with(self, u: Label, arrows: frozenset) -> bool:
+        """Does the sieve on u with these arrows cover?  It does exactly
+        when it contains the least covering sieve ``least[u]``."""
+        return self.least[u].arrows <= arrows
 
 
 @dataclass(frozen=True)

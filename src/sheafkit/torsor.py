@@ -172,8 +172,9 @@ def is_torsor(
 ) -> TorsorReport:
     """Local nonemptiness plus unique transitivity, with named witnesses.
 
-    The universal reading checks a covering family with nonempty local
-    sections at every object; ``nonempty_everywhere=False`` checks only
+    The universal reading checks at every object that some covering sieve
+    has nonempty sections on each piece, which holds exactly when the
+    least covering sieve does; ``nonempty_everywhere=False`` checks only
     the objects that no non-identity arrow leaves (the whole space, in an
     opens poset).
     """
@@ -191,11 +192,7 @@ def is_torsor(
         ]
     nonempty_ok = True
     for u in targets:
-        good = any(
-            all(P.value[C.src[f]] for f in S.arrows)
-            for S in J.covers[u]
-        )
-        if not good:
+        if not all(P.value[C.src[f]] for f in J.least[u].arrows):
             nonempty_ok = False
             failures.append(f"no covering sieve of {u!r} has nonempty sections on every piece")
     transitive_ok = True
@@ -220,7 +217,8 @@ class CanonicalMapReport:
 
 
 def canonical_map_check(T: TorsorCandidate, site: Site) -> CanonicalMapReport:
-    """(p, g) -> (p, p·g) bijective where sections exist, and P -> 1 locally epi."""
+    """(p, g) -> (p, p·g) bijective where sections exist, and P -> 1 locally
+    epi: the least covering sieve of each object has nonempty pieces."""
     if not T.space.base.same(site.category):
         raise BaseMismatch("torsor and site live over different categories")
     C = site.category
@@ -245,7 +243,7 @@ def canonical_map_check(T: TorsorCandidate, site: Site) -> CanonicalMapReport:
             failures.append(f"canonical map not surjective at {u!r}: misses {sorted(missing, key=label_key)[0]!r}")
     epi = True
     for u in C.objects:
-        if not any(all(P.value[C.src[f]] for f in S.arrows) for S in site.topology.covers[u]):
+        if not all(P.value[C.src[f]] for f in site.topology.least[u].arrows):
             epi = False
             failures.append(f"P -> 1 is not locally surjective at {u!r}")
     return CanonicalMapReport(bij and epi, bij, epi, tuple(failures))

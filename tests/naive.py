@@ -23,7 +23,12 @@ and ``naive_interpret`` build on the library's ``Subobject``,
 ``logic.context_product``, and resolve the bound with its
 ``enumeration_bound``, because they are the oracle for the library's
 mask algebra (``classifier.MaskAlgebra``), and ``naive_interpret`` must
-refuse a formula with the same ``IntractableSize`` as ``interpret``.
+refuse a formula with the same ``IntractableSize`` as ``interpret``;
+``naive_plus_construction`` is the colimit over every covering sieve as
+it was first written, on the library's matching families, presheaf and
+natural-transformation constructors, as the oracle for
+``sheaf.plus_construction``, which reads it off the least covering
+sieves.
 """
 
 from __future__ import annotations
@@ -42,7 +47,10 @@ from sheafkit.errors import (
 )
 from sheafkit.classifier import Subobject, is_closed, subobject, truth_sieve
 from sheafkit.config import enumeration_bound
+from sheafkit.fincat import natural_transformation, presheaf
 from sheafkit.labels import label_key
+from sheafkit.sheaf import MatchingFamily, induced_family, matching_families
+from sheafkit.site import maximal_sieve, pullback_sieve
 from sheafkit.logic import (
     And,
     Bottom,
@@ -297,7 +305,10 @@ def closure(J, A):
     suffices; a fixpoint assertion guards it."""
     F = A.ambient
     grown = {
-        u: frozenset(x for x in F.value[u] if J.covers_with(u, truth_sieve(J, A, u, x)))
+        u: frozenset(
+            x for x in F.value[u]
+            if any(S.arrows <= truth_sieve(J, A, u, x) for S in J.covers[u])
+        )
         for u in F.base.objects
     }
     result = Subobject(F, grown)
@@ -696,3 +707,60 @@ def naive_presheaf_diagram_commutes(shape, node, edge):
             )
             if left != right:
                 raise BaseMismatch(f"diagram does not commute along ({g!r}, {f!r})")
+
+
+# -- the plus construction as a colimit over every covering sieve ----------------
+
+def naive_plus_construction(F, J, bound=None):
+    """F+(U): the matching families over every covering sieve of U, two
+    identified when they agree on a covering sieve inside both, found by
+    search over pairs.  Class ``p{i}`` is the i-th class in the order of
+    its least (sieve key, section ranks) member.  Returns (F+, unit)."""
+    C = F.base
+    pairs = {
+        u: [(S, m) for S in J.covers[u] for m in matching_families(F, S, bound)]
+        for u in C.objects
+    }
+
+    def equivalent(u, a, b):
+        (S1, m1), (S2, m2) = a, b
+        meet = S1.arrows & S2.arrows
+        return any(
+            R.arrows <= meet and all(m1.assignment[f] == m2.assignment[f] for f in R.arrows)
+            for R in J.covers[u]
+        )
+
+    classes, rep_of = {}, {}
+    rank = F.section_rank()
+    for u in C.objects:
+        groups = []
+        for item in pairs[u]:
+            for group in groups:
+                if equivalent(u, group[0], item):
+                    group.append(item)
+                    break
+            else:
+                groups.append([item])
+        groups.sort(key=lambda g: min((S.key(), [rank[C.src[f]][x] for f, x in m.key()]) for S, m in g))
+        classes[u] = groups
+        rep_of[u] = {(S, m.key()): f"p{i}" for i, group in enumerate(groups) for S, m in group}
+
+    value = {u: tuple(f"p{i}" for i in range(len(classes[u]))) for u in C.objects}
+    restrict = {}
+    for f in C.morphisms:
+        if C.is_identity(f):
+            continue
+        u, v = C.tgt[f], C.src[f]
+        tab = {}
+        for i, group in enumerate(classes[u]):
+            S, m = group[0]
+            fS = pullback_sieve(C, f, S)
+            pulled = {g: m.assignment[C.compose(f, g)] for g in fS.arrows}
+            tab[f"p{i}"] = rep_of[v][(fS, MatchingFamily(F, fS, pulled).key())]
+        restrict[f] = tab
+    plus = presheaf(C, value, restrict)
+    unit = {}
+    for u in C.objects:
+        M = maximal_sieve(C, u)
+        unit[u] = {x: rep_of[u][(M, induced_family(F, M, x).key())] for x in F.value[u]}
+    return plus, natural_transformation(F, plus, unit)

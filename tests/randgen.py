@@ -10,7 +10,7 @@ import random
 
 from sheafkit.fincat import poset_category, presheaf, terminal_category, validate_category
 from sheafkit.limits import diagram
-from sheafkit.site import finite_space, open_cover_topology, saturate_topology
+from sheafkit.site import Site, finite_space, open_cover_topology, saturate_topology
 
 
 def random_poset(rng: random.Random, max_objs: int = 6):
@@ -63,6 +63,24 @@ def random_topology(rng: random.Random, C):
         if incoming and rng.random() < 0.5:
             families[u] = [rng.sample(incoming, rng.randint(1, len(incoming)))]
     return saturate_topology(C, families)
+
+
+def random_site(rng: random.Random):
+    """A random base with ``random_topology``, a random base with a topology
+    generated by families of non-identity arrows, which more often leaves
+    a sieve other than the maximal one covering, or ``random_space_site``."""
+    kind = rng.choice(("random topology", "proper families", "space"))
+    if kind == "space":
+        return random_space_site(rng)
+    C = random_base(rng)
+    if kind == "random topology":
+        return Site(C, random_topology(rng, C))
+    families = {}
+    for u in C.objects:
+        proper = [f for f in C.into(u) if not C.is_identity(f)]
+        if rng.random() < 0.7:
+            families[u] = [rng.sample(proper, rng.randint(0, len(proper)))]
+    return Site(C, saturate_topology(C, families))
 
 
 def random_space_site(rng: random.Random):

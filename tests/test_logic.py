@@ -1,9 +1,12 @@
 """Kripke-Joyal forcing and compositional subobject semantics."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheafkit import logic
 from sheafkit.classifier import enumerate_subobjects, subobject
 from sheafkit.errors import IllSorted, IntractableSize, ParseError, UnknownSubobject
 from sheafkit.fincat import presheaf, yoneda_presheaf
@@ -83,6 +86,18 @@ def test_sorting_discipline():
         check_sorting(model, Exists("x", "F", Mem("x", "A")), CONTEXT)  # rebinding
     with pytest.raises(IllSorted):
         check_sorting(model, Exists("y", "G", Top()), CONTEXT)  # unknown sort
+
+
+def test_check_sorting_measures_depth_and_lists_quantifiers_in_preorder():
+    """Every connective and quantifier adds one level, and each quantifier
+    is listed with the position of the one it sits under (0 for none)."""
+    model = standard_model(sierpinski_site())
+    phi = And(Exists("y", "F", Forall("z", "F", Eq("y", "z"))), Or(Top(), Exists("w", "F", Mem("w", "A"))))
+    with mock.patch.object(logic, "DEFAULT_FORMULA_DEPTH", 3):
+        assert check_sorting(model, phi, CONTEXT) == [("y", "F", 0), ("z", "F", 1), ("w", "F", 0)]
+    with mock.patch.object(logic, "DEFAULT_FORMULA_DEPTH", 2):
+        with pytest.raises(IntractableSize, match="formula depth"):
+            check_sorting(model, phi, CONTEXT)
 
 
 # -- base clauses ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Matching families, sheaf condition, sheafification, limits, exponentials."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheafkit.documents import load_documents
 from sheafkit.errors import IncompatibleFamily, NoSuchFamily, NotASheafHere
 from sheafkit.fincat import (
     arrow_category,
@@ -37,15 +40,14 @@ from sheafkit.sheaf import (
     product_presheaf,
     sheafification_is_initial,
     sheafify,
-    sieve_presheaf,
     terminal_presheaf,
 )
 from sheafkit.labels import label_key
 from sheafkit.site import all_sieves, empty_sieve, generate_sieve, maximal_sieve, trivial_topology
 from sheafkit.fincat import discrete_category
 
-from naive import naive_exponential, naive_matching_families, naive_naturals
-from randgen import random_poset, random_presheaf, renamed_arrows
+from naive import naive_exponential, naive_matching_families, naive_naturals, naive_plus_construction
+from randgen import random_poset, random_presheaf, random_site, renamed_arrows
 
 
 D2 = "{a,b}"
@@ -139,7 +141,7 @@ def test_incompatible_assignment_rejected():
 def test_sieve_presheaf_realizes_the_sieve():
     site = discrete2_site()
     S = pieces_sieve(site)
-    sp = sieve_presheaf(S)
+    sp = S.presheaf
     assert set(sp.value[D2]) == set()
     assert sp.value["{a}"] == (f"{{a}}<{D2}",)
     assert sp.value["{}"] == (f"{{}}<{D2}",)
@@ -292,6 +294,42 @@ def test_sheafification_unit_is_initial_among_maps_to_sheaves():
     F2 = const2_presheaf(site2)
     target2, _ = sheafify(F2, site2.topology)
     assert sheafification_is_initial(F2, site2.topology, target2)
+
+
+def assert_plus_matches_the_oracle(F, J):
+    """plus_construction, applied once and twice, equals the colimit over
+    every covering sieve: the same labels, restrictions and unit."""
+    for _ in range(2):
+        plus, unit = plus_construction(F, J)
+        want, want_unit = naive_plus_construction(F, J)
+        assert plus.value == want.value
+        assert plus.restrict == want.restrict
+        assert unit.components == want_unit.components
+        F = plus
+
+
+def test_plus_construction_matches_the_oracle_on_the_gallery():
+    ds = load_documents([])
+    for name in ds.names("space") + ds.names("topology"):
+        site = ds.site(name)
+        C = site.category
+        own = [ds.presheaf(p) for p in ds.names("presheaf") if ds.presheaf(p).base.same(C)]
+        for F in own + [terminal_presheaf(C), const2_full_presheaf(site)]:
+            assert_plus_matches_the_oracle(F, site.topology)
+        for u in C.objects:
+            assert_plus_matches_the_oracle(yoneda_presheaf(C, u), site.topology)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_plus_construction_matches_the_oracle_on_random_sites(seed):
+    rng = random.Random(seed)
+    site = random_site(rng)
+    C = site.category
+    F = random_presheaf(rng, C)
+    if C.objects and rng.random() < 0.4:
+        F = yoneda_presheaf(C, rng.choice(C.objects))  # Z/n acts freely
+    assert_plus_matches_the_oracle(F, site.topology)
 
 
 # -- pointwise limits --------------------------------------------------------------------

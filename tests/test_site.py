@@ -1,18 +1,26 @@
 """Sieves, topologies, and open-cover sites."""
 
-import pytest
+import random
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sheafkit.classifier import MaskAlgebra
 from sheafkit.errors import ApexMismatch, CodomainMismatch, DanglingReference, SemanticError
 from sheafkit.fincat import yoneda_presheaf
 from sheafkit.gallery import (
     arrow_site,
     chain3_site,
+    const2_full_presheaf,
     discrete2_site,
     discrete3_site,
     pseudocircle_site,
     sierpinski_site,
 )
 from sheafkit.limits import pullback, set_fun
+from sheafkit.sheaf import plus_construction
 from sheafkit.site import (
     GrothendieckTopology,
     Sieve,
@@ -29,6 +37,7 @@ from sheafkit.site import (
 )
 
 from naive import naive_is_sieve, naive_sieves
+from randgen import random_site
 
 
 EMPTY = "{}"
@@ -130,7 +139,9 @@ def test_discrete2_pieces_cover_the_space():
     assert S in set(site.topology.covers[D])
 
 
-def test_removing_a_transitivity_forced_sieve_is_reported():
+def without_the_singles_cover():
+    """discrete3 with the sieve that {a}, {b} and {c} generate on {a,b,c}
+    taken out: the intersection of the other covering sieves there."""
     site = discrete3_site()
     C = site.category
     D = "{a,b,c}"
@@ -139,9 +150,66 @@ def test_removing_a_transitivity_forced_sieve_is_reported():
         u: tuple(S for S in sieves if not (u == D and S == singles))
         for u, sieves in site.topology.covers.items()
     }
-    report = validate_topology(GrothendieckTopology(C, mutated))
+    return site, GrothendieckTopology(C, mutated)
+
+
+def test_removing_a_transitivity_forced_sieve_is_reported():
+    _, J = without_the_singles_cover()
+    report = validate_topology(J)
     assert not report.ok
-    assert any(v.axiom == "transitivity" and v.at == D for v in report.violations)
+    assert any(v.axiom == "transitivity" and v.at == "{a,b,c}" for v in report.violations)
+
+
+def test_a_topology_without_its_least_sieve_is_refused_where_it_is_used():
+    site, J = without_the_singles_cover()
+    F = const2_full_presheaf(site)
+    named = re.escape("'{a,b,c}'")
+    with pytest.raises(SemanticError, match=named):
+        J.covers_with("{a}", frozenset())
+    with pytest.raises(SemanticError, match=named):
+        plus_construction(F, J)
+    with pytest.raises(SemanticError, match=named):
+        MaskAlgebra(J, F).closure(0)
+    report = validate_topology(J)
+    assert any(v.axiom == "transitivity" and v.at == "{a,b,c}" for v in report.violations)
+
+
+@pytest.mark.parametrize("drop", ["empty entry", "missing entry"])
+def test_an_object_with_no_covering_sieve_is_refused(drop):
+    site = sierpinski_site()
+    C = site.category
+    covers = dict(site.topology.covers)
+    if drop == "empty entry":
+        covers[OPEN_T] = ()
+    else:
+        del covers[OPEN_T]
+    J = GrothendieckTopology(C, covers)
+    with pytest.raises(SemanticError, match=re.escape(repr(OPEN_T))):
+        J.covers_with(TOP_S, frozenset(C.into(TOP_S)))
+    report = validate_topology(J)
+    assert any(v.axiom == "maximality" and v.at == OPEN_T for v in report.violations)
+
+
+def covers_by_definition(J, u, arrows):
+    return any(S.arrows <= arrows for S in J.covers[u])
+
+
+def assert_covers_with_is_the_definition(site):
+    C, J = site.category, site.topology
+    for u in C.objects:
+        for S in all_sieves(C, u):
+            assert J.covers_with(u, S.arrows) == covers_by_definition(J, u, S.arrows) == (S in J.covers[u])
+
+
+def test_covers_with_is_the_definition_on_the_gallery():
+    for make in (sierpinski_site, discrete2_site, discrete3_site, chain3_site, pseudocircle_site, arrow_site):
+        assert_covers_with_is_the_definition(make())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_covers_with_is_the_definition_on_random_sites(seed):
+    assert_covers_with_is_the_definition(random_site(random.Random(seed)))
 
 
 def test_generated_sieves_satisfy_closure_invariant():

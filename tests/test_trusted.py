@@ -37,7 +37,6 @@ from sheafkit.sheaf import (
     matching_families,
     product_presheaf,
     sheafify,
-    sieve_presheaf,
     terminal_presheaf,
 )
 from sheafkit.site import (
@@ -99,7 +98,7 @@ def test_trusted_presheaves_pass_validation(rng):
     for a in C.objects:
         assert_presheaf_round_trip(yoneda_presheaf(C, a))
         for S in all_sieves(C, a):
-            assert_presheaf_round_trip(sieve_presheaf(S))
+            assert_presheaf_round_trip(S.presheaf)
     assert_presheaf_round_trip(terminal_presheaf(C))
     sorts = random_presheaves(rng, C)
     for F in sorts:
