@@ -386,7 +386,7 @@ class DocumentSet:
     def category(self, name: str) -> FinCategory:
         def build(doc):
             morphisms = [(m["name"], m["src"], m["tgt"]) for m in doc["morphisms"]]
-            compose = {(g, f): gf for g, f, gf in doc["compose"]}
+            compose = (((g, f), gf) for g, f, gf in doc["compose"])
             return validate_category(doc["objects"], morphisms, doc["identities"], compose)
 
         return self._memo(("category",), name, build)

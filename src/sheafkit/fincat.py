@@ -216,15 +216,17 @@ def validate_category(
     """Validate a raw description and return the category.
 
     ``morphisms`` is an iterable of (name, src, tgt) triples; ``compose``
-    is an iterable of ((g, f), g∘f) pairs or a mapping.  Every axiom is
-    checked by full enumeration, with two proofs instead.
+    is an iterable of ((g, f), g∘f) pairs or a mapping.  A pair listed
+    twice with two different composites is refused; an exact repeat is
+    one entry.  Every axiom is checked by full enumeration, with two
+    proofs instead.
 
     That every composable pair has an entry is counted, not enumerated.
-    Each entry is checked to name a composable pair, and the entries
-    have distinct keys, so the table is a subset of the composable
-    pairs, of which there are Σ_u |into(u)|·|out(u)|.  The table holds
-    them all exactly when it has that many entries; only when it has
-    fewer does the pair loop run, to name the first pair missing.
+    Each entry is checked to name a composable pair, and the table holds
+    one composite per pair, so it is a subset of the composable pairs,
+    of which there are Σ_u |into(u)|·|out(u)|.  The table holds them all
+    exactly when it has that many entries; only when it has fewer does
+    the pair loop run, to name the first pair missing.
 
     Associativity is proved in a thin category.  By the time the triple
     loop would run, every composable pair has a table entry and every
@@ -276,7 +278,10 @@ def validate_category(
             raise DanglingReference(
                 f"composite {gf!r} of ({g!r}, {f!r}) should go {src[f]!r} -> {tgt[g]!r}"
             )
-        table[(g, f)] = gf
+        if table.setdefault((g, f), gf) != gf:
+            raise DanglingReference(
+                f"compose entry ({g!r}, {f!r}) is listed twice, as {table[(g, f)]!r} and {gf!r}"
+            )
 
     cat = FinCategory(objs, mors, src, tgt, ident, table)
     into = cat.into

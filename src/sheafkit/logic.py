@@ -9,11 +9,18 @@ and quantifiers the adjoints to pullback along a projection.  The two
 are cross-validated on fixtures.  ``naive_interpret`` in
 ``tests/naive.py`` is the same compositional semantics on ``Subobject``
 parts, the oracle that ``interpret`` is tested against.
+
+A model is treated as immutable once built.  Each (formula, context)
+that ``forces`` is asked on a model gets one memo, held on the model:
+its sorting, the bounds its context products have passed, and one
+``Evaluator`` whose answers every later query of it reuses.  The memo
+fills lazily, one answer at a time, and never reads ``interpret``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .classifier import MaskAlgebra, Subobject, is_closed, subobject
@@ -211,6 +218,11 @@ class LogicModel:
     sorts: dict[str, Presheaf]
     predicates: dict[str, tuple[str, Subobject]]   # name -> (sort name, subobject)
 
+    @cached_property
+    def _queries(self) -> dict[tuple, _Query]:
+        """The forcing memo of each (formula, context) asked of this model."""
+        return {}
+
 
 def logic_model(site: Site, sorts, predicates) -> LogicModel:
     sorts = dict(sorts)
@@ -293,19 +305,23 @@ def _check_scope(model: LogicModel, node: Formula, scope: dict, enclosing: int, 
 class Evaluator:
     """Kripke-Joyal forcing with memoization on the full query.
 
-    Well-sortedness forbids rebinding, so a single variable-to-sort map
-    covers the context and every quantifier in the formula.
+    The environment maps each variable to its sort and its section:
+    two sibling quantifiers may bind one variable in different sorts,
+    so no single variable-to-sort map covers a formula.  Answers are
+    keyed by the formula node itself, with the object and environment:
+    formulas hash by structure, so equal subformulas share answers, and
+    a key never outlives the node it names.  One evaluator serves every
+    query of one (formula, context) on one model.
     """
 
-    def __init__(self, model: LogicModel, sort_of: dict[str, str]):
+    def __init__(self, model: LogicModel):
         self.model = model
         self.J = model.site.topology
         self.C = model.site.category
-        self.sort_of = sort_of
         self._memo: dict = {}
 
     def forces(self, u: Label, phi: Formula, env: dict) -> bool:
-        key = (id(phi), u, tuple(sorted(env.items(), key=str)))
+        key = (phi, u, frozenset(env.items()))
         hit = self._memo.get(key)
         if hit is None:
             hit = self._eval(u, phi, env)
@@ -313,9 +329,7 @@ class Evaluator:
         return hit
 
     def _restrict_env(self, env: dict, f: Label) -> dict:
-        return {
-            v: self.model.sorts[self.sort_of[v]].restrict[f][x] for v, x in env.items()
-        }
+        return {v: (s, self.model.sorts[s].restrict[f][x]) for v, (s, x) in env.items()}
 
     def _eval(self, u: Label, phi: Formula, env: dict) -> bool:
         if isinstance(phi, Top):
@@ -324,17 +338,13 @@ class Evaluator:
             return self.J.covers_with(u, frozenset())
         if isinstance(phi, Mem):
             sub = self.model.predicates[phi.pred][1]
-            return env[phi.var] in sub.parts[u]
+            return env[phi.var][1] in sub.parts[u]
         if isinstance(phi, Eq):
             # locally equal: the agreement sieve must cover; on separated
             # sorts this is plain equality of sections
-            ls = self.model.sorts[self.sort_of[phi.left]]
-            rs = self.model.sorts[self.sort_of[phi.right]]
-            agree = frozenset(
-                f
-                for f in self.C.into(u)
-                if ls.restrict[f][env[phi.left]] == rs.restrict[f][env[phi.right]]
-            )
+            (s, x), (t, y) = env[phi.left], env[phi.right]
+            ls, rs = self.model.sorts[s].restrict, self.model.sorts[t].restrict
+            agree = frozenset(f for f in self.C.into(u) if ls[f][x] == rs[f][y])
             return self.J.covers_with(u, agree)
         if isinstance(phi, And):
             return self.forces(u, phi.left, env) and self.forces(u, phi.right, env)
@@ -370,7 +380,7 @@ class Evaluator:
                     self.forces(
                         self.C.src[f],
                         phi.body,
-                        {**self._restrict_env(env, f), phi.var: a},
+                        {**self._restrict_env(env, f), phi.var: (phi.sort, a)},
                     )
                     for a in sort.value[self.C.src[f]]
                 )
@@ -382,10 +392,20 @@ class Evaluator:
                 v = self.C.src[f]
                 env_v = self._restrict_env(env, f)
                 for a in sort.value[v]:
-                    if not self.forces(v, phi.body, {**env_v, phi.var: a}):
+                    if not self.forces(v, phi.body, {**env_v, phi.var: (phi.sort, a)}):
                         return False
             return True
         raise IllSorted(f"unknown formula node {phi!r}")
+
+
+@dataclass(eq=False)
+class _Query:
+    """What ``forces`` has settled for one (formula, context) on one model:
+    its quantifiers, the resolved bounds at which every context product
+    passed, and the evaluator that holds its answers."""
+    quantifiers: list[tuple[str, str, int]]
+    evaluator: Evaluator
+    passed: set[int] = field(default_factory=set)
 
 
 def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context, bound: int | None = None) -> bool:
@@ -396,9 +416,18 @@ def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context, bound:
     exactly when ``interpret`` would refuse it: every context product
     that ``interpret`` builds for phi is checked against the bound,
     resolved once here, before anything is evaluated.
+
+    The model keeps one memo per (formula, context), so a sweep over
+    objects and sections sorts the formula once, checks the context
+    products once per bound, and shares one evaluator's answers.  Only
+    steps that succeeded are kept: a query that fails raises again on
+    every call, in the same order (sorting, the object, the environment,
+    then the bound), and a bound not yet passed is checked again.
     """
     context = tuple((v, s) for v, s in context)
-    quantifiers = check_sorting(model, phi, context)
+    query = model._queries.get((phi, context))
+    if query is None:
+        query = model._queries[phi, context] = _Query(check_sorting(model, phi, context), Evaluator(model))
     if u not in model.site.category.object_set:
         raise UnknownObject(f"no object {u!r}")
     env = dict(env)
@@ -410,9 +439,11 @@ def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context, bound:
     for v, s in context:
         if env[v] not in model.sorts[s].value[u]:
             raise IllSorted(f"environment value for {v!r} is not a section of {s!r} over {u!r}")
-    _check_contexts(model, context, quantifiers, enumeration_bound(bound))
-    sort_of = {**dict(context), **{v: sort for v, sort, _ in quantifiers}}
-    return Evaluator(model, sort_of).forces(u, phi, env)
+    limit = enumeration_bound(bound)
+    if limit not in query.passed:
+        _check_contexts(model, context, query.quantifiers, limit)
+        query.passed.add(limit)
+    return query.evaluator.forces(u, phi, {v: (s, env[v]) for v, s in context})
 
 
 def _check_contexts(model: LogicModel, context, quantifiers, bound: int) -> None:
@@ -441,19 +472,20 @@ def _check_contexts(model: LogicModel, context, quantifiers, bound: int) -> None
 def context_product(model: LogicModel, context, bound: int | None = None) -> Presheaf:
     """Product of the context sorts, elements ordered as the context lists them.
 
-    The tuple count at each object is checked against the enumeration
-    bound before its tuples are built.  The product is built without
-    re-validation: every sort is a validated presheaf with its sections in
-    label order, so the tuples come out in label order, and restriction
-    acts componentwise, so it respects identities and composites because
-    each sort does.  Identities restrict to the identity, as ``presheaf``
-    would fill them in.
+    The bound is resolved once, and the tuple count at each object is
+    checked against it before its tuples are built.  The product is built
+    without re-validation: every sort is a validated presheaf with its
+    sections in label order, so the tuples come out in label order, and
+    restriction acts componentwise, so it respects identities and
+    composites because each sort does.  Identities restrict to the
+    identity, as ``presheaf`` would fill them in.
     """
     C = model.site.category
     sorts = [model.sorts[s] for _, s in context]
+    limit = enumeration_bound(bound)
     value = {}
     for u in C.objects:
-        check_bound("context product", [len(s.value[u]) for s in sorts], bound)
+        check_bound("context product", [len(s.value[u]) for s in sorts], limit)
         tuples = [()]
         for s in sorts:
             tuples = [t + (x,) for t in tuples for x in s.value[u]]

@@ -338,6 +338,11 @@ class Site:
     def is_open_cover_site(self) -> bool:
         return self.space is not None
 
+    @cached_property
+    def _overlaps(self) -> dict[tuple[Label, Label], Label]:
+        """The memo of ``overlap``: (a, b) -> the label of U_a ∩ U_b."""
+        return {}
+
 
 def open_cover_topology(X: FiniteSpace, bound: int | None = None) -> Site:
     """The inclusion poset of opens with the covering-by-unions topology.
@@ -382,8 +387,15 @@ def slice_site(site: Site, u: Label, bound: int | None = None) -> Site:
 
 
 def overlap(site: Site, a: Label, b: Label) -> Label:
-    """The pullback object U_a ×_U U_b, realized as the intersection of opens."""
+    """The pullback object U_a ×_U U_b, realized as the intersection of opens.
+
+    A site is treated as immutable, so each pair's label is computed once
+    from ``open_of`` and kept on the site; a pair naming no open raises
+    ``KeyError`` on every call."""
     if not site.is_open_cover_site():
         raise SemanticError("overlaps are computed in open-cover sites")
-    inter = site.open_of[a] & site.open_of[b]
-    return open_label(inter)
+    memo = site._overlaps
+    label = memo.get((a, b))
+    if label is None:
+        label = memo[a, b] = open_label(site.open_of[a] & site.open_of[b])
+    return label

@@ -24,7 +24,7 @@ from .errors import (
 from .fincat import Presheaf, presheaf
 from .labels import Label, label_key
 from .sheaf import is_sheaf
-from .site import Site, open_label, overlap, slice_site
+from .site import Site, overlap, slice_site
 
 
 # -- groups --------------------------------------------------------------------
@@ -313,9 +313,10 @@ class CocycleReport:
 def check_cocycle(c: Cocycle) -> CocycleReport:
     """g_ii = unit and g_ij·g_jk = g_ik after restriction to triple overlaps.
 
-    Each overlap is found once per index pair, each triple overlap once
-    per set of indices, and each g_ij is restricted once to each triple
-    overlap it meets; the loop over (i, j, k) then only multiplies.
+    The triple overlap U_ij ∩ U_k is the overlap of U_ij with U_k, read
+    from the site's overlap memo, and each g_ij is restricted once to
+    each triple overlap it meets; the loop over (i, j, k) then only
+    multiplies.
     """
     site, G = c.site, c.group
     C = site.category
@@ -327,14 +328,9 @@ def check_cocycle(c: Cocycle) -> CocycleReport:
         for i in range(n)
         if c.values[(i, i)] != G.unit[overlaps[i, i]]
     ]
-    opens = [site.open_of[u] for u in c.cover]
-    meets: dict[frozenset, Label] = {}
-    triples = {}
-    for ijk in product(range(n), repeat=3):
-        members = frozenset(ijk)
-        if members not in meets:
-            meets[members] = open_label(frozenset.intersection(*(opens[i] for i in members)))
-        triples[ijk] = meets[members]
+    triples = {
+        (i, j, k): overlap(site, overlaps[i, j], c.cover[k]) for i, j, k in product(range(n), repeat=3)
+    }
     lifted = {}  # (i, j, w) -> g_ij restricted to the triple overlap w
     for (i, j, k), w in triples.items():
         for a, b in ((i, j), (j, k), (i, k)):
@@ -438,12 +434,11 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
     C = sl.category
     n = len(c.cover)
 
-    def meet_label(v: Label, u: Label) -> Label:
-        return open_label(sl.open_of[v] & site.open_of[u])
-
+    # an open of the slice has the same label in the site, so V ∩ U is
+    # the site's overlap of the two labels
     value: dict[Label, tuple] = {}
     for v in C.objects:
-        pieces = [meet_label(v, c.cover[i]) for i in range(n)]
+        pieces = [overlap(site, v, c.cover[i]) for i in range(n)]
         check_bound("glued sections", (max(1, len(G.sections.value[lbl])) for lbl in pieces), bound)
         sections = []
         for combo in product(*(G.sections.value[lbl] for lbl in pieces)):
@@ -451,7 +446,7 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
             for i in range(n):
                 for j in range(n):
                     uij = overlap(site, c.cover[i], c.cover[j])
-                    w = open_label(sl.open_of[v] & site.open_of[uij])
+                    w = overlap(site, v, uij)
                     ri = C.hom(w, pieces[i])[0]
                     rj = C.hom(w, pieces[j])[0]
                     rij = site.category.hom(w, uij)[0]
@@ -476,7 +471,7 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
         for t in value[u]:
             image = tuple(
                 G.sections.restrict[
-                    site.category.hom(meet_label(v, c.cover[i]), meet_label(u, c.cover[i]))[0]
+                    site.category.hom(overlap(site, v, c.cover[i]), overlap(site, u, c.cover[i]))[0]
                 ][t[i]]
                 for i in range(n)
             )
@@ -491,10 +486,10 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
             for g in Gs.sections.value[v]:
                 moved = tuple(
                     G.mul(
-                        meet_label(v, c.cover[i]),
+                        overlap(site, v, c.cover[i]),
                         t[i],
                         G.sections.restrict[
-                            site.category.hom(meet_label(v, c.cover[i]), v)[0]
+                            site.category.hom(overlap(site, v, c.cover[i]), v)[0]
                         ][g],
                     )
                     for i in range(n)

@@ -247,6 +247,29 @@ def test_a_hom_set_over_the_hom_bound_is_a_load_error(tmp_path, argv):
     )
 
 
+def parallel_pair(doc):
+    doc["objects"] = ["u", "v"]
+    doc["morphisms"] = [{"name": m, "src": s, "tgt": t}
+                        for m, s, t in [("id", "u", "u"), ("idv", "v", "v"), ("f", "u", "v"), ("g", "u", "v")]]
+    doc["identities"] = {"u": "id", "v": "idv"}
+    doc["compose"] = [["id", "id", "id"], ["idv", "idv", "idv"],
+                      ["f", "id", "f"], ["g", "id", "g"], ["idv", "f", "f"], ["idv", "g", "g"]]
+
+
+def test_a_compose_pair_listed_twice_is_refused_unless_repeated_exactly(tmp_path):
+    from sheafkit.cli import run
+
+    p = malformed_category(tmp_path, lambda doc: (parallel_pair(doc), doc["compose"].append(["f", "id", "f"])))
+    code, out = run(["validate-category", "--category", "mal", "--docs", str(p)])
+    assert code == 0 and "verdict: pass" in out
+    p = malformed_category(tmp_path, lambda doc: (parallel_pair(doc), doc["compose"].append(["f", "id", "g"])))
+    code, out = run(["validate-category", "--category", "mal", "--docs", str(p)])
+    assert code == 1
+    assert f"details.error: {p}: mal: compose entry ('f', 'id') is listed twice, as 'f' and 'g'\n" in out
+    with pytest.raises(SemanticError, match="listed twice"):
+        load_documents([str(p)], include_gallery=False).category("mal")
+
+
 def test_a_bound_hit_while_building_a_document_stays_intractable_size(monkeypatch):
     from sheafkit.cli import run
     from sheafkit.errors import IntractableSize

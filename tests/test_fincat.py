@@ -91,6 +91,23 @@ def test_dangling_morphism_endpoint():
         validate_category(["u"], [("f", "u", "v")], {"u": "f"}, {})
 
 
+def parallel_pair_rows():
+    """Two parallel arrows f, g: u -> v, as morphisms and compose rows."""
+    mors = [("id", "u", "u"), ("idv", "v", "v"), ("f", "u", "v"), ("g", "u", "v")]
+    rows = [(("id", "id"), "id"), (("idv", "idv"), "idv")]
+    rows += [((m, "id"), m) for m in ("f", "g")] + [(("idv", m), m) for m in ("f", "g")]
+    return mors, rows
+
+
+def test_a_pair_listed_with_two_composites_is_refused():
+    mors, rows = parallel_pair_rows()
+    identities = {"u": "id", "v": "idv"}
+    C = validate_category(["u", "v"], mors, identities, rows + [(("f", "id"), "f")])
+    assert C.compose("f", "id") == "f"
+    with pytest.raises(DanglingReference, match=r"\('f', 'id'\) is listed twice, as 'f' and 'g'"):
+        validate_category(["u", "v"], mors, identities, rows + [(("f", "id"), "g")])
+
+
 # -- hom and into indexes ----------------------------------------------------------
 
 def assert_indexes_match_scans(C):

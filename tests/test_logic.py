@@ -1,5 +1,7 @@
 """Kripke-Joyal forcing and compositional subobject semantics."""
 
+import gc
+import random
 from unittest import mock
 
 import pytest
@@ -8,7 +10,15 @@ from hypothesis import strategies as st
 
 from sheafkit import logic
 from sheafkit.classifier import enumerate_subobjects, subobject
-from sheafkit.errors import IllSorted, IntractableSize, ParseError, UnknownSubobject
+from sheafkit.errors import (
+    IllSorted,
+    IntractableSize,
+    ParseError,
+    UnknownObject,
+    UnknownSubobject,
+    UsageError,
+    WorkbenchError,
+)
 from sheafkit.fincat import presheaf, yoneda_presheaf
 from sheafkit.gallery import discrete2_site, discrete3_site, pseudocircle_site, sierpinski_site
 from sheafkit.logic import (
@@ -18,6 +28,7 @@ from sheafkit.logic import (
     Exists,
     Forall,
     Implies,
+    LogicModel,
     Mem,
     Not,
     Or,
@@ -40,7 +51,8 @@ from formula_corpus import (
     tautology_list,
 )
 from naive import implies_sub, naive_interpret
-from randgen import random_base, random_presheaf, random_space_site, random_topology
+import randgen
+from randgen import random_base, random_presheaf, random_space_site
 
 
 def all_environments(model, context, u):
@@ -370,16 +382,20 @@ PREDICATE_SORTS = {"A": "F", "B": "F", "P": "G"}
 
 
 def random_site(rng):
-    """A random base with the trivial or a random topology, or the open-cover
-    site of a random or a gallery space, where the empty sieve covers the
-    empty open and an open may be covered by smaller ones."""
+    """A random base with the trivial topology, a site from
+    ``randgen.random_site`` (often a topology where a sieve other than the
+    maximal one covers), or the open-cover site of a random or a gallery
+    space, where the empty sieve covers the empty open and an open may be
+    covered by smaller ones."""
     kind = rng.choice(("trivial", "random", "space", "gallery"))
     if kind == "space":
         return random_space_site(rng)
     if kind == "gallery":
         return rng.choice((discrete2_site, discrete3_site, pseudocircle_site))()
+    if kind == "random":
+        return randgen.random_site(rng)
     C = random_base(rng)
-    return Site(C, trivial_topology(C) if kind == "trivial" else random_topology(rng, C))
+    return Site(C, trivial_topology(C))
 
 
 def random_subpresheaf(rng, F):
@@ -438,3 +454,140 @@ def test_a_context_of_lists_means_the_same_as_a_context_of_pairs():
     for u in model.site.category.objects:
         for env in all_environments(model, CONTEXT, u):
             assert forces(model, u, phi, env, listed) == forces(model, u, phi, env, CONTEXT)
+
+
+# -- one forcing memo per model ---------------------------------------------------------
+
+def fresh(model):
+    """The same model with an empty memo: a query on it is answered as a
+    fresh evaluator, with fresh checks, would answer it."""
+    return LogicModel(model.site, model.sorts, model.predicates)
+
+
+def outcome(model, *query):
+    """What ``forces`` returns for the query, or the class and message it raises."""
+    try:
+        return forces(model, *query)
+    except WorkbenchError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("make_site", [sierpinski_site, discrete2_site])
+def test_a_shared_model_answers_as_a_fresh_one_in_any_order_on_the_corpus(make_site):
+    model = standard_model(make_site())
+    C = model.site.category
+    queries = [
+        (u, phi, env)
+        for phi in full_corpus()
+        for u in C.objects
+        for env in all_environments(model, CONTEXT, u)
+    ]
+    random.Random(7).shuffle(queries)
+    for u, phi, env in queries:
+        shared, alone = forces(model, u, phi, env, CONTEXT), forces(fresh(model), u, phi, env, CONTEXT)
+        assert shared == alone, format_formula(phi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=True))
+def test_a_shared_model_answers_as_a_fresh_one_on_random_models(rng):
+    """Answers and refusals of one model asked a shuffled mix of queries,
+    at random bounds, against a fresh model per query.  Wherever forcing
+    answers at the default bound, it agrees with ``interpret``."""
+    model = random_model(rng)
+    C = model.site.category
+    queries, meanings = [], {}
+    for _ in range(3):
+        context = rng.choice(((), (("x", "F"),), (("x", "F"), ("y", "G"))))
+        phi = random_formula(rng, 3, dict(context), ["v0", "v1"])
+        meanings[phi, context] = interpret(model, phi, context)
+        for u in C.objects:
+            for env in all_environments(model, context, u):
+                queries.append((u, phi, env, context, rng.choice((None, rng.randrange(30)))))
+    rng.shuffle(queries)
+    for u, phi, env, context, bound in queries:
+        got = outcome(model, u, phi, env, context, bound)
+        assert got == outcome(fresh(model), u, phi, env, context, bound)
+        if bound is None:
+            assert got == (tuple(env[v] for v, _ in context) in meanings[phi, context].parts[u])
+
+
+def test_an_equal_formula_object_is_the_same_query():
+    """An equal but distinct formula object is answered from the memo, also
+    after the first objects were freed and collected, when new formulas
+    may take over their addresses; every answer is a fresh model's."""
+    model = standard_model(discrete2_site())
+    C = model.site.category
+    texts = [format_formula(phi) for phi in full_corpus()]
+    with mock.patch.object(logic, "check_sorting", wraps=check_sorting) as sorting:
+        for _ in range(2):
+            formulas = [parse_formula(text) for text in texts]
+            for phi in formulas:
+                for u in C.objects:
+                    query = (u, phi, {"x": ()}, CONTEXT)
+                    assert forces(model, *query) == forces(fresh(model), *query)
+            del formulas, phi, query
+            gc.collect()
+    # one sorting per distinct formula on the shared model, one per query on the fresh ones
+    assert sorting.call_count == len(set(texts)) + 2 * len(texts) * len(C.objects)
+
+
+def test_sibling_quantifiers_may_bind_one_variable_in_two_sorts():
+    """Scope is per branch, so v and w are Fs in one conjunct and Gs in
+    the other; forcing restricts each along its own sort, as interpret does."""
+    site = sierpinski_site()
+    C = site.category
+    G = yoneda_presheaf(C, "{b,t}")
+    model = logic_model(site, {"F": terminal_presheaf(C), "G": G}, {})
+    phi = And(Forall("v", "F", Forall("w", "F", Eq("v", "w"))), Exists("v", "G", Forall("w", "G", Eq("v", "w"))))
+    meaning = interpret(model, phi, ())
+    for u in C.objects:
+        assert forces(model, u, phi, {}, ()) == (() in meaning.parts[u])
+
+
+def test_a_failing_query_raises_the_same_error_every_time_on_one_model():
+    """Errors come in a fixed order: scope, the depth bound, the object, the
+    environment, the bound's value, then the context products.  Asked
+    between successful queries, each is the error a fresh model raises."""
+    model = standard_model(sierpinski_site())
+    good = ("{t}", Exists("y", "F", Mem("y", "A")), {"x": ()}, CONTEXT)
+    deep = Top()
+    for _ in range(40):
+        deep = Not(deep)
+    bad = [
+        (("{t}", Mem("z", "A"), {"x": ()}, CONTEXT), IllSorted),
+        (("nowhere", Mem("z", "A"), {"y": ()}, CONTEXT), IllSorted),
+        (("nowhere", deep, {"y": ()}, CONTEXT), IntractableSize),
+        (("nowhere", Mem("x", "A"), {"y": ()}, CONTEXT), UnknownObject),
+        (("{t}", Mem("x", "A"), {"y": ()}, CONTEXT, -1), IllSorted),
+        (("{t}", Mem("x", "A"), {"x": "no section"}, CONTEXT), IllSorted),
+        (("{t}", Mem("x", "A"), {"x": ()}, CONTEXT, -1), UsageError),
+        ((*good, 0), IntractableSize),
+    ]
+    expected = [outcome(fresh(model), *query) for query, _ in bad]
+    assert [err for err, _ in expected] == [kind for _, kind in bad]
+    for _ in range(2):
+        for (query, _), want in zip(bad, expected):
+            assert outcome(model, *good) is True
+            assert outcome(model, *query) == want
+
+
+def test_a_passed_bound_excuses_no_smaller_bound(monkeypatch):
+    """After a query passes at one bound, a smaller bound, explicit or from
+    WORKBENCH_BOUND, is checked again and refused."""
+    site = discrete2_site()
+    two = presheaf(site.category, {u: ("p", "q") for u in site.category.objects},
+                   {f: {"p": "p", "q": "q"} for f in site.category.morphisms})
+    model = logic_model(site, {"S": two}, {})
+    phi = Exists("v0", "S", Exists("v1", "S", Exists("v2", "S", Top())))
+    query = (model, "{a}", phi, {}, ())
+    assert refusal(forces, *query, 1000) is None
+    assert refusal(forces, *query, 7) == ("context product", 8, 7)
+    assert refusal(forces, *query, 8) is None
+    monkeypatch.setenv("WORKBENCH_BOUND", "7")
+    assert refusal(forces, *query) == ("context product", 8, 7)
+    monkeypatch.setenv("WORKBENCH_BOUND", "-3")
+    with pytest.raises(UsageError, match="WORKBENCH_BOUND"):
+        forces(*query)
+    monkeypatch.delenv("WORKBENCH_BOUND")
+    assert forces(*query)

@@ -24,6 +24,7 @@ from sheafkit.sheaf import plus_construction
 from sheafkit.site import (
     GrothendieckTopology,
     Sieve,
+    Site,
     all_sieves,
     empty_sieve,
     generate_sieve,
@@ -247,6 +248,23 @@ def test_poset_pullback_is_intersection_via_hom_functors():
         g = set_fun(hy.value[w], hu.value[w], {m: f"{w}<{whole}" for m in hy.value[w]})
         P, _, _ = pullback(f, g)
         assert len(P) == len(hmeet.value[w])
+
+
+def test_overlap_is_the_same_before_and_after_it_is_memoized():
+    """A site built directly, with its own ``open_of`` under other labels:
+    every overlap is the label of the intersection, on the first call and
+    on every later one, and a label naming no open fails every time."""
+    base = pseudocircle_site()
+    open_of = {f"U{i}": o for i, o in enumerate(base.space.opens)}
+    site = Site(base.category, base.topology, base.space, open_of)
+    expected = {(a, b): open_label(open_of[a] & open_of[b]) for a in open_of for b in open_of}
+    assert [overlap(site, a, b) for a, b in expected] == list(expected.values())
+    assert [overlap(site, a, b) for a, b in reversed(expected)] == list(reversed(expected.values()))
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            overlap(site, "U0", "{a,b}")
+    with pytest.raises(SemanticError, match="open-cover sites"):
+        overlap(Site(base.category, base.topology), "{a,b}", "{a,b}")
 
 
 def test_open_labels_are_canonical():
