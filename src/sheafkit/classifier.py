@@ -5,14 +5,16 @@ presheaf topoi (trivial topology: every sieve is closed) and sheaf
 topoi.  Subobjects are restriction-stable pointwise subsets that are
 additionally J-closed; for the trivial topology the closedness condition
 is vacuous, and over a sheaf it picks out exactly the subsheaves.
+J-closure is decided by the least covering sieves: a section is in the
+closure when its restrictions along ``J.least[u]`` all are.
 
 The Heyting operations exist once, on bitmasks of sections
 (``MaskAlgebra``).  ``enumerate_subobjects`` lists the closed subobjects
 as the J-closed down-sets of the sections under restriction, found by
-``kernel.down_sets``; ``heyting`` certifies the operations against that
+``kernel.down_sets``, and ``omega`` the closed sieves on U as those of
+the representable h_U; ``heyting`` certifies the operations against that
 list, and ``logic.interpret`` evaluates formulas on them.  The same
-operations on ``Subobject`` parts, written directly from their
-definitions, live in ``tests/naive.py`` as the oracle for both.
+operations on ``Subobject`` parts live in ``tests/naive.py`` as the oracle.
 """
 
 from __future__ import annotations
@@ -20,19 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .config import check_bound
+from .config import check_bound, enumeration_bound
 from .errors import (
     BaseMismatch,
     DanglingReference,
     NotClosedSubobject,
     NotRestrictionStable,
 )
-from .fincat import NaturalTransformation, Presheaf, natural_transformation, presheaf
+from .fincat import NaturalTransformation, Presheaf, natural_transformation, presheaf, yoneda_presheaf
 from .kernel import down_sets
 from .labels import Label, label_key
 from .limits import SetFun, is_pullback
 from .sheaf import terminal_presheaf
-from .site import GrothendieckTopology, Sieve, Site, all_sieves, maximal_sieve, open_label, pullback_sieve
+from .site import GrothendieckTopology, Sieve, Site, open_label, pullback_sieve
 
 
 # -- subobjects -----------------------------------------------------------------
@@ -79,21 +81,15 @@ def subobject(F: Presheaf, parts) -> Subobject:
     return Subobject(F, full)
 
 
-def truth_sieve(J: GrothendieckTopology, A: Subobject, u: Label, x: Label) -> frozenset:
-    """The sieve of arrows pulling x into A; the characteristic value."""
-    F = A.ambient
-    return frozenset(
-        f for f in F.base.into(u) if F.restrict[f][x] in A.parts[F.base.src[f]]
-    )
-
-
 def is_closed(J: GrothendieckTopology, A: Subobject) -> bool:
+    """No section outside A has a covering truth sieve.  The truth sieve
+    of x covers exactly when it contains ``J.least[u]``, that is when x
+    restricts into A along every arrow of ``J.least[u]``."""
     F = A.ambient
+    src, restrict, parts = F.base.src, F.restrict, A.parts
     for u in F.base.objects:
         for x in F.value[u]:
-            if x in A.parts[u]:
-                continue
-            if J.covers_with(u, truth_sieve(J, A, u, x)):
+            if x not in parts[u] and all(restrict[f][x] in parts[src[f]] for f in J.least[u].arrows):
                 return False
     return True
 
@@ -148,45 +144,33 @@ class OmegaObject:
         return {u: SetFun(((),), value[u], {(): self.truth_label(u)}) for u in value}
 
 
-def _sieve_label(S: Sieve) -> tuple:
-    return tuple(sorted(S.arrows, key=label_key))
-
-
-def _is_j_closed_sieve(J: GrothendieckTopology, S: Sieve) -> bool:
-    C = J.category
-    for f in C.into(S.apex):
-        if f in S.arrows:
-            continue
-        if J.covers_with(C.src[f], pullback_sieve(C, f, S).arrows):
-            return False
-    return True
-
-
 def omega(site: Site, bound: int | None = None) -> OmegaObject:
     """Omega(U) = J-closed sieves on U; restriction is sieve pullback;
-    true picks the maximal sieve."""
-    C = site.category
-    J = site.topology
+    true picks the maximal sieve.
+
+    The sieves on U are the down-sets of h_U under restriction, so the
+    closed ones are the closed down-sets of its ``MaskAlgebra``: f: V -> U
+    is in the closure of S when f∘g ∈ S for every g in J.least[V], that
+    is when f*S covers.  The bound counts all 2^n sets of arrows into U."""
+    C, J = site.category, site.topology
+    if C.objects:  # a category with no objects runs no search and reads no bound
+        bound = enumeration_bound(bound)
     closed: dict[Label, dict[Label, Sieve]] = {}
     for u in C.objects:
-        here = [S for S in all_sieves(C, u, bound) if _is_j_closed_sieve(J, S)]
-        closed[u] = {_sieve_label(S): S for S in here}
+        check_bound(f"sieves on {u!r}", [2 ** len(C.into(u))], bound)
+        algebra = MaskAlgebra(J, yoneda_presheaf(C, u))
+        arrows = [f for _, f in algebra.nodes]
+        masks = filter(algebra.is_closed, down_sets(algebra.below))
+        here = [Sieve(C, u, frozenset(f for bit, f in enumerate(arrows) if m >> bit & 1)) for m in masks]
+        closed[u] = {S.ordered: S for S in sorted(here, key=Sieve.key)}
     value = {u: tuple(sorted(closed[u], key=label_key)) for u in C.objects}
-    restrict = {}
-    for f in C.morphisms:
-        if C.is_identity(f):
-            continue
-        u = C.tgt[f]
-        tab = {}
-        for lbl in value[u]:
-            pulled = pullback_sieve(C, f, closed[u][lbl])
-            tab[lbl] = _sieve_label(pulled)
-        restrict[f] = tab
+    restrict = {
+        f: {lbl: pullback_sieve(C, f, closed[C.tgt[f]][lbl]).ordered for lbl in value[C.tgt[f]]}
+        for f in C.morphisms if not C.is_identity(f)
+    }
     om = presheaf(C, value, restrict)
     one = terminal_presheaf(C)
-    truth = natural_transformation(
-        one, om, {u: {(): _sieve_label(maximal_sieve(C, u))} for u in C.objects}
-    )
+    truth = natural_transformation(one, om, {u: {(): C.into(u)} for u in C.objects})
     return OmegaObject(site, om, one, truth, closed)
 
 
@@ -235,9 +219,12 @@ def characteristic(om: OmegaObject, A: Subobject) -> NaturalTransformation:
     if not is_closed(J, A):
         raise NotClosedSubobject("characteristic maps classify J-closed subobjects")
     F = A.ambient
-    comps = {}
-    for u in F.base.objects:
-        comps[u] = {x: tuple(sorted(truth_sieve(J, A, u, x), key=label_key)) for x in F.value[u]}
+    into, src, restrict, parts = F.base.into, F.base.src, F.restrict, A.parts
+    # each label is the truth sieve of x, in into order, which is label order
+    comps = {
+        u: {x: tuple(f for f in into(u) if restrict[f][x] in parts[src[f]]) for x in F.value[u]}
+        for u in F.base.objects
+    }
     return natural_transformation(F, om.presheaf, comps)
 
 
@@ -325,11 +312,10 @@ class MaskAlgebra:
       least covering sieve ``J.least[u]``.
 
     Meet is ``a & b``.  Closure keeps the nodes whose ``covering`` entry
-    ``r`` has ``r & ~m == 0``: the truth sieve of x contains the least
-    covering sieve, which is ``J.covers_with`` on it.  Join is the
-    closure of ``a | b``.  Implication
-    keeps the nodes with ``below & a & ~b == 0``, negation is implication
-    into ``bottom``, the closure of 0, and ``top`` is every node.
+    ``r`` has ``r & ~m == 0``: the truth sieve of x contains ``J.least[u]``.
+    Join is the closure of ``a | b``.  Implication keeps the nodes with
+    ``below & a & ~b == 0``, negation is implication into ``bottom``, the
+    closure of 0, and ``top`` is every node.
 
     On restriction-stable masks every operation gives a restriction-stable
     mask: intersections and unions of stable parts are stable; if x is

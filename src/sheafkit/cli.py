@@ -50,7 +50,7 @@ from .torsor import (
 )
 
 def _sieve_arrows(S):
-    return [show_label(f) for f in sorted(S.arrows, key=label_key)]
+    return [show_label(f) for f in S.ordered]
 
 
 def _parse_pairs(pairs, what):

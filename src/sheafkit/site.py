@@ -1,11 +1,11 @@
 """Sieves, Grothendieck topologies, finite spaces, and their open-cover sites.
 
 Topologies are stored extensionally: every covering sieve is listed, so
-the transitivity axiom can be checked by full enumeration.  A generator
-form (covering families per object) is accepted and saturated on load.
-The least covering sieve of each object (``GrothendieckTopology.least``)
-is derived from the listed ones, and every covering test is one subset
-test against it.
+``validate_topology`` checks the axioms by full enumeration.  Everything
+else decides covering one way: a sieve covers u exactly when it contains
+the least covering sieve L(u) (``GrothendieckTopology.least``).
+``saturate_topology`` computes L from generating families, and an
+open-cover site is the saturation of the least open neighbourhoods.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .config import check_bound
+from .config import check_bound, enumeration_bound
 from .errors import (
     ApexMismatch,
     CodomainMismatch,
@@ -47,8 +47,9 @@ class Sieve:
 
     @cached_property
     def ordered(self) -> tuple[Label, ...]:
-        """The arrows in label order."""
-        return tuple(sorted(self.arrows, key=label_key))
+        """The arrows in label order, which is the order of ``into(apex)``."""
+        arrows = self.arrows
+        return tuple(f for f in self.category.into(self.apex) if f in arrows)
 
     @cached_property
     def presheaf(self) -> Presheaf:
@@ -91,6 +92,8 @@ def sieve(category: FinCategory, apex: Label, arrows) -> Sieve:
 
 def generate_sieve(category: FinCategory, apex: Label, family) -> Sieve:
     """Smallest precomposition-closed set of arrows into apex containing the family."""
+    if apex not in category.object_set:
+        raise DanglingReference(f"no object {apex!r}")
     family = list(family)
     for f in family:
         if f not in category.morphism_set:
@@ -128,18 +131,20 @@ def pullback_sieve(category: FinCategory, f: Label, S: Sieve) -> Sieve:
 def all_sieves(category: FinCategory, apex: Label, bound: int | None = None) -> tuple[Sieve, ...]:
     """Every sieve on apex, canonically ordered: the down-sets of the
     arrows into apex, with the arrows f∘g below f.  The bound still
-    counts all 2^n subsets of the arrows."""
+    counts all 2^n subsets of the arrows.  ``into(apex)`` is in label
+    order, so masks ordered by size, then arrow positions, are in
+    ``Sieve.key`` order before any sieve is built."""
     C = category
+    if apex not in C.object_set:
+        raise DanglingReference(f"no object {apex!r}")
     incoming = C.into(apex)
     check_bound(f"sieves on {apex!r}", [2 ** len(incoming)], bound)
     bit = {f: 1 << i for i, f in enumerate(incoming)}
     # a set of distinct bits sums to their union
     below = [sum({bit[C.table[(f, g)]] for g in C.into(C.src[f])}) for f in incoming]
-    found = [
-        Sieve(C, apex, frozenset(f for f in incoming if bit[f] & m))
-        for m in down_sets(below)
-    ]
-    return tuple(sorted(found, key=Sieve.key))
+    positions = range(len(incoming))
+    members = sorted((m.bit_count(), [i for i in positions if m >> i & 1]) for m in down_sets(below))
+    return tuple(Sieve(C, apex, frozenset(incoming[i] for i in held)) for _, held in members)
 
 
 # -- topologies -----------------------------------------------------------------
@@ -199,6 +204,8 @@ def validate_topology(J: GrothendieckTopology, bound: int | None = None) -> Topo
     Violations are report content, not exceptions.
     """
     C = J.category
+    if C.objects:  # a category with no objects runs no search and reads no bound
+        bound = enumeration_bound(bound)
     listed = J._listed
     violations = []
     checked = 0
@@ -250,42 +257,51 @@ def trivial_topology(category: FinCategory) -> GrothendieckTopology:
 
 
 def saturate_topology(category: FinCategory, families, bound: int | None = None) -> GrothendieckTopology:
-    """Close generating covering families under the three axioms.
+    """The least topology in which the generating families cover.
 
     ``families`` maps objects to iterables of morphism families; each
-    family generates a covering sieve.
+    family generates a covering sieve.  The topology is computed as its
+    least covering sieves L (``GrothendieckTopology.least``) on arrow
+    sets: L(u) starts as the maximal sieve cut by each sieve generated at
+    u, and two rules run until nothing changes:
+
+    - stability: L(v) := L(v) ∩ f*L(u) for every f: v -> u;
+    - transitivity: L(u) := {f∘g : f ∈ L(u), g ∈ L(src f)}.
+
+    Each step only intersects L(u) with a sieve the axioms force to cover:
+    a generated sieve, a pullback of a covering sieve, or a sieve whose
+    pullback along each f in the covering L(u) holds the covering L(src f).
+    At the fixpoint {S ⊇ L(u)} is a topology: f*S ⊇ f*L(u) ⊇ L(v), and
+    if f*S ⊇ L(src f) for every f in L(u), then S holds the transitivity
+    sieve, which is L(u).  So it is the least one containing the
+    generators, and ``covers[u]`` is the sieves of ``all_sieves`` that
+    contain L(u), in its order.
     """
-    sieves_at = {u: all_sieves(category, u, bound) for u in category.objects}
-    covering: dict[Label, set] = {u: {maximal_sieve(category, u)} for u in category.objects}
+    C = category
+    if C.objects:  # a category with no objects runs no search and reads no bound
+        bound = enumeration_bound(bound)
+    sieves_at = {u: all_sieves(C, u, bound) for u in C.objects}
+    least = {u: frozenset(C.into(u)) for u in C.objects}
     for u, fams in families.items():
-        if u not in category.object_set:
+        if u not in C.object_set:
             raise DanglingReference(f"covering family at unknown object {u!r}")
         for fam in fams:
-            covering[u].add(generate_sieve(category, u, fam))
+            least[u] &= generate_sieve(C, u, fam).arrows
+    table, src = C.table, C.src
     changed = True
     while changed:
         changed = False
-        for u in category.objects:
-            for S in list(covering[u]):
-                for f in category.into(u):
-                    pb = pullback_sieve(category, f, S)
-                    if pb not in covering[category.src[f]]:
-                        covering[category.src[f]].add(pb)
-                        changed = True
-        for u in category.objects:
-            for S in sieves_at[u]:
-                if S in covering[u]:
-                    continue
-                for R in list(covering[u]):
-                    if all(
-                        pullback_sieve(category, f, S) in covering[category.src[f]]
-                        for f in R.arrows
-                    ):
-                        covering[u].add(S)
-                        changed = True
-                        break
-    covers = {u: tuple(sorted(covering[u], key=Sieve.key)) for u in category.objects}
-    return GrothendieckTopology(category, covers)
+        for f in C.morphisms:
+            v, cover = src[f], least[C.tgt[f]]
+            stable = frozenset(g for g in least[v] if table[(f, g)] in cover)
+            if stable != least[v]:
+                least[v], changed = stable, True
+        for u in C.objects:
+            composed = frozenset(table[(f, g)] for f in least[u] for g in least[src[f]])
+            if composed != least[u]:
+                least[u], changed = composed, True
+    covers = {u: tuple(S for S in sieves_at[u] if least[u] <= S.arrows) for u in C.objects}
+    return GrothendieckTopology(C, covers)
 
 
 # -- finite spaces ------------------------------------------------------------------
@@ -347,8 +363,10 @@ class Site:
 def open_cover_topology(X: FiniteSpace, bound: int | None = None) -> Site:
     """The inclusion poset of opens with the covering-by-unions topology.
 
-    A sieve covers U exactly when the union of its arrow domains is U;
-    this extensional description is already saturated for the axioms.
+    A sieve covers U when its arrow domains have the union U, that is
+    when it holds U_p ⊆ U for every point p of U, U_p the least open
+    containing p: a member containing p contains U_p.  So the union
+    covers are ``saturate_topology`` of the inclusions U_p ⊆ U.
     """
     labels = {o: open_label(o) for o in X.opens}
     by_label = {labels[o]: o for o in X.opens}
@@ -357,18 +375,12 @@ def open_cover_topology(X: FiniteSpace, bound: int | None = None) -> Site:
         lambda a, b: by_label[a] <= by_label[b],
         name=lambda a, b: f"{a}<{b}",
     )
-    covers: dict[Label, list[Sieve]] = {}
-    for u in category.objects:
-        uset = by_label[u]
-        chosen = []
-        for S in all_sieves(category, u, bound):
-            union = set()
-            for f in S.arrows:
-                union |= by_label[category.src[f]]
-            if union == uset:
-                chosen.append(S)
-        covers[u] = tuple(sorted(chosen, key=Sieve.key))
-    topology = GrothendieckTopology(category, covers)
+    # opens are closed under intersection, so U_p is one
+    least_open = {p: frozenset.intersection(*(o for o in X.opens if p in o)) for p in X.points}
+    families = {
+        u: [{f"{labels[least_open[p]]}<{u}" for p in by_label[u]}] for u in category.objects
+    }
+    topology = saturate_topology(category, families, bound)
     return Site(category, topology, X, dict(by_label))
 
 

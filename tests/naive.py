@@ -19,7 +19,7 @@ generating arrows only;
 the Heyting operations on ``Subobject`` parts (``meet_sub``, ``join_sub``,
 ``implies_sub``, ``neg_sub``, ``closure``, ``top_sub``, ``bottom_sub``)
 and ``naive_interpret`` build on the library's ``Subobject``,
-``subobject``, ``truth_sieve``, ``is_closed``, ``check_sorting`` and
+``subobject``, ``is_closed``, ``check_sorting`` and
 ``logic.context_product``, and resolve the bound with its
 ``enumeration_bound``, because they are the oracle for the library's
 mask algebra (``classifier.MaskAlgebra``), and ``naive_interpret`` must
@@ -28,7 +28,13 @@ refuse a formula with the same ``IntractableSize`` as ``interpret``;
 it was first written, on the library's matching families, presheaf and
 natural-transformation constructors, as the oracle for
 ``sheaf.plus_construction``, which reads it off the least covering
-sieves.
+sieves;
+``naive_saturate_topology``, ``naive_open_cover_covers`` and
+``naive_closed_sieves`` decide covering on whole sieve sets, as
+``site`` and ``classifier`` first did, where the library decides it by
+the least covering sieves.  They list sieves with the library's
+``all_sieves`` and build them with its sieve constructors, so that they
+keep its order and raise its ``IntractableSize`` at the same bound.
 """
 
 from __future__ import annotations
@@ -45,12 +51,19 @@ from sheafkit.errors import (
     MissingComposite,
     NotNatural,
 )
-from sheafkit.classifier import Subobject, is_closed, subobject, truth_sieve
+from sheafkit.classifier import Subobject, is_closed, subobject
 from sheafkit.config import enumeration_bound
 from sheafkit.fincat import natural_transformation, presheaf
 from sheafkit.labels import label_key
 from sheafkit.sheaf import MatchingFamily, induced_family, matching_families
-from sheafkit.site import maximal_sieve, pullback_sieve
+from sheafkit.site import (
+    GrothendieckTopology,
+    Sieve,
+    all_sieves,
+    generate_sieve,
+    maximal_sieve,
+    pullback_sieve,
+)
 from sheafkit.logic import (
     And,
     Bottom,
@@ -300,6 +313,22 @@ def _subsets(xs):
 
 # -- the Heyting algebra on Subobject parts, and the internal logic on it ---------
 
+def truth_sieve(A, u, x):
+    """The arrows into u along which x restricts into A."""
+    F = A.ambient
+    return frozenset(f for f in F.base.into(u) if F.restrict[f][x] in A.parts[F.base.src[f]])
+
+
+def naive_is_closed(J, A):
+    """No section outside A has a truth sieve holding a listed cover."""
+    F = A.ambient
+    return not any(
+        x not in A.parts[u] and any(S.arrows <= truth_sieve(A, u, x) for S in J.covers[u])
+        for u in F.base.objects
+        for x in F.value[u]
+    )
+
+
 def closure(J, A):
     """J-closure: the sections whose truth sieve covers.  A single pass
     suffices; a fixpoint assertion guards it."""
@@ -307,7 +336,7 @@ def closure(J, A):
     grown = {
         u: frozenset(
             x for x in F.value[u]
-            if any(S.arrows <= truth_sieve(J, A, u, x) for S in J.covers[u])
+            if any(S.arrows <= truth_sieve(A, u, x) for S in J.covers[u])
         )
         for u in F.base.objects
     }
@@ -764,3 +793,86 @@ def naive_plus_construction(F, J, bound=None):
         M = maximal_sieve(C, u)
         unit[u] = {x: rep_of[u][(M, induced_family(F, M, x).key())] for x in F.value[u]}
     return plus, natural_transformation(F, plus, unit)
+
+
+# -- covering decided on sieve sets --------------------------------------------------
+
+def naive_saturate_topology(C, families, bound=None):
+    """The least topology in which the families cover, closed under the
+    axioms over the whole sieve lattice: pullbacks of covering sieves are
+    added, and so is every sieve whose pullbacks along a covering sieve
+    all cover, until nothing changes."""
+    sieves_at = {u: all_sieves(C, u, bound) for u in C.objects}
+    covering = {u: {maximal_sieve(C, u)} for u in C.objects}
+    for u, fams in families.items():
+        if u not in C.object_set:
+            raise DanglingReference(f"covering family at unknown object {u!r}")
+        for fam in fams:
+            covering[u].add(generate_sieve(C, u, fam))
+    changed = True
+    while changed:
+        changed = False
+        for u in C.objects:
+            for S in list(covering[u]):
+                for f in C.into(u):
+                    pb = pullback_sieve(C, f, S)
+                    if pb not in covering[C.src[f]]:
+                        covering[C.src[f]].add(pb)
+                        changed = True
+        for u in C.objects:
+            for S in sieves_at[u]:
+                if S in covering[u]:
+                    continue
+                for R in list(covering[u]):
+                    if all(pullback_sieve(C, f, S) in covering[C.src[f]] for f in R.arrows):
+                        covering[u].add(S)
+                        changed = True
+                        break
+    covers = {u: tuple(sorted(covering[u], key=Sieve.key)) for u in C.objects}
+    return GrothendieckTopology(C, covers)
+
+
+def naive_open_cover_covers(site, bound=None):
+    """The covering sieves of an open-cover site: those whose arrow
+    domains have the union U."""
+    C = site.category
+    covers = {}
+    for u in C.objects:
+        chosen = []
+        for S in all_sieves(C, u, bound):
+            union = set()
+            for f in S.arrows:
+                union |= site.open_of[C.src[f]]
+            if union == site.open_of[u]:
+                chosen.append(S)
+        covers[u] = tuple(chosen)
+    return covers
+
+
+def naive_closed_sieves(J, u, bound=None):
+    """The J-closed sieves on u: no arrow f outside S has a covering
+    pullback f*S, tested by membership in the listed covers."""
+    C = J.category
+    return [
+        S for S in all_sieves(C, u, bound)
+        if not any(
+            f not in S.arrows and pullback_sieve(C, f, S) in J.covers[C.src[f]]
+            for f in C.into(u)
+        )
+    ]
+
+
+def under_bounds(build, bounds=range(101)):
+    """What ``build(bound)`` gives at each bound, up to the first bound it
+    passes: the (search, size, bound) of each ``IntractableSize`` it
+    raises, then its result.  A search raises exactly when its size
+    exceeds the bound, so a build that passes at one bound passes at
+    every larger one, with the same result."""
+    found = []
+    for bound in bounds:
+        try:
+            found.append(build(bound))
+            return found
+        except IntractableSize as err:
+            found.append((err.search, err.size, err.bound))
+    return found

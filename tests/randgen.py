@@ -55,32 +55,31 @@ def random_base(rng: random.Random):
     return validate_category(*cyclic_product(terminal_category(), rng.choice([2, 3, 4])))
 
 
-def random_topology(rng: random.Random, C):
-    """The topology generated by one random family of arrows at about half the objects."""
-    families = {}
-    for u in C.objects:
-        incoming = C.into(u)
-        if incoming and rng.random() < 0.5:
-            families[u] = [rng.sample(incoming, rng.randint(1, len(incoming)))]
-    return saturate_topology(C, families)
-
-
-def random_site(rng: random.Random):
-    """A random base with ``random_topology``, a random base with a topology
-    generated by families of non-identity arrows, which more often leaves
-    a sieve other than the maximal one covering, or ``random_space_site``."""
-    kind = rng.choice(("random topology", "proper families", "space"))
-    if kind == "space":
-        return random_space_site(rng)
-    C = random_base(rng)
-    if kind == "random topology":
-        return Site(C, random_topology(rng, C))
+def random_families(rng: random.Random, C):
+    """One random family of non-identity arrows at about 70% of the
+    objects.  A family with an identity in it would generate the maximal
+    sieve, so these families often leave a sieve other than the maximal
+    one covering; an empty family makes the empty sieve cover."""
     families = {}
     for u in C.objects:
         proper = [f for f in C.into(u) if not C.is_identity(f)]
         if rng.random() < 0.7:
             families[u] = [rng.sample(proper, rng.randint(0, len(proper)))]
-    return Site(C, saturate_topology(C, families))
+    return families
+
+
+def random_topology(rng: random.Random, C):
+    """The topology generated by ``random_families``."""
+    return saturate_topology(C, random_families(rng, C))
+
+
+def random_site(rng: random.Random):
+    """A random base with ``random_topology`` (two draws in three), or
+    ``random_space_site``."""
+    if rng.random() < 1 / 3:
+        return random_space_site(rng)
+    C = random_base(rng)
+    return Site(C, random_topology(rng, C))
 
 
 def random_space_site(rng: random.Random):

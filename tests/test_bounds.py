@@ -16,8 +16,8 @@ from unittest import mock
 import pytest
 
 import sheafkit
-from sheafkit import logic
-from sheafkit.classifier import enumerate_subobjects, heyting_report
+from sheafkit import classifier, config, logic, site
+from sheafkit.classifier import enumerate_subobjects, heyting_report, omega
 from sheafkit.cli import run
 from sheafkit.config import check_bound, enumeration_bound
 from sheafkit.documents import load_documents
@@ -53,7 +53,7 @@ from sheafkit.limits import (
     limit,
 )
 from sheafkit.sheaf import exponential, terminal_presheaf
-from sheafkit.site import all_sieves
+from sheafkit.site import Site, all_sieves, saturate_topology, trivial_topology, validate_topology
 from sheafkit.torsor import cocycles_equivalent, glue_torsor
 
 
@@ -266,3 +266,43 @@ def test_negative_enumeration_bound_env_is_a_usage_error(monkeypatch):
     assert "WORKBENCH_BOUND must be at least 0, got '-3'" in text
     monkeypatch.setenv("WORKBENCH_BOUND", "0")
     assert enumeration_bound() == 0
+
+
+def topology_entry_points():
+    """Saturation, an open-cover site, validation and Omega, each run once."""
+    sier = sierpinski_site()
+    yield lambda: saturate_topology(sier.category, {"{b,t}": [["{t}<{b,t}"]]})
+    yield lambda: pseudocircle_site()
+    yield lambda: validate_topology(sier.topology)
+    yield lambda: omega(sier)
+
+
+def test_each_topology_entry_point_reads_the_bound_once(monkeypatch):
+    """The bound in force is read once per call, not once per object."""
+    reads = []
+    real = config.enumeration_bound
+
+    def counted(override=None):
+        reads.append(override)
+        return real(override)
+
+    for module in (config, site, classifier):
+        monkeypatch.setattr(module, "enumeration_bound", counted)
+    for entry in topology_entry_points():
+        reads.clear()
+        entry()
+        assert reads.count(None) == 1
+
+
+def test_a_category_with_no_objects_reads_no_bound(monkeypatch):
+    """A category with no objects runs no search, so a bad
+    WORKBENCH_BOUND does not stop its topology or its Omega."""
+    empty = validate_category([], [], {}, {})
+    sier = sierpinski_site().category
+    monkeypatch.setenv("WORKBENCH_BOUND", "abc")
+    J = saturate_topology(empty, {})
+    assert J.covers == {}
+    assert validate_topology(trivial_topology(empty)).ok
+    assert omega(Site(empty, J)).presheaf.value == {}
+    with pytest.raises(UsageError, match="WORKBENCH_BOUND must be an integer"):
+        saturate_topology(sier, {})

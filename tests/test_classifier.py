@@ -24,6 +24,7 @@ from sheafkit.errors import NotClosedSubobject, NotRestrictionStable
 from sheafkit.fincat import presheaf, validate_category, yoneda_presheaf
 from sheafkit.gallery import (
     arrow_site,
+    chain3_site,
     const2_presheaf,
     discrete2_site,
     discrete3_site,
@@ -32,7 +33,8 @@ from sheafkit.gallery import (
     sierpinski_site,
 )
 from sheafkit.sheaf import is_sheaf, product_presheaf, terminal_presheaf
-from sheafkit.site import Site, Sieve, all_sieves, trivial_topology
+from sheafkit.labels import label_key
+from sheafkit.site import Site, Sieve, all_sieves, pullback_sieve, trivial_topology
 
 from naive import (
     bottom_sub,
@@ -40,10 +42,13 @@ from naive import (
     implies_sub,
     join_sub,
     meet_sub,
+    naive_closed_sieves,
+    naive_is_closed,
     naive_sieves,
     naive_stable_subsets,
     neg_sub,
     top_sub,
+    under_bounds,
 )
 from randgen import (
     free_dag,
@@ -312,8 +317,9 @@ BASES = {
 @given(st.sampled_from(sorted(BASES)), st.integers(0, 2**32 - 1))
 def test_sieves_and_subobjects_are_what_the_oracles_find(kind, seed):
     """At every object ``all_sieves`` is the oracle's set of sieves, once
-    each, sorted by key; the subobjects are the oracle's restriction-stable
-    part families that ``is_closed`` keeps, once each, in section order."""
+    each, sorted by key; ``is_closed`` is the oracle's closedness; the
+    subobjects are the oracle's closed restriction-stable part families,
+    once each, in section order."""
     rng = random.Random(seed)
     if kind == "space":
         site = random_space_site(rng)
@@ -334,10 +340,68 @@ def test_sieves_and_subobjects_are_what_the_oracles_find(kind, seed):
     if F.size() > 12:  # the oracle filters all 2^size part families
         F = random_presheaf(rng, C, 2)
     subs = enumerate_subobjects(J, F)
-    closed = [parts for parts in naive_stable_subsets(F) if is_closed(J, Subobject(F, parts))]
+    stable = naive_stable_subsets(F)
+    assert [is_closed(J, Subobject(F, p)) for p in stable] == [naive_is_closed(J, Subobject(F, p)) for p in stable]
+    closed = [parts for parts in stable if naive_is_closed(J, Subobject(F, parts))]
     got = [tuple(A.parts[u] for u in C.objects) for A in subs]
     assert len(got) == len(closed)
     assert set(got) == {tuple(parts[u] for u in C.objects) for parts in closed}
     rank = F.section_rank()
     order = [[sorted(rank[u][x] for x in part) for u, part in zip(C.objects, parts)] for parts in got]
     assert order == sorted(order)
+
+
+# -- Omega against the sieve-set oracle ------------------------------------------------
+
+def omega_tables(om):
+    """Omega's values, non-identity restrictions, sieves (in order) and truth."""
+    C = om.presheaf.base
+    restrict = {f: om.presheaf.restrict[f] for f in C.morphisms if not C.is_identity(f)}
+    sieves = {u: list(by_label.items()) for u, by_label in om.sieves.items()}
+    return om.presheaf.value, restrict, sieves, om.truth.components
+
+
+def naive_omega_tables(site, bound=None):
+    """The same tables from ``naive_closed_sieves``, each sieve labelled by
+    its arrows in label order."""
+    C, J = site.category, site.topology
+
+    def label(S):
+        return tuple(sorted(S.arrows, key=label_key))
+
+    sieves = {u: [(label(S), S) for S in naive_closed_sieves(J, u, bound)] for u in C.objects}
+    value = {u: tuple(sorted((lbl for lbl, _ in sieves[u]), key=label_key)) for u in C.objects}
+    restrict = {
+        f: {lbl: label(pullback_sieve(C, f, S)) for lbl, S in sieves[C.tgt[f]]}
+        for f in C.morphisms if not C.is_identity(f)
+    }
+    truth = {u: {(): tuple(sorted(C.into(u), key=label_key))} for u in C.objects}
+    return value, restrict, sieves, truth
+
+
+def assert_omega_is_the_oracle(site):
+    """The same tables, and the same tables or ``IntractableSize`` at each
+    bound from 0 up to the first that passes (``under_bounds``)."""
+    assert omega_tables(omega(site)) == naive_omega_tables(site)
+    assert under_bounds(lambda b: omega_tables(omega(site, b))) == under_bounds(
+        lambda b: naive_omega_tables(site, b)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_omega_matches_the_closed_sieve_oracle_on_random_bases(seed):
+    rng = random.Random(seed)
+    C = random_base(rng)
+    assert_omega_is_the_oracle(Site(C, random_topology(rng, C)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_omega_matches_the_closed_sieve_oracle_on_random_spaces(seed):
+    assert_omega_is_the_oracle(random_space_site(random.Random(seed)))
+
+
+def test_omega_matches_the_closed_sieve_oracle_on_the_gallery():
+    for make in (sierpinski_site, discrete2_site, discrete3_site, chain3_site, pseudocircle_site, arrow_site):
+        assert_omega_is_the_oracle(make())
