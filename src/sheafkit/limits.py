@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product, takewhile
 
 from . import kernel
-from .config import check_bound
+from .config import check_bound, enumeration_bound
 from .errors import (
     CodomainMismatch,
     DanglingReference,
@@ -252,6 +252,7 @@ def _test_apexes(max_size: int):
 def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) -> Certificate:
     """Check every test cone (apex size <= max_apex) has a unique mediating map."""
     _check_size("max_apex", max_apex)
+    bound = enumeration_bound(bound)
     D = res.diagram
     objs = D.shape.objects
     # how many apex elements have each tuple of legs
@@ -281,6 +282,7 @@ def _cones_from(T, D: Diagram):
 def certify_colimit(res: ConeResult, max_apex: int = 3, bound: int | None = None) -> Certificate:
     """Check every test cocone factors uniquely through the colimit."""
     _check_size("max_apex", max_apex)
+    bound = enumeration_bound(bound)
     D = res.diagram
     shape = D.shape
     failures = []

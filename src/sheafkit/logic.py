@@ -1,27 +1,25 @@
 """Internal first-order logic: formulas, forcing, and subobject semantics.
 
-Two engines evaluate the same formula language.  ``forces`` is the
-recursive local semantics: disjunction and existence pass to a covering
-sieve, implication and universal quantification range over every
-restriction.  ``interpret`` is compositional: connectives become the
-Heyting operations of ``classifier.MaskAlgebra`` on the context product
-and quantifiers the adjoints to pullback along a projection.  The two
-are cross-validated on fixtures.  ``naive_interpret`` in
-``tests/naive.py`` is the same compositional semantics on ``Subobject``
-parts, the oracle that ``interpret`` is tested against.
+One engine gives a formula its meaning.  ``interpret`` is compositional:
+connectives become the Heyting operations of ``classifier.MaskAlgebra``
+on the context product and quantifiers the adjoints to pullback along a
+projection.  Kripke-Joyal forcing is membership in that meaning, so
+``forces`` reads U ⊩ phi(x) off one bit of the same mask.  The tests
+check both against two independent oracles in ``tests/naive.py``:
+``naive_interpret``, the same compositional semantics on ``Subobject``
+parts, and ``naive_forces``, the recursive Kripke-Joyal clauses.
 
 A model is treated as immutable once built.  Each (formula, context)
-that ``forces`` is asked on a model gets one memo, held on the model:
-its sorting, the bounds its context products have passed, and one
-``Evaluator`` whose answers every later query of it reuses.  The memo
-fills lazily, one answer at a time, and never reads ``interpret``.
+asked of a model, by ``forces`` or ``interpret``, is sorted once and
+interpreted once per resolved bound; the model keeps the context
+product's algebra and the formula's mask, and only computations that
+succeeded, so a refused query raises the same error every time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 from .classifier import MaskAlgebra, Subobject, is_closed, subobject
 from .config import DEFAULT_FORMULA_DEPTH, check_bound, enumeration_bound
@@ -219,8 +217,8 @@ class LogicModel:
     predicates: dict[str, tuple[str, Subobject]]   # name -> (sort name, subobject)
 
     @cached_property
-    def _queries(self) -> dict[tuple, _Query]:
-        """The forcing memo of each (formula, context) asked of this model."""
+    def _meanings(self) -> dict[tuple, dict[int, tuple[MaskAlgebra, int]]]:
+        """The memo of each (formula, context) asked of this model."""
         return {}
 
 
@@ -243,30 +241,21 @@ def logic_model(site: Site, sorts, predicates) -> LogicModel:
     return LogicModel(site, sorts, preds)
 
 
-def check_sorting(model: LogicModel, phi: Formula, context) -> list[tuple[str, str, int]]:
-    """Variables bound once, atoms matching their variable's sort.
-
-    Returns (variable, sort, enclosing) for each quantifier of phi, in
-    preorder.  ``enclosing`` is 0 for the outer context and i + 1 for the
-    i-th quantifier of the list, so quantifier i binds its variable in
-    the context of its ``enclosing`` plus its own sort.
-    """
+def check_sorting(model: LogicModel, phi: Formula, context) -> None:
+    """Variables bound once, atoms matching their variable's sort, and
+    the formula no deeper than ``DEFAULT_FORMULA_DEPTH``."""
     seen = [v for v, _ in context]
     if len(set(seen)) != len(seen):
         raise IllSorted("context binds a variable twice")
     for _, s in context:
         if s not in model.sorts:
             raise IllSorted(f"context names unknown sort {s!r}")
-
-    quantifiers = []
-    depth = _check_scope(model, phi, dict(context), 0, quantifiers)
-    check_bound("formula depth", [depth], DEFAULT_FORMULA_DEPTH)
-    return quantifiers
+    check_bound("formula depth", [_check_scope(model, phi, dict(context))], DEFAULT_FORMULA_DEPTH)
 
 
-def _check_scope(model: LogicModel, node: Formula, scope: dict, enclosing: int, quantifiers: list) -> int:
+def _check_scope(model: LogicModel, node: Formula, scope: dict) -> int:
     """Raise at the first unbound, ill-sorted or unknown name below ``node``;
-    otherwise return its depth, appending its quantifiers to ``quantifiers``."""
+    otherwise return its depth."""
     if isinstance(node, (Top, Bottom)):
         return 0
     if isinstance(node, Mem):
@@ -288,146 +277,30 @@ def _check_scope(model: LogicModel, node: Formula, scope: dict, enclosing: int, 
             raise IllSorted("equality between different sorts")
         return 0
     if isinstance(node, (And, Or, Implies)):
-        left = _check_scope(model, node.left, scope, enclosing, quantifiers)
-        return 1 + max(left, _check_scope(model, node.right, scope, enclosing, quantifiers))
+        return 1 + max(_check_scope(model, node.left, scope), _check_scope(model, node.right, scope))
     if isinstance(node, Not):
-        return 1 + _check_scope(model, node.body, scope, enclosing, quantifiers)
+        return 1 + _check_scope(model, node.body, scope)
     if node.var in scope:
         raise IllSorted(f"variable {node.var!r} bound twice")
     if node.sort not in model.sorts:
         raise IllSorted(f"quantifier names unknown sort {node.sort!r}")
-    quantifiers.append((node.var, node.sort, enclosing))
-    return 1 + _check_scope(model, node.body, {**scope, node.var: node.sort}, len(quantifiers), quantifiers)
+    return 1 + _check_scope(model, node.body, {**scope, node.var: node.sort})
 
 
 # -- forcing ------------------------------------------------------------------------
 
-class Evaluator:
-    """Kripke-Joyal forcing with memoization on the full query.
-
-    The environment maps each variable to its sort and its section:
-    two sibling quantifiers may bind one variable in different sorts,
-    so no single variable-to-sort map covers a formula.  Answers are
-    keyed by the formula node itself, with the object and environment:
-    formulas hash by structure, so equal subformulas share answers, and
-    a key never outlives the node it names.  One evaluator serves every
-    query of one (formula, context) on one model.
-    """
-
-    def __init__(self, model: LogicModel):
-        self.model = model
-        self.J = model.site.topology
-        self.C = model.site.category
-        self._memo: dict = {}
-
-    def forces(self, u: Label, phi: Formula, env: dict) -> bool:
-        key = (phi, u, frozenset(env.items()))
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._eval(u, phi, env)
-            self._memo[key] = hit
-        return hit
-
-    def _restrict_env(self, env: dict, f: Label) -> dict:
-        return {v: (s, self.model.sorts[s].restrict[f][x]) for v, (s, x) in env.items()}
-
-    def _eval(self, u: Label, phi: Formula, env: dict) -> bool:
-        if isinstance(phi, Top):
-            return True
-        if isinstance(phi, Bottom):
-            return self.J.covers_with(u, frozenset())
-        if isinstance(phi, Mem):
-            sub = self.model.predicates[phi.pred][1]
-            return env[phi.var][1] in sub.parts[u]
-        if isinstance(phi, Eq):
-            # locally equal: the agreement sieve must cover; on separated
-            # sorts this is plain equality of sections
-            (s, x), (t, y) = env[phi.left], env[phi.right]
-            ls, rs = self.model.sorts[s].restrict, self.model.sorts[t].restrict
-            agree = frozenset(f for f in self.C.into(u) if ls[f][x] == rs[f][y])
-            return self.J.covers_with(u, agree)
-        if isinstance(phi, And):
-            return self.forces(u, phi.left, env) and self.forces(u, phi.right, env)
-        if isinstance(phi, Or):
-            holds = frozenset(
-                f
-                for f in self.C.into(u)
-                if self.forces(self.C.src[f], phi.left, self._restrict_env(env, f))
-                or self.forces(self.C.src[f], phi.right, self._restrict_env(env, f))
-            )
-            return self.J.covers_with(u, holds)
-        if isinstance(phi, Implies):
-            for f in self.C.into(u):
-                v = self.C.src[f]
-                env_v = self._restrict_env(env, f)
-                if self.forces(v, phi.left, env_v) and not self.forces(v, phi.right, env_v):
-                    return False
-            return True
-        if isinstance(phi, Not):
-            for f in self.C.into(u):
-                v = self.C.src[f]
-                if self.forces(v, phi.body, self._restrict_env(env, f)) and not self.J.covers_with(
-                    v, frozenset()
-                ):
-                    return False
-            return True
-        if isinstance(phi, Exists):
-            sort = self.model.sorts[phi.sort]
-            witnessed = frozenset(
-                f
-                for f in self.C.into(u)
-                if any(
-                    self.forces(
-                        self.C.src[f],
-                        phi.body,
-                        {**self._restrict_env(env, f), phi.var: (phi.sort, a)},
-                    )
-                    for a in sort.value[self.C.src[f]]
-                )
-            )
-            return self.J.covers_with(u, witnessed)
-        if isinstance(phi, Forall):
-            sort = self.model.sorts[phi.sort]
-            for f in self.C.into(u):
-                v = self.C.src[f]
-                env_v = self._restrict_env(env, f)
-                for a in sort.value[v]:
-                    if not self.forces(v, phi.body, {**env_v, phi.var: (phi.sort, a)}):
-                        return False
-            return True
-        raise IllSorted(f"unknown formula node {phi!r}")
-
-
-@dataclass(eq=False)
-class _Query:
-    """What ``forces`` has settled for one (formula, context) on one model:
-    its quantifiers, the resolved bounds at which every context product
-    passed, and the evaluator that holds its answers."""
-    quantifiers: list[tuple[str, str, int]]
-    evaluator: Evaluator
-    passed: set[int] = field(default_factory=set)
-
-
 def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context, bound: int | None = None) -> bool:
     """U forces phi in the given environment.
 
-    Forcing never builds a context product, but ``forall`` and
-    ``exists`` range over the same sections, so the query is refused
-    exactly when ``interpret`` would refuse it: every context product
-    that ``interpret`` builds for phi is checked against the bound,
-    resolved once here, before anything is evaluated.
-
-    The model keeps one memo per (formula, context), so a sweep over
-    objects and sections sorts the formula once, checks the context
-    products once per bound, and shares one evaluator's answers.  Only
-    steps that succeeded are kept: a query that fails raises again on
-    every call, in the same order (sorting, the object, the environment,
-    then the bound), and a bound not yet passed is checked again.
+    Kripke-Joyal forcing is membership in the interpretation: U forces
+    phi(x) exactly when x lies over U in the subobject phi interprets
+    (Mac Lane & Moerdijk, VI.6).  So the answer is the bit of the node
+    (U, x) in phi's mask, and a query is refused exactly when
+    ``interpret`` refuses it.  Errors come in a fixed order: sorting, the
+    object, the environment, then the bound, resolved once here.
     """
     context = tuple((v, s) for v, s in context)
-    query = model._queries.get((phi, context))
-    if query is None:
-        query = model._queries[phi, context] = _Query(check_sorting(model, phi, context), Evaluator(model))
+    meanings = _sorted_meanings(model, phi, context)
     if u not in model.site.category.object_set:
         raise UnknownObject(f"no object {u!r}")
     env = dict(env)
@@ -439,32 +312,8 @@ def forces(model: LogicModel, u: Label, phi: Formula, env: dict, context, bound:
     for v, s in context:
         if env[v] not in model.sorts[s].value[u]:
             raise IllSorted(f"environment value for {v!r} is not a section of {s!r} over {u!r}")
-    limit = enumeration_bound(bound)
-    if limit not in query.passed:
-        _check_contexts(model, context, query.quantifiers, limit)
-        query.passed.add(limit)
-    return query.evaluator.forces(u, phi, {v: (s, env[v]) for v, s in context})
-
-
-def _check_contexts(model: LogicModel, context, quantifiers, bound: int) -> None:
-    """Check each context product ``interpret`` builds, in the order it first
-    builds them: the outer context, then one more sort at each quantifier,
-    in preorder.  By the time a quantifier is reached, every running
-    product of its enclosing context has passed the check at every
-    object, so only the product with the new sort can exceed the bound."""
-    objects = model.site.category.objects
-    sorts = [model.sorts[s] for _, s in context]
-    outer = []
-    for u in objects:
-        factors = [len(s.value[u]) for s in sorts]
-        check_bound("context product", factors, bound)
-        outer.append(prod(factors))
-    sizes = [outer]
-    for _, sort, enclosing in quantifiers:
-        value = model.sorts[sort].value
-        sizes.append([n * len(value[u]) for n, u in zip(sizes[enclosing], objects)])
-        for n in sizes[-1]:
-            check_bound("context product", [n], bound)
+    alg, mask = _meaning(model, meanings, phi, context, enumeration_bound(bound))
+    return bool(mask >> alg.node_index[u, tuple(env[v] for v, _ in context)] & 1)
 
 
 # -- compositional subobject semantics ---------------------------------------------------
@@ -507,16 +356,36 @@ def interpret(model: LogicModel, phi: Formula, context, bound: int | None = None
     The formula is evaluated on node masks (``classifier.MaskAlgebra``).
     Each context's product and algebra are built once, when the preorder
     walk first reaches that context, so every context product is checked
-    against the bound, resolved once here, in the order ``forces`` checks
-    them.  The result becomes a ``Subobject`` once, at the end, through
-    the validating ``subobject``.
+    against the bound, resolved once here, in that order.  The mask is
+    kept on the model beside the ones ``forces`` reads, and becomes a
+    ``Subobject`` through the validating ``subobject``.
     """
     context = tuple((v, s) for v, s in context)
-    check_sorting(model, phi, context)
-    algebras: dict[tuple, MaskAlgebra] = {}
-    m = _interpret(model, phi, context, enumeration_bound(bound), algebras)
-    outer = algebras[context]
-    return subobject(outer.ambient, outer.parts(m))
+    meanings = _sorted_meanings(model, phi, context)
+    alg, mask = _meaning(model, meanings, phi, context, enumeration_bound(bound))
+    return subobject(alg.ambient, alg.parts(mask))
+
+
+def _sorted_meanings(model: LogicModel, phi: Formula, context: tuple) -> dict:
+    """The memo of one (formula, context) on the model, made once phi sorts
+    in the context: each resolved bound at which phi was interpreted, to
+    the algebra of the context product and phi's mask in it."""
+    meanings = model._meanings.get((phi, context))
+    if meanings is None:
+        check_sorting(model, phi, context)
+        meanings = model._meanings[phi, context] = {}
+    return meanings
+
+
+def _meaning(model: LogicModel, meanings: dict, phi: Formula, context: tuple, bound: int) -> tuple[MaskAlgebra, int]:
+    """phi's entry at the bound, interpreted on a miss and kept only once
+    every context product has passed the bound."""
+    hit = meanings.get(bound)
+    if hit is None:
+        algebras: dict[tuple, MaskAlgebra] = {}
+        mask = _interpret(model, phi, context, bound, algebras)
+        hit = meanings[bound] = (algebras[context], mask)
+    return hit
 
 
 def _interpret(model: LogicModel, phi: Formula, context: tuple, bound: int, algebras: dict) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .config import check_bound
+from .config import check_bound, enumeration_bound
 from .errors import (
     BaseMismatch,
     CoverMismatch,
@@ -426,10 +426,11 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
     report = check_cocycle(c)
     if not report.ok:
         raise InvalidCocycle("; ".join(report.failures))
-    if not is_sheaf(G.sections, site.topology).ok:
+    bound = enumeration_bound(bound)
+    if not is_sheaf(G.sections, site.topology, bound).ok:
         raise SemanticError("the coefficient presheaf is not a sheaf for the topology")
 
-    sl = slice_site(site, c.target)
+    sl = slice_site(site, c.target, bound)
     Gs = restrict_group(G, sl)
     C = sl.category
     n = len(c.cover)

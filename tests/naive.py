@@ -444,6 +444,63 @@ def _naive_interpret(model, phi, context, bound):
     return result
 
 
+def naive_forces(model, u, phi, env, context):
+    """Reference for ``logic.forces``: the Kripke-Joyal clauses, recursively.
+
+    Disjunction, existence and equality hold when the sieve of arrows
+    along which they hold locally is one of the topology's covering
+    sieves; implication, negation and universal quantification range over
+    every restriction.  No memo, no bound.  The environment carries each
+    variable's sort with its section, since sibling quantifiers may bind
+    one variable in two sorts."""
+    return _naive_forces(model, u, phi, {v: (s, env[v]) for v, s in context})
+
+
+def _naive_forces(model, u, phi, env):
+    J = model.site.topology
+    C = model.site.category
+
+    def covers(v, arrows):
+        return any(S.arrows == arrows for S in J.covers[v])
+
+    def restrict(f):
+        return {w: (s, model.sorts[s].restrict[f][x]) for w, (s, x) in env.items()}
+
+    def along(f, psi, extra=None):
+        return _naive_forces(model, C.src[f], psi, {**restrict(f), **(extra or {})})
+
+    if isinstance(phi, Top):
+        return True
+    if isinstance(phi, Bottom):
+        return covers(u, frozenset())
+    if isinstance(phi, Mem):
+        return env[phi.var][1] in model.predicates[phi.pred][1].parts[u]
+    if isinstance(phi, Eq):
+        # locally equal: the agreement sieve must cover
+        (s, x), (t, y) = env[phi.left], env[phi.right]
+        ls, rs = model.sorts[s].restrict, model.sorts[t].restrict
+        return covers(u, frozenset(f for f in C.into(u) if ls[f][x] == rs[f][y]))
+    if isinstance(phi, And):
+        return _naive_forces(model, u, phi.left, env) and _naive_forces(model, u, phi.right, env)
+    if isinstance(phi, Or):
+        return covers(u, frozenset(f for f in C.into(u) if along(f, phi.left) or along(f, phi.right)))
+    if isinstance(phi, Implies):
+        return all(not along(f, phi.left) or along(f, phi.right) for f in C.into(u))
+    if isinstance(phi, Not):
+        return all(not along(f, phi.body) or covers(C.src[f], frozenset()) for f in C.into(u))
+    sort = model.sorts[phi.sort]
+    if isinstance(phi, Exists):
+        return covers(u, frozenset(
+            f for f in C.into(u)
+            if any(along(f, phi.body, {phi.var: (phi.sort, a)}) for a in sort.value[C.src[f]])
+        ))
+    return all(
+        along(f, phi.body, {phi.var: (phi.sort, a)})
+        for f in C.into(u)
+        for a in sort.value[C.src[f]]
+    )
+
+
 def naive_validate_category(objects, morphisms, identity, compose, hom_bound):
     """Reference for ``fincat.validate_category``: its checks in its order,
     each by a scan of every morphism, and associativity over every

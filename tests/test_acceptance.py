@@ -57,6 +57,7 @@ from sheafkit.torsor import (
 )
 
 from formula_corpus import CONTEXT, full_corpus, standard_model
+from naive import naive_forces
 from randgen import random_forest_diagram
 from test_limits import inclusion_chain, inverse_power_chain
 
@@ -256,7 +257,7 @@ def test_acceptance_7_heyting():
 
 @criterion(8, "forcing: monotone, local, and equal to subobject semantics", 60.0)
 def test_acceptance_8_kripke_joyal():
-    for make in (sierpinski_site, discrete2_site):
+    for make in (sierpinski_site, discrete2_site, pseudocircle_site):
         site = make()
         model = standard_model(site)
         C = site.category
@@ -267,6 +268,7 @@ def test_acceptance_8_kripke_joyal():
                 for x in model.sorts[sort].value[u]:
                     env = {"x": x}
                     forced = forces(model, u, phi, env, CONTEXT)
+                    assert forced == naive_forces(model, u, phi, env, CONTEXT)
                     assert forced == ((x,) in meaning.parts[u])
                     if forced:
                         for f in C.into(u):

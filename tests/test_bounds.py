@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 import sheafkit
-from sheafkit import classifier, config, logic, site
+from sheafkit import classifier, config, limits, logic, site, torsor
 from sheafkit.classifier import enumerate_subobjects, heyting_report, omega
 from sheafkit.cli import run
 from sheafkit.config import check_bound, enumeration_bound
@@ -169,7 +169,7 @@ CASES = {
     "all_sieves": (sieves_sierpinski, 8, "sieves on '{b,t}'"),
     "enumerate_subobjects": (subobjects_sierpinski, 32, "subobjects"),
     "heyting_report": (heyting_sierpinski, 27, "Heyting triples"),
-    "glue_torsor": (glue_sign, 16, "glued sections"),
+    "glue_torsor": (glue_sign, 128, "natural transformations"),
     "cocycles_equivalent": (trivializations, 4, "trivializations"),
     "formula depth": (formula_depth, 3, "formula depth"),
     "forces": (forces_nested, 8, "context product"),
@@ -245,6 +245,15 @@ def test_negative_bound_on_the_command_line_exits_2():
     assert (code, text) == (2, "error: IntractableSize: natural transformations: size 1 exceeds bound 0\n")
 
 
+def test_glue_torsor_on_the_command_line_keeps_its_bound():
+    # the sheaf check on the coefficients needs 128 natural transformations
+    argv = ["glue-torsor", "--cocycle", "pc-sign", "--bound"]
+    assert run(argv + ["64"]) == (
+        2, "error: IntractableSize: natural transformations: size 128 exceeds bound 64\n"
+    )
+    assert run(argv + ["128"])[0] == 0
+
+
 @pytest.mark.parametrize("env, message", [
     ("-3", "WORKBENCH_BOUND must be at least 0, got '-3'"),
     ("abc", "WORKBENCH_BOUND must be an integer, got 'abc'"),
@@ -277,8 +286,9 @@ def topology_entry_points():
     yield lambda: omega(sier)
 
 
-def test_each_topology_entry_point_reads_the_bound_once(monkeypatch):
-    """The bound in force is read once per call, not once per object."""
+def count_bound_reads(monkeypatch) -> list:
+    """Record the override of every ``enumeration_bound`` call; None is
+    a read of the bound in force."""
     reads = []
     real = config.enumeration_bound
 
@@ -286,9 +296,37 @@ def test_each_topology_entry_point_reads_the_bound_once(monkeypatch):
         reads.append(override)
         return real(override)
 
-    for module in (config, site, classifier):
+    for module in (config, site, classifier, limits, torsor):
         monkeypatch.setattr(module, "enumeration_bound", counted)
+    return reads
+
+
+def test_each_topology_entry_point_reads_the_bound_once(monkeypatch):
+    """The bound in force is read once per call, not once per object."""
+    reads = count_bound_reads(monkeypatch)
     for entry in topology_entry_points():
+        reads.clear()
+        entry()
+        assert reads.count(None) == 1
+
+
+def certificate_and_gluing_entry_points():
+    """Both certificates, over test apexes of sizes 0 to 2, and gluing,
+    whose sheaf check, slice and glued sections are each bounded; the
+    inputs are built before the reads are counted."""
+    lim, col = limit(arrow_diagram()), colimit(arrow_diagram())
+    yield lambda: certify_limit(lim, max_apex=2)
+    yield lambda: certify_colimit(col, max_apex=2)
+    pc = pseudocircle_site()
+    G, sign = z2_local_system(pc), sign_cocycle()
+    yield lambda: glue_torsor(pc, G, sign)
+
+
+def test_certificates_and_gluing_read_the_bound_once(monkeypatch):
+    """The bound in force is read once per call, not once per test apex
+    or once per bounded step."""
+    reads = count_bound_reads(monkeypatch)
+    for entry in certificate_and_gluing_entry_points():
         reads.clear()
         entry()
         assert reads.count(None) == 1
