@@ -271,6 +271,7 @@ def classify_round_trip(site: Site, X: Presheaf, bound: int | None = None) -> Cl
     """Sub(X) ≅ Hom(X, Omega) by characteristic / pullback-of-true, exhaustively."""
     from .fincat import enumerate_naturals
 
+    bound = enumeration_bound(bound)
     om = omega(site, bound)
     J = site.topology
     subs = enumerate_subobjects(J, X, bound)
@@ -428,9 +429,6 @@ class SubobjectLattice:
     masks: tuple[int, ...]
     index: dict[int, int]          # mask -> position in elements
 
-    def locate(self, A: Subobject) -> int:
-        return self.index[self.algebra.mask(A)]
-
     def meet(self, i: int, j: int) -> int:
         return self.index[self.masks[i] & self.masks[j]]
 
@@ -470,6 +468,7 @@ class HeytingReport:
 
 def heyting_report(site: Site, F: Presheaf, bound: int | None = None) -> HeytingReport:
     """All Heyting axioms by enumeration, plus the intuitionistic witnesses."""
+    bound = enumeration_bound(bound)
     lat = heyting(site, F, bound)
     n = len(lat.elements)
     check_bound("Heyting triples", [n ** 3], bound)

@@ -444,12 +444,6 @@ class Presheaf:
     def size(self) -> int:
         return sum(len(v) for v in self.value.values())
 
-    def section_rank(self) -> dict[Label, dict[Label, int]]:
-        """Each section's position in its value set.  Value sets are in label
-        order, so positions order sections by label without comparing labels,
-        which fails on a mix of numbers and strings."""
-        return {u: {x: i for i, x in enumerate(xs)} for u, xs in self.value.items()}
-
     def same(self, other: "Presheaf") -> bool:
         return (
             self.base.same(other.base)

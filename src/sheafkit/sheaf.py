@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import getitem, itemgetter
 
+from .config import enumeration_bound
 from .errors import (
     BaseMismatch,
     DanglingReference,
@@ -199,6 +200,8 @@ def is_sheaf(F: Presheaf, J: GrothendieckTopology, bound: int | None = None) -> 
     """Check that sections biject with matching families for every covering sieve."""
     if not F.base.same(J.category):
         raise BaseMismatch("presheaf and topology live over different categories")
+    if F.base.objects:  # a category with no objects runs no search and reads no bound
+        bound = enumeration_bound(bound)
     failures = []
     checked = 0
     for u in F.base.objects:
@@ -270,6 +273,8 @@ def plus_construction(
     if not F.base.same(J.category):
         raise BaseMismatch("presheaf and topology live over different categories")
     C = F.base
+    if C.objects:  # a category with no objects runs no search and reads no bound
+        bound = enumeration_bound(bound)
     least = J.least
     fams = {u: matching_families(F, least[u], bound) for u in C.objects}
     label_of = {u: {m.key(): f"p{i}" for i, m in enumerate(fams[u])} for u in C.objects}
@@ -299,6 +304,8 @@ def sheafify(
     F: Presheaf, J: GrothendieckTopology, bound: int | None = None
 ) -> tuple[Presheaf, NaturalTransformation]:
     """Apply the plus construction twice; the unit is the composite map."""
+    if F.base.objects:  # a category with no objects runs no search and reads no bound
+        bound = enumeration_bound(bound)
     once, u1 = plus_construction(F, J, bound)
     twice, u2 = plus_construction(once, J, bound)
     return twice, compose_naturals(u2, u1)
@@ -469,6 +476,8 @@ def exponential(A: Presheaf, B: Presheaf, bound: int | None = None) -> Presheaf:
     if not A.base.same(B.base):
         raise BaseMismatch("exponential needs a common base")
     base = A.base
+    if base.objects:  # a category with no objects runs no search and reads no bound
+        bound = enumeration_bound(bound)
     reps: dict[Label, Presheaf] = {u: product_presheaf(yoneda_presheaf(base, u), A) for u in base.objects}
     fams = {u: natural_index_families(reps[u], B, bound) for u in base.objects}
 

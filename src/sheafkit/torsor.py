@@ -378,34 +378,23 @@ def extract_cocycle(T: TorsorCandidate, site: Site, target: Label, L: LocalSecti
 def restrict_group(G: GroupSheaf, sub: Site) -> GroupSheaf:
     """The group sheaf restricted to the opens of a slice site.
 
-    The sections are built without re-validation.  The slice's opens
-    poset is a full subcategory of the ambient one, with the same object
-    and arrow labels, so each value set and restriction is copied from the
-    validated sections and composites agree; identities restrict to the
-    identity, as ``presheaf`` would fill them in.
+    The slice's opens poset is a full subcategory of the ambient one, with
+    the same object and arrow labels, identities included, so the value
+    sets, restrictions and group tables are read from the validated
+    sheaf at the slice's labels, without re-validation.
     """
     base = sub.category
-    value = {u: G.sections.value[u] for u in base.objects}
-    restrict = {
-        f: {x: x for x in value[base.tgt[f]]}
-        if base.is_identity(f)
-        else dict(G.sections.restrict[_lift_arrow(G.sections.base, f)])
-        for f in base.morphisms
-    }
-    P = Presheaf(base, value, restrict)
+    ambient = G.sections.restrict
+    for f in base.morphisms:
+        if f not in ambient:
+            raise DanglingReference(f"arrow {f!r} not found in the ambient site")
+    objs = base.objects
     return GroupSheaf(
-        P,
-        {u: dict(G.mult[u]) for u in base.objects},
-        {u: G.unit[u] for u in base.objects},
-        {u: dict(G.inverse[u]) for u in base.objects},
+        Presheaf(base, {u: G.sections.value[u] for u in objs}, {f: ambient[f] for f in base.morphisms}),
+        {u: G.mult[u] for u in objs},
+        {u: G.unit[u] for u in objs},
+        {u: G.inverse[u] for u in objs},
     )
-
-
-def _lift_arrow(big, f):
-    # slice arrows carry the same labels as in the full opens poset
-    if f in big.morphism_set:
-        return f
-    raise DanglingReference(f"arrow {f!r} not found in the ambient site")
 
 
 @dataclass(frozen=True)
@@ -419,9 +408,13 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
     """Glue trivial torsors along the cocycle.
 
     A section over V is a tuple (t_i) with t_i in G(V ∩ U_i) satisfying
-    t_i = g_ij · t_j on V ∩ U_ij; the right action is componentwise.
-    The canonical sections s_i = (g_ki)_k trivialize each piece and
-    extract back to the input cocycle on the nose.
+    t_i = g_ij · t_j on w = V ∩ U_ij; the right action is componentwise.
+    Each open V of the slice is set up once: its pieces V ∩ U_i and, for
+    every ordered pair (i, j), the restrictions of t_i and t_j to w, the
+    group table over w and g_ij restricted to w.  The glued sections are
+    then one filter over the product of the pieces' groups, in product
+    order.  The canonical sections s_i = (g_ki)_k trivialize each piece
+    and extract back to the input cocycle on the nose.
     """
     report = check_cocycle(c)
     if not report.ok:
@@ -435,68 +428,42 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
     C = sl.category
     n = len(c.cover)
 
+    def along(w: Label, u: Label) -> dict[Label, Label]:
+        """G(u) -> G(w), the restriction along the inclusion w ⊆ u."""
+        return G.sections.restrict[site.category.hom(w, u)[0]]
+
     # an open of the slice has the same label in the site, so V ∩ U is
     # the site's overlap of the two labels
+    pieces: dict[Label, list[Label]] = {}
     value: dict[Label, tuple] = {}
     for v in C.objects:
-        pieces = [overlap(site, v, c.cover[i]) for i in range(n)]
-        check_bound("glued sections", (max(1, len(G.sections.value[lbl])) for lbl in pieces), bound)
-        sections = []
-        for combo in product(*(G.sections.value[lbl] for lbl in pieces)):
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    uij = overlap(site, c.cover[i], c.cover[j])
-                    w = overlap(site, v, uij)
-                    ri = C.hom(w, pieces[i])[0]
-                    rj = C.hom(w, pieces[j])[0]
-                    rij = site.category.hom(w, uij)[0]
-                    ti = G.sections.restrict[ri][combo[i]]
-                    tj = G.sections.restrict[rj][combo[j]]
-                    gij = G.sections.restrict[rij][c.values[(i, j)]]
-                    if ti != G.mul(w, gij, tj):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                sections.append(combo)
-        value[v] = tuple(sections)
+        at = pieces[v] = [overlap(site, v, u) for u in c.cover]
+        check_bound("glued sections", (max(1, len(G.sections.value[p])) for p in at), bound)
+        laws = []
+        for i in range(n):
+            for j in range(n):
+                uij = c.overlap(i, j)
+                w = overlap(site, v, uij)
+                laws.append((i, j, along(w, at[i]), along(w, at[j]), G.mult[w], along(w, uij)[c.values[i, j]]))
+        value[v] = tuple(
+            t for t in product(*(G.sections.value[p] for p in at))
+            if all(ri[t[i]] == mult[gij, rj[t[j]]] for i, j, ri, rj, mult, gij in laws)
+        )
 
     restrict = {}
     for f in C.morphisms:
-        if C.is_identity(f):
-            continue
-        u, v = C.tgt[f], C.src[f]
-        tab = {}
-        for t in value[u]:
-            image = tuple(
-                G.sections.restrict[
-                    site.category.hom(overlap(site, v, c.cover[i]), overlap(site, u, c.cover[i]))[0]
-                ][t[i]]
-                for i in range(n)
-            )
-            tab[t] = image
-        restrict[f] = tab
+        if not C.is_identity(f):
+            rs = [along(a, b) for a, b in zip(pieces[C.src[f]], pieces[C.tgt[f]])]
+            restrict[f] = {t: tuple(r[x] for r, x in zip(rs, t)) for t in value[C.tgt[f]]}
     P = presheaf(C, value, restrict)
 
     action = {}
     for v in C.objects:
-        tab = {}
-        for t in value[v]:
-            for g in Gs.sections.value[v]:
-                moved = tuple(
-                    G.mul(
-                        overlap(site, v, c.cover[i]),
-                        t[i],
-                        G.sections.restrict[
-                            site.category.hom(overlap(site, v, c.cover[i]), v)[0]
-                        ][g],
-                    )
-                    for i in range(n)
-                )
-                tab[(t, g)] = moved
-        action[v] = tab
+        acts = [(G.mult[p], along(p, v)) for p in pieces[v]]
+        action[v] = {
+            (t, g): tuple(mult[x, r[g]] for (mult, r), x in zip(acts, t))
+            for t in value[v] for g in Gs.sections.value[v]
+        }
     T = torsor_candidate(P, Gs, action)
 
     canonical = {}

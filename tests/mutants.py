@@ -1,10 +1,12 @@
-"""Mutation check of the internal logic: does the suite notice a broken engine?
+"""Mutation check of the internal logic and the descent layer: does the
+suite notice a broken engine?
 
 Each mutant is one small edit to the syntax tree of a library function,
 made with the standard ``ast`` module in a temporary copy of the
-repository.  The logic and acceptance tests run against every mutant;
-a mutant is killed when they fail and survives when they pass.  A
-survivor is either a gap in the tests or an edit that changes nothing.
+repository.  Each mutant names the test files that should notice it,
+and they run against it; a mutant is killed when they fail and
+survives when they pass.  A survivor is either a gap in the tests or
+an edit that changes nothing.
 
 Run from the repository root; it is not collected by pytest:
 
@@ -27,7 +29,8 @@ from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_logic.py", "tests/test_acceptance.py")
+LOGIC_TESTS = ("tests/test_logic.py", "tests/test_acceptance.py")
+TORSOR_TESTS = ("tests/test_torsor.py", "tests/test_acceptance.py", "tests/test_documents.py", "tests/test_bounds.py")
 
 
 def method_call(node: ast.AST, name: str) -> bool:
@@ -73,12 +76,58 @@ def reversed_node(node):
     return None
 
 
+def names(node: ast.AST) -> tuple:
+    """The names in a name or a tuple of names, else ()."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Tuple) and all(isinstance(e, ast.Name) for e in node.elts):
+        return tuple(e.id for e in node.elts)
+    return ()
+
+
+def is_item(node: ast.AST, value: str, *index: str) -> bool:
+    """Is ``node`` the subscript ``value[index]`` of plain names?"""
+    return isinstance(node, ast.Subscript) and names(node.value) == (value,) and names(node.slice) == index
+
+
+def reindexed(value: str, old: tuple, new: tuple):
+    """Replace ``value[old]`` by ``value[new]``, each index a tuple of names."""
+    def edit(node):
+        if is_item(node, value, *old):
+            index = ast.Tuple([ast.Name(n, ast.Load()) for n in new], ast.Load()) if len(new) > 1 else ast.Name(new[0], ast.Load())
+            return ast.Subscript(node.value, index, ast.Load())
+        return None
+    return edit
+
+
+def index_only(value: str, index: str):
+    """Replace ``value[index]`` by ``index``: skip a table lookup."""
+    def edit(node):
+        return node.slice if is_item(node, value, index) else None
+    return edit
+
+
+def law_without_gij(node):
+    # mult[gij, rj[t[j]]]  ->  rj[t[j]]
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple) and names(node.slice.elts[0]) == ("gij",):
+        return node.slice.elts[1]
+    return None
+
+
+def canonical_transposed(node):
+    # c.values[(k, i)]  ->  c.values[(i, k)]
+    if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "values" and names(node.slice) == ("k", "i"):
+        return ast.Subscript(node.value, ast.Tuple([ast.Name("i", ast.Load()), ast.Name("k", ast.Load())], ast.Load()), ast.Load())
+    return None
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
     path: str          # relative to the repository root
     function: str      # the edit applies inside this function only
     edit: Callable     # node -> replacement node, or None to leave it
+    tests: tuple = LOGIC_TESTS   # the test files run against it
 
 
 MUTANTS = (
@@ -92,6 +141,20 @@ MUTANTS = (
     Mutant("not-into-zero", "src/sheafkit/logic.py", "_interpret", not_into_zero),
     Mutant("close-over-below", "src/sheafkit/classifier.py", "_close", close_over_below),
     Mutant("forces-node-reversed", "src/sheafkit/logic.py", "forces", reversed_node),
+    # t_i = t_j on V ∩ U_ij, for every cocycle
+    Mutant("glue-without-gij", "src/sheafkit/torsor.py", "glue_torsor", law_without_gij, TORSOR_TESTS),
+    # t_i = g_ij · t_i: t[j] read as t[i]
+    Mutant("glue-ti-with-ti", "src/sheafkit/torsor.py", "glue_torsor", reindexed("t", ("j",), ("i",)), TORSOR_TESTS),
+    # t_i · g with g not restricted to the piece V ∩ U_i
+    Mutant("action-unrestricted", "src/sheafkit/torsor.py", "glue_torsor", index_only("r", "g"), TORSOR_TESTS),
+    # s_i = (g_ik)_k
+    Mutant("canonical-transposed", "src/sheafkit/torsor.py", "glue_torsor", canonical_transposed, TORSOR_TESTS),
+    # g'_ij = h_i · g_ij · h_j
+    Mutant("equivalence-without-inverse", "src/sheafkit/torsor.py", "cocycles_equivalent",
+           index_only("inv", "hi"), TORSOR_TESTS),
+    # g_ij · g_jk compared with g_ki
+    Mutant("cocycle-against-gki", "src/sheafkit/torsor.py", "check_cocycle",
+           reindexed("lifted", ("i", "k", "w"), ("k", "i", "w")), TORSOR_TESTS),
 )
 
 
@@ -124,9 +187,9 @@ def mutate(source: str, mutant: Mutant) -> str:
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
-def killer(workdir: Path, mutant: Mutant | None) -> str | None:
-    """Run the tests on a copy of the repository carrying the mutant (none
-    for the unmutated copy); return the first failing test, if any."""
+def killer(workdir: Path, mutant: Mutant | None, tests) -> str | None:
+    """Run the test files on a copy of the repository carrying the mutant
+    (none for the unmutated copy); return the first failing test, if any."""
     copy = workdir / (mutant.name if mutant else "unmutated")
     for part in ("src", "tests", "pytest.ini"):
         if (ROOT / part).is_dir():
@@ -137,7 +200,7 @@ def killer(workdir: Path, mutant: Mutant | None) -> str | None:
         target = copy / mutant.path
         target.write_text(mutate(target.read_text(encoding="utf-8"), mutant), encoding="utf-8")
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-rfE", *TESTS],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-rfE", *tests],
         cwd=copy,
         env={**os.environ, "PYTHONPATH": f"{copy / 'src'}{os.pathsep}{copy / 'tests'}", "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True,
@@ -155,11 +218,11 @@ def main(names) -> int:
         raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
     survivors = []
     with tempfile.TemporaryDirectory(prefix="sheafkit-mutants-") as tmp:
-        broken = killer(Path(tmp), None)
+        broken = killer(Path(tmp), None, sorted({t for m in chosen for t in m.tests}))
         if broken:
             raise SystemExit(f"the unmutated tests fail ({broken}); fix them first")
         for mutant in chosen:
-            by = killer(Path(tmp), mutant)
+            by = killer(Path(tmp), mutant, mutant.tests)
             print(f"{mutant.name}: {f'killed by {by}' if by else 'SURVIVED'}", flush=True)
             if not by:
                 survivors.append(mutant.name)

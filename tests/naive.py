@@ -35,6 +35,9 @@ sieves;
 the least covering sieves.  They list sieves with the library's
 ``all_sieves`` and build them with its sieve constructors, so that they
 keep its order and raise its ``IntractableSize`` at the same bound.
+``section_rank`` and ``locate`` are not oracles but readers of the
+library's own tables, which the tests use to compare orders and lattice
+positions.
 """
 
 from __future__ import annotations
@@ -817,7 +820,7 @@ def naive_plus_construction(F, J, bound=None):
         )
 
     classes, rep_of = {}, {}
-    rank = F.section_rank()
+    rank = section_rank(F)
     for u in C.objects:
         groups = []
         for item in pairs[u]:
@@ -917,6 +920,19 @@ def naive_closed_sieves(J, u, bound=None):
             for f in C.into(u)
         )
     ]
+
+
+def section_rank(F):
+    """Each section's position in its value set.  Value sets are in label
+    order, so positions order sections by label without comparing labels,
+    which fails on a mix of numbers and strings."""
+    return {u: {x: i for i, x in enumerate(xs)} for u, xs in F.value.items()}
+
+
+def locate(lat, A):
+    """The position of the closed subobject A among a ``SubobjectLattice``'s
+    elements, found by its mask."""
+    return lat.index[lat.algebra.mask(A)]
 
 
 def under_bounds(build, bounds=range(101)):

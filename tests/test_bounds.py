@@ -16,8 +16,8 @@ from unittest import mock
 import pytest
 
 import sheafkit
-from sheafkit import classifier, config, limits, logic, site, torsor
-from sheafkit.classifier import enumerate_subobjects, heyting_report, omega
+from sheafkit import classifier, config, limits, logic, sheaf, site, torsor
+from sheafkit.classifier import classify_round_trip, enumerate_subobjects, heyting_report, omega
 from sheafkit.cli import run
 from sheafkit.config import check_bound, enumeration_bound
 from sheafkit.documents import load_documents
@@ -52,9 +52,11 @@ from sheafkit.limits import (
     diagram_naturals,
     limit,
 )
-from sheafkit.sheaf import exponential, terminal_presheaf
+from sheafkit.sheaf import exponential, is_sheaf, plus_construction, sheafify, terminal_presheaf
 from sheafkit.site import Site, all_sieves, saturate_topology, trivial_topology, validate_topology
 from sheafkit.torsor import cocycles_equivalent, glue_torsor
+
+from naive import under_bounds
 
 
 def arrow_diagram():
@@ -134,6 +136,14 @@ def glue_sign(bound):
     glue_torsor(site, z2_local_system(site), sign_cocycle(), bound)
 
 
+def glue_three_fold_cover(bound):
+    # the whole of discrete2 covered three times: 4**3 candidate sections
+    # over {a,b} outnumber the sheaf check's 16 natural transformations
+    site = discrete2_site()
+    G = z2_local_system(site)
+    glue_torsor(site, G, unit_cocycle(site, G, "{a,b}", ("{a,b}",) * 3), bound)
+
+
 def trivializations(bound):
     site = pseudocircle_site()
     G = z2_local_system(site)
@@ -170,6 +180,7 @@ CASES = {
     "enumerate_subobjects": (subobjects_sierpinski, 32, "subobjects"),
     "heyting_report": (heyting_sierpinski, 27, "Heyting triples"),
     "glue_torsor": (glue_sign, 128, "natural transformations"),
+    "glue_torsor glued sections": (glue_three_fold_cover, 64, "glued sections"),
     "cocycles_equivalent": (trivializations, 4, "trivializations"),
     "formula depth": (formula_depth, 3, "formula depth"),
     "forces": (forces_nested, 8, "context product"),
@@ -245,6 +256,16 @@ def test_negative_bound_on_the_command_line_exits_2():
     assert (code, text) == (2, "error: IntractableSize: natural transformations: size 1 exceeds bound 0\n")
 
 
+def test_glue_torsor_guards_its_glued_sections_after_the_sheaf_check():
+    """Below 16 the sheaf check on the coefficients refuses first; from 16
+    to 63 the sheaf check passes and the 64 candidate sections over {a,b}
+    are refused by gluing's own guard; 64 passes."""
+    found = under_bounds(glue_three_fold_cover)
+    assert [search for search, _, _ in found[:16]] == ["natural transformations"] * 16
+    assert found[16:64] == [("glued sections", 64, bound) for bound in range(16, 64)]
+    assert found[64:] == [None]
+
+
 def test_glue_torsor_on_the_command_line_keeps_its_bound():
     # the sheaf check on the coefficients needs 128 natural transformations
     argv = ["glue-torsor", "--cocycle", "pc-sign", "--bound"]
@@ -296,7 +317,7 @@ def count_bound_reads(monkeypatch) -> list:
         reads.append(override)
         return real(override)
 
-    for module in (config, site, classifier, limits, torsor):
+    for module in (config, site, sheaf, classifier, limits, torsor):
         monkeypatch.setattr(module, "enumeration_bound", counted)
     return reads
 
@@ -330,6 +351,40 @@ def test_certificates_and_gluing_read_the_bound_once(monkeypatch):
         reads.clear()
         entry()
         assert reads.count(None) == 1
+
+
+def multi_search_entry_points(site, X):
+    """The entry points that run one bounded search per object or per
+    covering sieve, or several searches in a row, each run once; the
+    last two run a search even on a category with no objects."""
+    J = site.topology
+    yield lambda: is_sheaf(X, J)
+    yield lambda: plus_construction(X, J)
+    yield lambda: sheafify(X, J)
+    yield lambda: exponential(X, X)
+    yield lambda: classify_round_trip(site, X)
+    yield lambda: heyting_report(site, X)
+
+
+def test_each_multi_search_entry_point_reads_the_bound_once(monkeypatch):
+    """The bound in force is read once per call, not once per inner
+    search; on a category with no objects the sheaf entry points read
+    none, while classification and the Heyting check, which compare one
+    subobject with one arrow and check one triple, read it once."""
+    sier = sierpinski_site()
+    empty = validate_category([], [], {}, {})
+    empty_site = Site(empty, saturate_topology(empty, {}))
+    reads = count_bound_reads(monkeypatch)
+    for entry in multi_search_entry_points(sier, const2_presheaf(sier)):
+        reads.clear()
+        entry()
+        assert reads.count(None) == 1
+    counts = []
+    for entry in multi_search_entry_points(empty_site, terminal_presheaf(empty)):
+        reads.clear()
+        entry()
+        counts.append(reads.count(None))
+    assert counts == [0, 0, 0, 0, 1, 1]
 
 
 def test_a_category_with_no_objects_reads_no_bound(monkeypatch):

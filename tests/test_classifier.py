@@ -41,12 +41,14 @@ from naive import (
     closure,
     implies_sub,
     join_sub,
+    locate,
     meet_sub,
     naive_closed_sieves,
     naive_is_closed,
     naive_sieves,
     naive_stable_subsets,
     neg_sub,
+    section_rank,
     top_sub,
     under_bounds,
 )
@@ -264,14 +266,14 @@ def assert_lattice_matches_subobject_operations(site, F):
     lat = heyting(site, F)
     subs = lat.elements
     for i, A in enumerate(subs):
-        assert lat.locate(A) == i
-        assert lat.neg(i) == lat.locate(neg_sub(J, A))
+        assert locate(lat, A) == i
+        assert lat.neg(i) == locate(lat, neg_sub(J, A))
         for j, B in enumerate(subs):
-            assert lat.meet(i, j) == lat.locate(meet_sub(A, B))
-            assert lat.join(i, j) == lat.locate(join_sub(J, A, B))
-            assert lat.implies(i, j) == lat.locate(implies_sub(A, B))
-    assert lat.top == lat.locate(top_sub(F))
-    assert lat.bottom == lat.locate(bottom_sub(J, F))
+            assert lat.meet(i, j) == locate(lat, meet_sub(A, B))
+            assert lat.join(i, j) == locate(lat, join_sub(J, A, B))
+            assert lat.implies(i, j) == locate(lat, implies_sub(A, B))
+    assert lat.top == locate(lat, top_sub(F))
+    assert lat.bottom == locate(lat, bottom_sub(J, F))
     # the algebra closes any restriction-stable mask, closed or not, as the oracle does
     alg = lat.algebra
     for parts in naive_stable_subsets(F) if F.size() <= 10 else ():
@@ -346,7 +348,7 @@ def test_sieves_and_subobjects_are_what_the_oracles_find(kind, seed):
     got = [tuple(A.parts[u] for u in C.objects) for A in subs]
     assert len(got) == len(closed)
     assert set(got) == {tuple(parts[u] for u in C.objects) for parts in closed}
-    rank = F.section_rank()
+    rank = section_rank(F)
     order = [[sorted(rank[u][x] for x in part) for u, part in zip(C.objects, parts)] for parts in got]
     assert order == sorted(order)
 

@@ -46,7 +46,7 @@ from sheafkit.labels import label_key
 from sheafkit.site import all_sieves, empty_sieve, generate_sieve, maximal_sieve, trivial_topology
 from sheafkit.fincat import discrete_category
 
-from naive import naive_exponential, naive_matching_families, naive_naturals, naive_plus_construction
+from naive import naive_exponential, naive_matching_families, naive_naturals, naive_plus_construction, section_rank
 from randgen import random_poset, random_presheaf, random_site, renamed_arrows
 
 
@@ -96,7 +96,7 @@ def test_naturals_and_matching_families_come_in_oracle_order(rng):
     injective = any(all(len(set(comp[u].values())) == len(F.value[u]) for u in C.objects) for comp in oracle)
     sizes_agree = all(len(F.value[u]) == len(G.value[u]) for u in C.objects)
     assert presheaves_isomorphic(F, G) == (sizes_agree and injective)
-    rank = F.section_rank()
+    rank = section_rank(F)
     for u in C.objects:
         for S in all_sieves(C, u):
             arrows = sorted(S.arrows, key=label_key)

@@ -7,7 +7,7 @@ import pytest
 
 from sheafkit.documents import load_documents
 from sheafkit.errors import CoverMismatch, InvalidCocycle, SemanticError
-from sheafkit.fincat import presheaf
+from sheafkit.fincat import enumerate_naturals, presheaf
 from sheafkit.gallery import (
     PC_UX,
     PC_UY,
@@ -410,3 +410,77 @@ def test_equivalence_matches_the_oracle_on_cocycle_sweeps(make_site, n, cover, t
         cocycles.append(cocycle(site, G, target, cover, values))
     verdicts = [assert_equivalence_matches_oracle(a, b) for a in cocycles for b in cocycles]
     assert True in verdicts and False in verdicts
+
+
+# -- Čech H¹ classifies torsors ----------------------------------------------------------------
+
+def two_arc_cocycles(site, G):
+    """Every cocycle on the pseudocircle's two-arc cover with values in G
+    that passes ``check_cocycle``: one value per ordered pair (i, j), each
+    drawn from G over U_i ∩ U_j."""
+    cover = (PC_UX, PC_UY)
+    pairs = list(product(range(2), repeat=2))
+    choices = [G.sections.value[overlap(site, cover[i], cover[j])] for i, j in pairs]
+    found = []
+    for values in product(*choices):
+        c = cocycle(site, G, PC_WHOLE, cover, dict(zip(pairs, values)))
+        if check_cocycle(c).ok:
+            found.append(c)
+    return found
+
+
+def torsors_isomorphic(T1, T2):
+    """Is there a natural map T1 -> T2 that is bijective at every object
+    and commutes with the action of G?  Both torsors live over the same
+    slice; the maps are all natural transformations, filtered."""
+    P1, P2 = T1.space, T2.space
+    objects = P1.base.objects
+    for eta in enumerate_naturals(P1, P2):
+        comp = eta.components
+        bijective = all(len(set(comp[u].values())) == len(P1.value[u]) == len(P2.value[u]) for u in objects)
+        equivariant = all(
+            comp[u][T1.act(u, p, g)] == T2.act(u, comp[u][p], g)
+            for u in objects for p in P1.value[u] for g in T1.group.sections.value[u]
+        )
+        if bijective and equivariant:
+            return True
+    return False
+
+
+def test_cohomologous_cocycles_are_exactly_those_that_glue_to_isomorphic_torsors():
+    """The Čech H¹ of the two-arc cover classifies the torsors it splits:
+    c1 and c2 are cohomologous exactly when their glued torsors are
+    isomorphic G-torsors.  With Z/2 coefficients there are four cocycles
+    in two classes, so both verdicts occur."""
+    site = pseudocircle_site()
+    G = z2_local_system(site)
+    cocycles = two_arc_cocycles(site, G)
+    glued = [glue_torsor(site, G, c).torsor for c in cocycles]
+    verdicts = []
+    for (c1, T1), (c2, T2) in product(zip(cocycles, glued), repeat=2):
+        equivalent = cocycles_equivalent(c1, c2).equivalent
+        assert equivalent == torsors_isomorphic(T1, T2)
+        verdicts.append(equivalent)
+    assert len(cocycles) == 4
+    assert verdicts.count(True) == 8
+
+
+def test_z3_cocycles_on_the_two_arcs_glue_and_extract_back_in_three_classes():
+    """With Z/3 coefficients, where g_ji = g_ij^-1 differs from g_ij, the
+    two-arc cover has nine cocycles: g_ii = 1 and any g_01 over the two
+    components of the overlap, with g_10 its inverse.  Each glues to a
+    torsor whose canonical sections extract back to it, and they fall in
+    three classes of three, H¹ of the circle with Z/3 coefficients."""
+    site = pseudocircle_site()
+    G = zn_local_system(site, 3)
+    cocycles = two_arc_cocycles(site, G)
+    ab = overlap(site, PC_UX, PC_UY)
+    assert sorted(c.values[0, 1] for c in cocycles) == sorted(G.sections.value[ab])
+    for c in cocycles:
+        assert c.values[1, 0] == G.inv(ab, c.values[0, 1])
+        glued = glue_torsor(site, G, c)
+        extracted = extract_cocycle(glued.torsor, glued.site, PC_WHOLE, glued.canonical_sections)
+        assert extracted.values == c.values
+    classes = {frozenset(i for i, c2 in enumerate(cocycles) if cocycles_equivalent(c1, c2).equivalent)
+               for c1 in cocycles}
+    assert sorted(map(len, classes)) == [3, 3, 3]
