@@ -19,6 +19,7 @@ operations on ``Subobject`` parts live in ``tests/naive.py`` as the oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -277,6 +278,8 @@ def classify_round_trip(site: Site, X: Presheaf, bound: int | None = None) -> Cl
     subs = enumerate_subobjects(J, X, bound)
     homs = enumerate_naturals(X, om.presheaf, bound)
     backs = [pullback_of_truth(om, phi) for phi in homs]
+    objects = X.base.objects
+    pulled = Counter(tuple(back.parts[u] for u in objects) for back in backs)
     failures = []
     for A in subs:
         chi = characteristic(om, A)
@@ -285,7 +288,7 @@ def classify_round_trip(site: Site, X: Presheaf, bound: int | None = None) -> Cl
             failures.append(f"pullback of true does not recover the subobject {A.key()}")
         if not characteristic_square_is_pullback(om, A, chi):
             failures.append(f"characteristic square is not a pullback for {A.key()}")
-        hits = sum(1 for pulled in backs if pulled.same(A))
+        hits = pulled[tuple(A.parts[u] for u in objects)]
         if hits != 1:
             failures.append(f"{hits} arrows classify {A.key()}; expected exactly one")
     for phi, back in zip(homs, backs):

@@ -323,12 +323,15 @@ def pullback(f: SetFun, g: SetFun) -> tuple[tuple[Label, ...], SetFun, SetFun]:
 
 
 def is_pullback(apex, pa: SetFun, pb: SetFun, f: SetFun, g: SetFun) -> bool:
-    """Is a given commuting cone the pullback?  Via the canonical comparison."""
+    """Is a given commuting cone the pullback?  Exactly when (pa, pb) maps
+    the apex one to one onto the pairs of the canonical pullback,
+    {(a, b) | f(a) = g(b)}, which are compared as a set, unsorted."""
     if any(f(pa(t)) != g(pb(t)) for t in apex):
         return False
-    canonical, _, _ = pullback(f, g)
+    if f.cod != g.cod:
+        raise CodomainMismatch("pullback needs a common codomain")
     image = {(pa(t), pb(t)) for t in apex}
-    return len(image) == len(apex) and image == set(canonical)
+    return len(image) == len(apex) and image == {(a, b) for a in f.dom for b in g.dom if f(a) == g(b)}
 
 
 def equalizer(f: SetFun, g: SetFun) -> tuple[tuple[Label, ...], SetFun]:

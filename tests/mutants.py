@@ -1,5 +1,5 @@
-"""Mutation check of the internal logic and the descent layer: does the
-suite notice a broken engine?
+"""Mutation check of the internal logic, the descent layer and the sheaf
+condition: does the suite notice a broken engine?
 
 Each mutant is one small edit to the syntax tree of a library function,
 made with the standard ``ast`` module in a temporary copy of the
@@ -31,6 +31,7 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parent.parent
 LOGIC_TESTS = ("tests/test_logic.py", "tests/test_acceptance.py")
 TORSOR_TESTS = ("tests/test_torsor.py", "tests/test_acceptance.py", "tests/test_documents.py", "tests/test_bounds.py")
+SHEAF_TESTS = ("tests/test_sheaf.py", "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_hash_stability.py")
 
 
 def method_call(node: ast.AST, name: str) -> bool:
@@ -121,6 +122,30 @@ def canonical_transposed(node):
     return None
 
 
+def guard_passes(node):
+    # _least_is_a_basis(J)  ->  True
+    if method_call(node, "_least_is_a_basis"):
+        return ast.Constant(True)
+    return None
+
+
+def least_pass_skips_last(node):
+    # any(_sieve_failures(...) for u in C.objects)  ->  ... for u in C.objects[:-1]
+    if method_call(node, "any") and isinstance(node.args[0], ast.GeneratorExp) and method_call(node.args[0].elt, "_sieve_failures"):
+        loop = node.args[0].generators[0]
+        loop.iter = ast.Subscript(loop.iter, ast.Slice(upper=ast.Constant(-1)), ast.Load())
+        return node
+    return None
+
+
+def counts_least_sieves(node):
+    # SheafReport(True, (), len(listed))  ->  SheafReport(True, (), len(C.objects))
+    if method_call(node, "SheafReport") and getattr(node.args[0], "value", None) is True:
+        objects = ast.Attribute(ast.Name("C", ast.Load()), "objects", ast.Load())
+        return ast.Call(node.func, [*node.args[:2], ast.Call(ast.Name("len", ast.Load()), [objects], [])], [])
+    return None
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -155,6 +180,12 @@ MUTANTS = (
     # g_ij · g_jk compared with g_ki
     Mutant("cocycle-against-gki", "src/sheafkit/torsor.py", "check_cocycle",
            reindexed("lifted", ("i", "k", "w"), ("k", "i", "w")), TORSOR_TESTS),
+    # the certificate on L without f∘g ∈ L(u) for f: V -> u and g ∈ L(V)
+    Mutant("sheaf-guard-passes", "src/sheafkit/sheaf.py", "is_sheaf", guard_passes, SHEAF_TESTS),
+    # L(u) checked at every object but the last
+    Mutant("least-pass-skips-last", "src/sheafkit/sheaf.py", "is_sheaf", least_pass_skips_last, SHEAF_TESTS),
+    # pairs_checked on the certificate counts the L sieves, one per object
+    Mutant("pairs-checked-least-only", "src/sheafkit/sheaf.py", "is_sheaf", counts_least_sieves, SHEAF_TESTS),
 )
 
 

@@ -29,6 +29,10 @@ it was first written, on the library's matching families, presheaf and
 natural-transformation constructors, as the oracle for
 ``sheaf.plus_construction``, which reads it off the least covering
 sieves;
+``naive_is_sheaf`` is the sheaf condition walked over every listed
+covering sieve as it was first written, on the library's matching and
+induced families, as the oracle for ``sheaf.is_sheaf``, which
+certifies it on the least covering sieves;
 ``naive_saturate_topology``, ``naive_open_cover_covers`` and
 ``naive_closed_sieves`` decide covering on whole sieve sets, as
 ``site`` and ``classifier`` first did, where the library decides it by
@@ -58,7 +62,7 @@ from sheafkit.classifier import Subobject, is_closed, subobject
 from sheafkit.config import enumeration_bound
 from sheafkit.fincat import natural_transformation, presheaf
 from sheafkit.labels import label_key
-from sheafkit.sheaf import MatchingFamily, induced_family, matching_families
+from sheafkit.sheaf import MatchingFamily, SheafFailure, SheafReport, induced_family, matching_families
 from sheafkit.site import (
     GrothendieckTopology,
     Sieve,
@@ -853,6 +857,45 @@ def naive_plus_construction(F, J, bound=None):
         M = maximal_sieve(C, u)
         unit[u] = {x: rep_of[u][(M, induced_family(F, M, x).key())] for x in F.value[u]}
     return plus, natural_transformation(F, plus, unit)
+
+
+# -- the sheaf condition on every listed sieve -------------------------------------
+
+def naive_is_sheaf(F, J, bound=None):
+    """The sheaf condition walked over every listed covering sieve, in
+    order: at each, the matching families against the families the
+    sections induce.  Returns the report ``is_sheaf`` gives."""
+    if not F.base.same(J.category):
+        raise BaseMismatch("presheaf and topology live over different categories")
+    if F.base.objects:
+        bound = enumeration_bound(bound)
+    failures = []
+    checked = 0
+    for u in F.base.objects:
+        for S in J.covers[u]:
+            checked += 1
+            fams = matching_families(F, S, bound)
+            induced = {}
+            for x in F.value[u]:
+                induced.setdefault(induced_family(F, S, x).key(), []).append(x)
+            collisions = {k: xs for k, xs in induced.items() if len(xs) > 1}
+            if collisions:
+                xs = next(iter(collisions.values()))
+                failures.append(
+                    SheafFailure(
+                        u, S, "separation", len(F.value[u]), len(fams),
+                        f"sections {xs[0]!r} and {xs[1]!r} induce the same family",
+                    )
+                )
+            missing = [m for m in fams if m.key() not in induced]
+            if missing:
+                failures.append(
+                    SheafFailure(
+                        u, S, "gluing", len(F.value[u]), len(fams),
+                        f"{len(missing)} families glue to no section",
+                    )
+                )
+    return SheafReport(not failures, tuple(failures), checked)
 
 
 # -- covering decided on sieve sets --------------------------------------------------
