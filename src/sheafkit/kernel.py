@@ -19,14 +19,33 @@ and exponentials.
 Families come out in lexicographic order of the concatenated function
 tuples.
 
+The domain of element x of slot k is an int bitmask, dom[k][x]: bit v
+is set while family[k][x] may still be v.  One pruning pass runs
+before the search (directional arc consistency, Dechter & Pearl 1987).
+It visits the constraints in descending order of their later slot
+max(p, q), and shrinks the element of the earlier slot to the values
+that the later one supports:
+
+    q < p:  family[q][ftab[x]] to the gtab-image of family[p][x]'s mask
+    p < q:  family[p][x] to the gtab-preimage of family[q][ftab[x]]'s mask
+    p == q: family[p][x], where x == ftab[x], to the fixed points of gtab
+
+Only constraints with a later slot shrink a mask, so every mask is
+final before it shrinks an earlier one.  The pass removes only values
+that occur in no family, so the families and their order stay the
+same.  It runs only when a constraint can shrink a full mask: a q < p
+table whose gtab misses a value, or a diagonal whose gtab moves one.
+A mask that empties leaves no family.
+
 Slots are filled in order.  Every constraint is applied at slot
 max(p, q), once the earlier slots are fixed.  There it narrows the
-domains of single elements of the slot before any candidate is built
+masks of single elements of the slot before any candidate is built
 (forward checking, Haralick & Elliott 1980):
 
     p < q:   forces family[q][ftab[x]] to the single value gtab[family[p][x]]
-    q < p:   restricts family[p][x] to the gtab-preimage of family[q][ftab[x]]
-    p == q:  filters the slot's candidates, the product of the domains
+    q < p:   intersects family[p][x] with the gtab-preimage of family[q][ftab[x]]
+    p == q:  filters the slot's candidates, the product of the domains,
+             on the pairs x != ftab[x]; the diagonal is the pass's
 
 A bad partial family is rejected as soon as the filled slots show the
 conflict, which can be before max(p, q).  When slots p0 < p1 both force
@@ -37,18 +56,21 @@ gtab1-preimage of the value that p0 forces.  Each later forcer of an
 element is checked against its earliest one; the original constraints
 still run at slot q, so the checks add no family and lose none.
 
-A slot with no source values, or with one target value and no
-narrowing at it, has exactly one function, and every check at that
-slot accepts it: a forced value or a p == q filter can only ask for
-the one target value there is.  Such a slot is fixed once, before the
-search, and the recursion skips it, so a family whose remaining slots
-all have one function costs no call of its own.  A slot with one
-target value that a narrowing lands on is searched, since the
-narrowing can reject it.
+A slot whose masks are all single bits after the pass has exactly one
+function: no source values, one target value, or one value left per
+element.  It is fixed once, before the search, and the recursion skips
+it, so a family whose remaining slots all have one function costs no
+call of its own.  The checks at such a slot hold for every family the
+search builds, because the pass has already cut the other slot of each
+of its constraints down to the values that agree with it.  The one
+exception is a p == q constraint between two different elements of the
+slot, which the pass does not cover: it is checked once, at setup, and
+if it fails there is no family.
 
-Domains stay in ascending order, so the product keeps the order.
-Callers pass one constraint per generating arrow of their base
-category, not one per arrow (``fincat.natural_index_families``).
+Candidates are the product of each element's values in ascending
+order, so the product keeps the lexicographic order.  Callers pass one
+constraint per generating arrow of their base category, not one per
+arrow (``fincat.natural_index_families``).
 
 Label tables reach the search in three steps:
 
@@ -81,26 +103,33 @@ from operator import itemgetter
 def natural_families(f_sizes, g_sizes, morphisms):
     """All families satisfying ``morphisms``, in order; see the module docstring."""
     n = len(f_sizes)
-    if any(f and not g for f, g in zip(f_sizes, g_sizes)):
+    dom = [[(1 << g) - 1] * f for f, g in zip(f_sizes, g_sizes)]  # dom[k][x]: the mask of family[k][x]
+    if not all(map(all, dom)):
         return []  # a slot with no function at all
     forced = [[] for _ in range(n)]    # (p, ftab, gtab) with p < q == k
-    narrowed = [[] for _ in range(n)]  # (s, i, x, pre): family[k][x] in pre[family[s][i]], s < k
-    closed = [[] for _ in range(n)]    # (ftab, gtab) with p == q == k
+    narrowed = [[] for _ in range(n)]  # (s, i, x, pre): family[k][x] in mask pre[family[s][i]], s < k
+    closed = [[] for _ in range(n)]    # (x, e, gtab): family[k][e] == gtab[family[k][x]], e != x
     forcings = []  # the p < q constraints
+    prunes = False  # can the pass shrink a full mask?
     for p, q, ftab, gtab in morphisms:
+        if not ftab:
+            continue  # slot p has no source values: nothing to check
         if p < q:
             forcings.append((p, q, ftab, gtab))
         elif q < p:
-            pre = _preimages(gtab, g_sizes[q])
+            pre = _premasks(gtab, g_sizes[q])
             narrowed[p] += [(q, i, x, pre) for x, i in enumerate(ftab)]
+            prunes = prunes or not all(pre)  # gtab misses a value
         else:
-            closed[p].append((ftab, gtab))
+            closed[p] += [(x, e, gtab) for x, e in enumerate(ftab) if e != x]
+            if not prunes and any(x == e for x, e in enumerate(ftab)):
+                prunes = any(y != v for y, v in enumerate(gtab))  # a diagonal moves a value
 
     # early forcer checks: each later forcer of element e of slot q is
     # checked against the earliest one, at its own slot
     forcings.sort(key=itemgetter(0))
     first = {}     # (q, e) -> (constraint, slot, element) of its earliest forcer
-    composed = {}  # (earliest constraint, later constraint) -> preimage table
+    composed = {}  # (earliest constraint, later constraint) -> preimage masks
     for c, (p, q, ftab, gtab) in enumerate(forcings):
         forced[q].append((p, ftab, gtab))
         for x, e in enumerate(ftab):
@@ -108,18 +137,31 @@ def natural_families(f_sizes, g_sizes, morphisms):
             if p0 < p:
                 pre = composed.get((c0, c))
                 if pre is None:
-                    own = _preimages(gtab, g_sizes[q])
+                    own = _premasks(gtab, g_sizes[q])
                     pre = composed[c0, c] = [own[v] for v in forcings[c0][3]]
                 narrowed[p].append((p0, x0, x, pre))
 
+    if prunes and not _prune(dom, morphisms):
+        return []  # an element with no value left
+
     # slots with exactly one function are fixed once; the search visits the rest
     fam = [None] * n
+    values = [None] * n  # values[k][x]: the values in dom[k][x], ascending
+    spots = [()] * n     # spots[k]: the elements that the narrowings at slot k touch
     order = []
-    for k in range(n):
-        if not f_sizes[k] or (g_sizes[k] == 1 and not narrowed[k]):
-            fam[k] = (0,) * f_sizes[k]
+    for k, masks in enumerate(dom):
+        if g_sizes[k] == 1 or not masks:
+            fam[k] = (0,) * len(masks)
+        elif prunes and sum(map(int.bit_count, masks)) == len(masks):  # one value per element
+            func = fam[k] = tuple(m.bit_length() - 1 for m in masks)
+            if closed[k] and not all(func[e] == gtab[func[x]] for x, e, gtab in closed[k]):
+                return []  # the pass does not check two elements against each other
         else:
             order.append(k)
+            # without the pass every mask is full
+            values[k] = list(map(_values, masks)) if prunes else [range(g_sizes[k])] * len(masks)
+            if narrowed[k]:
+                spots[k] = {x for _, _, x, _ in narrowed[k]}
     if not order:
         return [tuple(fam)]
     out = []
@@ -127,24 +169,26 @@ def natural_families(f_sizes, g_sizes, morphisms):
     following = dict(zip(order, order[1:]))
 
     def rec(k: int) -> None:
-        domains = [range(g_sizes[k])] * f_sizes[k]
+        domains = dom[k].copy()
+        vals = values[k].copy()
         for p, ftab, gtab in forced[k]:
-            for x, y in enumerate(fam[p]):
+            for e, y in zip(ftab, fam[p]):
                 v = gtab[y]
-                if v not in domains[ftab[x]]:
+                if not domains[e] & 1 << v:
                     return
-                domains[ftab[x]] = (v,)
+                domains[e] = 1 << v
+                vals[e] = (v,)
         for s, i, x, pre in narrowed[k]:
-            allowed = [y for y in pre[fam[s][i]] if y in domains[x]]
-            if not allowed:
+            m = domains[x] & pre[fam[s][i]]
+            if not m:
                 return
-            domains[x] = allowed
-        cands = product(*domains)
+            domains[x] = m
+        for x in spots[k]:
+            m = domains[x]
+            vals[x] = _values(m) if m & (m - 1) else (m.bit_length() - 1,)  # one value: no call
+        cands = product(*vals)
         if closed[k]:
-            cands = [
-                func for func in cands
-                if all(func[ftab[x]] == gtab[y] for ftab, gtab in closed[k] for x, y in enumerate(func))
-            ]
+            cands = [func for func in cands if all(func[e] == gtab[func[x]] for x, e, gtab in closed[k])]
         if k == last:
             for func in cands:
                 fam[k] = func
@@ -157,6 +201,46 @@ def natural_families(f_sizes, g_sizes, morphisms):
 
     rec(order[0])
     del rec  # it refers to itself through its closure cell
+    return out
+
+
+def _prune(dom, morphisms):
+    """Shrink the masks ``dom`` to values that every constraint supports
+    from the later of its two slots; False if a mask empties.
+
+    Constraints run in descending order of their later slot, diagonals
+    first among equals, so a mask is final before it shrinks earlier
+    ones (directional arc consistency, Dechter & Pearl 1987).
+    """
+    for p, q, ftab, gtab in sorted(morphisms, key=lambda c: (-max(c[0], c[1]), c[0] != c[1])):
+        if q < p:  # family[q][e] lies in the gtab-image of family[p][x]
+            for x, e in enumerate(ftab):
+                m, image = dom[p][x], 0
+                for y, v in enumerate(gtab):
+                    if m >> y & 1:
+                        image |= 1 << v
+                dom[q][e] &= image
+        elif p < q:  # family[p][x] lies in the gtab-preimage of family[q][e]
+            for x, e in enumerate(ftab):
+                m = dom[q][e]
+                dom[p][x] &= sum(1 << y for y, v in enumerate(gtab) if m >> v & 1)
+        else:  # family[p][x] is a fixed point of gtab where x == ftab[x]
+            fixed = sum(1 << y for y, v in enumerate(gtab) if y == v)
+            for x, e in enumerate(ftab):
+                if x == e:
+                    dom[p][x] &= fixed
+    return all(map(all, dom))
+
+
+def _values(m):
+    """The set bits of mask ``m``, ascending."""
+    if not m & (m + 1):
+        return range(m.bit_length())  # a full mask
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
     return out
 
 
@@ -186,11 +270,11 @@ def down_sets(below):
     return out
 
 
-def _preimages(gtab, size):
-    """pre[v]: the y with gtab[y] == v, ascending, for every v < size."""
-    pre = [[] for _ in range(size)]
+def _premasks(gtab, size):
+    """pre[v]: the mask of the y with gtab[y] == v, for every v < size."""
+    pre = [0] * size
     for y, v in enumerate(gtab):
-        pre[v].append(y)
+        pre[v] |= 1 << y
     return pre
 
 

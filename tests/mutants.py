@@ -1,5 +1,5 @@
-"""Mutation check of the internal logic, the descent layer and the sheaf
-condition: does the suite notice a broken engine?
+"""Mutation check of the internal logic, the descent layer, the sheaf
+condition and the search kernel: does the suite notice a broken engine?
 
 Each mutant is one small edit to the syntax tree of a library function,
 made with the standard ``ast`` module in a temporary copy of the
@@ -32,6 +32,29 @@ ROOT = Path(__file__).resolve().parent.parent
 LOGIC_TESTS = ("tests/test_logic.py", "tests/test_acceptance.py")
 TORSOR_TESTS = ("tests/test_torsor.py", "tests/test_acceptance.py", "tests/test_documents.py", "tests/test_bounds.py")
 SHEAF_TESTS = ("tests/test_sheaf.py", "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_hash_stability.py")
+KERNEL_TESTS = ("tests/test_kernel.py", "tests/test_fincat.py", "tests/test_limits.py", "tests/test_sheaf.py")
+
+
+def source(text: str) -> Callable[[ast.AST], bool]:
+    """Does a node unparse to ``text``?"""
+    return lambda node: ast.unparse(node) == text
+
+
+def branch_skipped(test: Callable[[ast.AST], bool]):
+    """Empty the body of the ``if`` whose test matches, keeping its ``else``."""
+    def edit(node):
+        if isinstance(node, ast.If) and test(node.test):
+            return ast.If(node.test, [ast.Pass()], node.orelse)
+        return None
+    return edit
+
+
+def replaced(text: str, by: str):
+    """Replace the expression that unparses to ``text`` by ``by``."""
+    match = source(text)
+    def edit(node):
+        return ast.parse(by, mode="eval").body if isinstance(node, ast.expr) and match(node) else None
+    return edit
 
 
 def method_call(node: ast.AST, name: str) -> bool:
@@ -186,6 +209,24 @@ MUTANTS = (
     Mutant("least-pass-skips-last", "src/sheafkit/sheaf.py", "is_sheaf", least_pass_skips_last, SHEAF_TESTS),
     # pairs_checked on the certificate counts the L sieves, one per object
     Mutant("pairs-checked-least-only", "src/sheafkit/sheaf.py", "is_sheaf", counts_least_sieves, SHEAF_TESTS),
+    # the pruning pass without its image revision (q < p) ...
+    Mutant("prune-skips-image", "src/sheafkit/kernel.py", "_prune", branch_skipped(source("q < p")), KERNEL_TESTS),
+    # ... without its preimage revision (p < q) ...
+    Mutant("prune-skips-preimage", "src/sheafkit/kernel.py", "_prune", branch_skipped(source("p < q")), KERNEL_TESTS),
+    # ... and without the fixed points of a diagonal x == ftab[x]
+    Mutant("prune-drops-diagonal", "src/sheafkit/kernel.py", "_prune", branch_skipped(source("x == e")), KERNEL_TESTS),
+    # a slot fixed before the search skips its p == q check
+    Mutant("fixed-slot-unchecked", "src/sheafkit/kernel.py", "natural_families",
+           branch_skipped(lambda t: isinstance(t, ast.BoolOp) and source("closed[k]")(t.values[0])), KERNEL_TESTS),
+    # the search takes a forced value it has no room for
+    Mutant("forced-value-unchecked", "src/sheafkit/kernel.py", "natural_families",
+           branch_skipped(source("not domains[e] & 1 << v")), KERNEL_TESTS),
+    # the search does not narrow
+    Mutant("narrowing-skipped", "src/sheafkit/kernel.py", "natural_families",
+           replaced("domains[x] & pre[fam[s][i]]", "domains[x]"), KERNEL_TESTS),
+    # the search does not filter a slot's candidates by its p == q constraints
+    Mutant("closed-filter-skipped", "src/sheafkit/kernel.py", "natural_families",
+           branch_skipped(source("closed[k]")), KERNEL_TESTS),
 )
 
 

@@ -3,7 +3,8 @@ and the down-set enumerator against a filter of every subset.
 
 ``naive.naive_natural_families`` has the kernel's contract and output
 order but never narrows single elements, so the two agree only if the
-kernel's forward checking loses no family and keeps the order.
+kernel's pruning pass and forward checking lose no family and keep the
+order.
 ``naive.naive_decode`` builds each family's outer dict from all of its
 slots, so ``decode`` agrees with it only if sharing prefixes between
 neighbouring families loses no slot and keeps every key order.
@@ -73,6 +74,20 @@ CASES = [
     ([0, 2], [2, 2], [(0, 0, [], [1, 0]), (1, 1, [0, 0], [0, 1])]),
     # a slot with source values and no target values: no family at all
     ([0, 1, 2], [1, 0, 2], []),
+    # the pass cuts slot 0 to one value per element, (1, 1), which its own
+    # swap constraint rejects: the fixed slot is checked once, at setup
+    ([2, 2], [2, 1], [(1, 0, [0, 1], [1]), (0, 0, [1, 0], [1, 0])]),
+    # the pass empties a domain: slot 1 asks for value 1, the diagonal for 0
+    ([1, 1], [2, 1], [(1, 0, [0], [1]), (0, 0, [0], [0, 0])]),
+    # slot 2 pins slot 1 to value 1, so slot 1 is fixed and never searched:
+    # only the pass's preimage revision keeps slot 0's forcing of it, which
+    # here empties slot 0 ...
+    ([1, 1, 1], [2, 2, 1], [(2, 1, [0], [1]), (0, 1, [0], [0, 0])]),
+    # ... and here leaves slot 0 one value
+    ([1, 1, 1], [2, 2, 1], [(2, 1, [0], [1]), (0, 1, [0], [0, 1])]),
+    # the pair-fold chain of perfbench's naturals-chain: every restriction
+    # halves the image, so the pass leaves 16 of slot 0's 256 candidates
+    ([4] * 4, [4] * 4, [(k + 1, k, [0, 1, 2, 3], [0, 0, 2, 2]) for k in range(3)]),
 ]
 
 
@@ -230,16 +245,16 @@ def assert_same_decoding(got, want):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(kernel_instances(), st.randoms(use_true_random=False))
-@example(([], [], []), random.Random(0))  # no objects: one empty family
-@example(([3], [2], []), random.Random(0))  # one object
-@example(([0, 2, 0], [1, 2, 3], []), random.Random(0))  # slots with no source values
-@example(([1, 2], [0, 2], []), random.Random(0))  # no families
-@example(([2, 1, 1], [2, 2, 1], [(1, 2, [0], [0, 0])]), random.Random(0))  # constant last slot
-def test_decode_matches_the_reference(case, rng):
+@given(kernel_instances(), st.integers(0, 2**32 - 1))
+@example(([], [], []), 0)  # no objects: one empty family
+@example(([3], [2], []), 0)  # one object
+@example(([0, 2, 0], [1, 2, 3], []), 0)  # slots with no source values
+@example(([1, 2], [0, 2], []), 0)  # no families
+@example(([2, 1, 1], [2, 2, 1], [(1, 2, [0], [0, 0])]), 0)  # constant last slot
+def test_decode_matches_the_reference(case, seed):
     fs, gs, mors = case
     fams = natural_families(fs, gs, mors)
-    objects, f_value, g_value = labelled(fs, gs, rng)
+    objects, f_value, g_value = labelled(fs, gs, random.Random(seed))
     assert_same_decoding(decode(objects, f_value, g_value, fams), naive_decode(objects, f_value, g_value, fams))
 
 
@@ -252,7 +267,7 @@ def test_decode_does_not_need_the_kernel_order(fs, data):
     gs = [data.draw(st.integers(1, 3)) for _ in fs]
     family = st.tuples(*[st.tuples(*[st.integers(0, g - 1)] * f) for f, g in zip(fs, gs)])
     fams = data.draw(st.lists(family, max_size=12))
-    objects, f_value, g_value = labelled(fs, gs, data.draw(st.randoms(use_true_random=False)))
+    objects, f_value, g_value = labelled(fs, gs, random.Random(data.draw(st.integers(0, 2**32 - 1))))
     assert_same_decoding(decode(objects, f_value, g_value, fams), naive_decode(objects, f_value, g_value, fams))
 
 
@@ -330,12 +345,13 @@ def candidate_space(F, G):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(sorted(BASES)), st.randoms(use_true_random=False))
-def test_enumerated_naturals_are_the_validated_ones_in_order(kind, rng):
+@given(st.sampled_from(sorted(BASES)), st.integers(0, 2**32 - 1))
+def test_enumerated_naturals_are_the_validated_ones_in_order(kind, seed):
     """Each enumerated transformation is what ``natural_transformation``
     builds from its components, with the same key orders; they come in
     lexicographic order of their index tuples, and on small candidate
     spaces they are exactly the full-product oracle's, in its order."""
+    rng = random.Random(seed)
     C = BASES[kind](rng)
     F = random_presheaf(rng, C, 2)
     if C.objects and rng.random() < 0.5:
