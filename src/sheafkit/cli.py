@@ -22,7 +22,14 @@ import time
 from . import __version__
 from .classifier import classify_round_trip, heyting_report, omega, omega_open_iso
 from .documents import load_documents
-from .errors import IntractableSize, MalformedDocument, UnknownObject, UsageError, WorkbenchError
+from .errors import (
+    IntractableSize,
+    MalformedDocument,
+    UnknownObject,
+    UnresolvedReference,
+    UsageError,
+    WorkbenchError,
+)
 from .fincat import natural_index_families, yoneda_presheaf
 from .labels import label_key, show_label
 from .limits import (
@@ -105,7 +112,7 @@ def _render_text(report) -> str:
 def _h_validate_category(ds, args):
     try:
         C = ds.category(args.category)
-    except (MalformedDocument, IntractableSize):
+    except (MalformedDocument, IntractableSize, UnresolvedReference):
         raise  # a load error, not a verdict on the category
     except WorkbenchError as err:
         return False, {"error": str(err)}, [args.category]
@@ -235,12 +242,19 @@ def _h_heyting(ds, args):
     return report.ok, details, [args.site, args.presheaf]
 
 
-def _h_force(ds, args):
+def _formula(ds, args):
+    """The formula document ``--formula``; a ``--site`` other than its
+    own site is a usage error."""
     fd = ds.formula(args.formula)
     if args.site and fd.model.site is not ds.site(args.site):
         raise UsageError(
             f"formula {args.formula!r} is pinned to its own site document"
         )
+    return fd
+
+
+def _h_force(ds, args):
+    fd = _formula(ds, args)
     env = _parse_pairs(args.env, "--env")
     forced = forces(fd.model, args.at, fd.formula, env, fd.context, args.bound)
     details = {
@@ -256,7 +270,7 @@ def _h_force(ds, args):
 
 
 def _h_interpret(ds, args):
-    fd = ds.formula(args.formula)
+    fd = _formula(ds, args)
     sub = interpret(fd.model, fd.formula, fd.context, args.bound)
     details = {
         "formula": format_formula(fd.formula),
@@ -515,11 +529,14 @@ COMMANDS = {
     "heyting": (_h_heyting, {"--site": _REQUIRED, "--presheaf": _REQUIRED}),
     "force": (_h_force, {
         "--formula": _REQUIRED,
-        "--site": {"default": None, "help": "informational; the formula pins its site"},
+        "--site": {"default": None, "help": "optional; must name the formula's own site"},
         "--at": _REQUIRED,
         "--env": {"action": "append", "default": [], "help": "VAR=SECTION, repeatable"},
     }),
-    "interpret": (_h_interpret, {"--formula": _REQUIRED, "--site": {"default": None}}),
+    "interpret": (_h_interpret, {
+        "--formula": _REQUIRED,
+        "--site": {"default": None, "help": "optional; must name the formula's own site"},
+    }),
     "torsor-check": (_h_torsor_check, {
         "--site": _REQUIRED, "--action": _REQUIRED,
         "--existential": {"action": "store_true",

@@ -20,49 +20,56 @@ Families come out in lexicographic order of the concatenated function
 tuples.
 
 The domain of element x of slot k is an int bitmask, dom[k][x]: bit v
-is set while family[k][x] may still be v.  One pruning pass runs
-before the search (directional arc consistency, Dechter & Pearl 1987).
-It visits the constraints in descending order of their later slot
-max(p, q), and shrinks the element of the earlier slot to the values
-that the later one supports:
-
-    q < p:  family[q][ftab[x]] to the gtab-image of family[p][x]'s mask
-    p < q:  family[p][x] to the gtab-preimage of family[q][ftab[x]]'s mask
-    p == q: family[p][x], where x == ftab[x], to the fixed points of gtab
-
-Only constraints with a later slot shrink a mask, so every mask is
-final before it shrinks an earlier one.  The pass removes only values
-that occur in no family, so the families and their order stay the
-same.  It runs only when a constraint can shrink a full mask: a q < p
-table whose gtab misses a value, or a diagonal whose gtab moves one.
-A mask that empties leaves no family.
+is set while family[k][x] may still be v.
 
 Slots are filled in order.  Every constraint is applied at slot
-max(p, q), once the earlier slots are fixed.  There it narrows the
-masks of single elements of the slot before any candidate is built
-(forward checking, Haralick & Elliott 1980):
+max(p, q), once the earlier slots are fixed.  There all of its checks
+between two slots take one form, a narrowing (s, i, x, pre) at slot k:
 
-    p < q:   forces family[q][ftab[x]] to the single value gtab[family[p][x]]
-    q < p:   intersects family[p][x] with the gtab-preimage of family[q][ftab[x]]
-    p == q:  filters the slot's candidates, the product of the domains,
-             on the pairs x != ftab[x]; the diagonal is the pass's
+    family[k][x] lies in the mask pre[family[s][i]], for s < k
+
+It intersects dom[k][x] with that mask before any candidate of slot k
+is built (forward checking, Haralick & Elliott 1980).  Only the pre
+table tells the constraints apart:
+
+    p < q:  at slot q, (p, x, ftab[x]) with pre[y] = the one value gtab[y]
+    q < p:  at slot p, (q, ftab[x], x) with pre[v] = the gtab-preimage of v
+    early forcer check, below: pre[y0] = the gtab1-preimage of gtab0[y0]
+
+A p == q constraint filters the slot's candidates, the product of the
+domains, on the pairs x != ftab[x].  Each diagonal x == ftab[x] is a
+unary mask instead: family[p][x] is a fixed point of gtab.
 
 A bad partial family is rejected as soon as the filled slots show the
 conflict, which can be before max(p, q).  When slots p0 < p1 both force
 element e of slot q (p1 < q), the two constraints together say that
 gtab1[family[p1][x1]] == gtab0[family[p0][x0]].  This is checked at
-slot p1, as one more narrowing: family[p1][x1] lies in the
-gtab1-preimage of the value that p0 forces.  Each later forcer of an
-element is checked against its earliest one; the original constraints
-still run at slot q, so the checks add no family and lose none.
+slot p1, as one more narrowing (p0, x0, x1, pre).  Each later forcer of
+an element is checked against its earliest one; the original
+constraints still run at slot q, so the checks add no family and lose
+none.
+
+One pruning pass runs before the search (directional arc consistency,
+Dechter & Pearl 1987).  It applies the diagonals, then goes through the
+slots from last to first, and each narrowing (s, i, x, pre) at slot k
+shrinks the earlier element to the values that the later one supports:
+
+    dom[s][i] = {v in dom[s][i] : pre[v] & dom[k][x] != 0}
+
+A narrowing at slot k shrinks only a slot before k, so every mask is
+final before it shrinks an earlier one.  The pass removes only values
+that occur in no family, so the families and their order stay the
+same.  It runs only when something can shrink a full mask: a q < p
+table whose gtab misses a value, or a diagonal whose gtab moves one.
+A mask that empties leaves no family.
 
 A slot whose masks are all single bits after the pass has exactly one
 function: no source values, one target value, or one value left per
 element.  It is fixed once, before the search, and the recursion skips
 it, so a family whose remaining slots all have one function costs no
-call of its own.  The checks at such a slot hold for every family the
-search builds, because the pass has already cut the other slot of each
-of its constraints down to the values that agree with it.  The one
+call of its own.  The narrowings at such a slot hold for every family
+the search builds, because the pass has already cut the earlier element
+of each of them down to the values that agree with it.  The one
 exception is a p == q constraint between two different elements of the
 slot, which the pass does not cover: it is checked once, at setup, and
 if it fails there is no family.
@@ -106,24 +113,28 @@ def natural_families(f_sizes, g_sizes, morphisms):
     dom = [[(1 << g) - 1] * f for f, g in zip(f_sizes, g_sizes)]  # dom[k][x]: the mask of family[k][x]
     if not all(map(all, dom)):
         return []  # a slot with no function at all
-    forced = [[] for _ in range(n)]    # (p, ftab, gtab) with p < q == k
     narrowed = [[] for _ in range(n)]  # (s, i, x, pre): family[k][x] in mask pre[family[s][i]], s < k
     closed = [[] for _ in range(n)]    # (x, e, gtab): family[k][e] == gtab[family[k][x]], e != x
-    forcings = []  # the p < q constraints
+    diagonals = []  # (k, x, fixed): family[k][x] in mask fixed, for the pass
+    forcings = []   # the p < q constraints
     prunes = False  # can the pass shrink a full mask?
     for p, q, ftab, gtab in morphisms:
         if not ftab:
             continue  # slot p has no source values: nothing to check
         if p < q:
             forcings.append((p, q, ftab, gtab))
+            single = [1 << v for v in gtab]
+            narrowed[q] += [(p, x, e, single) for x, e in enumerate(ftab)]
         elif q < p:
             pre = _premasks(gtab, g_sizes[q])
             narrowed[p] += [(q, i, x, pre) for x, i in enumerate(ftab)]
             prunes = prunes or not all(pre)  # gtab misses a value
         else:
             closed[p] += [(x, e, gtab) for x, e in enumerate(ftab) if e != x]
-            if not prunes and any(x == e for x, e in enumerate(ftab)):
-                prunes = any(y != v for y, v in enumerate(gtab))  # a diagonal moves a value
+            fixed = sum(1 << y for y, v in enumerate(gtab) if y == v)
+            if fixed != (1 << len(gtab)) - 1:  # gtab moves a value
+                diagonals += [(p, x, fixed) for x, e in enumerate(ftab) if x == e]
+    prunes = prunes or bool(diagonals)
 
     # early forcer checks: each later forcer of element e of slot q is
     # checked against the earliest one, at its own slot
@@ -131,7 +142,6 @@ def natural_families(f_sizes, g_sizes, morphisms):
     first = {}     # (q, e) -> (constraint, slot, element) of its earliest forcer
     composed = {}  # (earliest constraint, later constraint) -> preimage masks
     for c, (p, q, ftab, gtab) in enumerate(forcings):
-        forced[q].append((p, ftab, gtab))
         for x, e in enumerate(ftab):
             c0, p0, x0 = first.setdefault((q, e), (c, p, x))
             if p0 < p:
@@ -141,7 +151,7 @@ def natural_families(f_sizes, g_sizes, morphisms):
                     pre = composed[c0, c] = [own[v] for v in forcings[c0][3]]
                 narrowed[p].append((p0, x0, x, pre))
 
-    if prunes and not _prune(dom, morphisms):
+    if prunes and not _prune(dom, narrowed, diagonals):
         return []  # an element with no value left
 
     # slots with exactly one function are fixed once; the search visits the rest
@@ -170,19 +180,12 @@ def natural_families(f_sizes, g_sizes, morphisms):
 
     def rec(k: int) -> None:
         domains = dom[k].copy()
-        vals = values[k].copy()
-        for p, ftab, gtab in forced[k]:
-            for e, y in zip(ftab, fam[p]):
-                v = gtab[y]
-                if not domains[e] & 1 << v:
-                    return
-                domains[e] = 1 << v
-                vals[e] = (v,)
         for s, i, x, pre in narrowed[k]:
             m = domains[x] & pre[fam[s][i]]
             if not m:
                 return
             domains[x] = m
+        vals = values[k].copy()
         for x in spots[k]:
             m = domains[x]
             vals[x] = _values(m) if m & (m - 1) else (m.bit_length() - 1,)  # one value: no call
@@ -204,31 +207,21 @@ def natural_families(f_sizes, g_sizes, morphisms):
     return out
 
 
-def _prune(dom, morphisms):
-    """Shrink the masks ``dom`` to values that every constraint supports
-    from the later of its two slots; False if a mask empties.
+def _prune(dom, narrowed, diagonals):
+    """Shrink the masks ``dom`` to values that the narrowings support;
+    False if a mask empties.
 
-    Constraints run in descending order of their later slot, diagonals
-    first among equals, so a mask is final before it shrinks earlier
-    ones (directional arc consistency, Dechter & Pearl 1987).
+    The diagonals go first, then each slot's narrowings from the last
+    slot to the first.  A narrowing at slot k only shrinks a slot before
+    k, so every mask is final before it shrinks an earlier one
+    (directional arc consistency, Dechter & Pearl 1987).
     """
-    for p, q, ftab, gtab in sorted(morphisms, key=lambda c: (-max(c[0], c[1]), c[0] != c[1])):
-        if q < p:  # family[q][e] lies in the gtab-image of family[p][x]
-            for x, e in enumerate(ftab):
-                m, image = dom[p][x], 0
-                for y, v in enumerate(gtab):
-                    if m >> y & 1:
-                        image |= 1 << v
-                dom[q][e] &= image
-        elif p < q:  # family[p][x] lies in the gtab-preimage of family[q][e]
-            for x, e in enumerate(ftab):
-                m = dom[q][e]
-                dom[p][x] &= sum(1 << y for y, v in enumerate(gtab) if m >> v & 1)
-        else:  # family[p][x] is a fixed point of gtab where x == ftab[x]
-            fixed = sum(1 << y for y, v in enumerate(gtab) if y == v)
-            for x, e in enumerate(ftab):
-                if x == e:
-                    dom[p][x] &= fixed
+    for k, x, fixed in diagonals:
+        dom[k][x] &= fixed
+    for k in reversed(range(len(dom))):
+        for s, i, x, pre in narrowed[k]:
+            m = dom[k][x]
+            dom[s][i] &= sum(1 << v for v, w in enumerate(pre) if w & m)
     return all(map(all, dom))
 
 

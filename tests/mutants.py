@@ -209,18 +209,20 @@ MUTANTS = (
     Mutant("least-pass-skips-last", "src/sheafkit/sheaf.py", "is_sheaf", least_pass_skips_last, SHEAF_TESTS),
     # pairs_checked on the certificate counts the L sieves, one per object
     Mutant("pairs-checked-least-only", "src/sheafkit/sheaf.py", "is_sheaf", counts_least_sieves, SHEAF_TESTS),
-    # the pruning pass without its image revision (q < p) ...
-    Mutant("prune-skips-image", "src/sheafkit/kernel.py", "_prune", branch_skipped(source("q < p")), KERNEL_TESTS),
-    # ... without its preimage revision (p < q) ...
-    Mutant("prune-skips-preimage", "src/sheafkit/kernel.py", "_prune", branch_skipped(source("p < q")), KERNEL_TESTS),
-    # ... and without the fixed points of a diagonal x == ftab[x]
-    Mutant("prune-drops-diagonal", "src/sheafkit/kernel.py", "_prune", branch_skipped(source("x == e")), KERNEL_TESTS),
+    # the pass revises each earlier element by the narrowing's table alone,
+    # not by the values left at the later element ...
+    Mutant("prune-ignores-later-mask", "src/sheafkit/kernel.py", "_prune", replaced("w & m", "w"), KERNEL_TESTS),
+    # ... goes through the slots from first to last ...
+    Mutant("prune-slots-ascending", "src/sheafkit/kernel.py", "_prune",
+           replaced("reversed(range(len(dom)))", "range(len(dom))"), KERNEL_TESTS),
+    # ... and skips the fixed points of the diagonals x == ftab[x]
+    Mutant("prune-drops-diagonals", "src/sheafkit/kernel.py", "_prune", replaced("diagonals", "()"), KERNEL_TESTS),
+    # a p < q square lets a forced element take value 0 as well
+    Mutant("forcing-admits-zero", "src/sheafkit/kernel.py", "natural_families",
+           replaced("[1 << v for v in gtab]", "[1 << v | 1 for v in gtab]"), KERNEL_TESTS),
     # a slot fixed before the search skips its p == q check
     Mutant("fixed-slot-unchecked", "src/sheafkit/kernel.py", "natural_families",
            branch_skipped(lambda t: isinstance(t, ast.BoolOp) and source("closed[k]")(t.values[0])), KERNEL_TESTS),
-    # the search takes a forced value it has no room for
-    Mutant("forced-value-unchecked", "src/sheafkit/kernel.py", "natural_families",
-           branch_skipped(source("not domains[e] & 1 << v")), KERNEL_TESTS),
     # the search does not narrow
     Mutant("narrowing-skipped", "src/sheafkit/kernel.py", "natural_families",
            replaced("domains[x] & pre[fam[s][i]]", "domains[x]"), KERNEL_TESTS),

@@ -81,6 +81,22 @@ def test_validate_category_of_an_unknown_name_exits_two():
     assert (code, text) == (2, "error: UnresolvedReference: no document named 'no-such-category'\n")
 
 
+def test_validate_category_of_a_document_of_another_kind_exits_two():
+    code, text = invoke("validate-category", "--category", "sierpinski")
+    assert (code, text) == (
+        2, "error: UnresolvedReference: 'sierpinski' is a space document; expected one of ('category',)\n"
+    )
+
+
+@pytest.mark.parametrize("extra", [(), ("--at", "{}", "--env", "x=*")], ids=["interpret", "force"])
+def test_a_formula_refuses_a_site_other_than_its_own(extra):
+    command = "force" if extra else "interpret"
+    code, text = invoke(command, "--formula", "sier-implication", "--site", "discrete2", *extra)
+    assert (code, text) == (2, "usage error: formula 'sier-implication' is pinned to its own site document\n")
+    code, text = invoke(command, "--formula", "sier-implication", "--site", "sierpinski", *extra)
+    assert code == 0 and "verdict: pass" in text  # its own site is accepted
+
+
 def test_usage_error_in_sections_exits_two():
     code, text = invoke(
         "glue", "--presheaf", "const2", "--site", "discrete2",

@@ -313,13 +313,13 @@ CASES = {
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    st.randoms(use_true_random=False),
+    st.integers(0, 2**32 - 1),
     st.sampled_from(sorted(CASES)),
     st.sampled_from(sorted(BASES)),
     st.sampled_from(sorted(ARROWS)),
 )
-def test_validators_agree_with_their_exhaustive_oracles(rng, case, base, arrows):
-    library, oracle = CASES[case](rng, base, arrows)
+def test_validators_agree_with_their_exhaustive_oracles(seed, case, base, arrows):
+    library, oracle = CASES[case](random.Random(seed), base, arrows)
     assert library == oracle
 
 
@@ -398,12 +398,13 @@ def constant(shape, T):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.randoms(use_true_random=False), st.sampled_from(sorted(BASES)))
-def test_searches_on_generating_arrows_lose_nothing(rng, base):
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(BASES)))
+def test_searches_on_generating_arrows_lose_nothing(seed, base):
     """Each search finds what the kernel finds with a constraint on every
     non-identity arrow, in the same order, and on small candidate spaces
     what the full-product oracle finds; bases without generators (poset x
     Z/n, Z/n, the isomorphism pair) run on every arrow as before."""
+    rng = random.Random(seed)
     tables = BASES[base](rng)
     C = validate_category(*tables)
     shape = validate_category(*opposite_tables(*tables))

@@ -88,6 +88,14 @@ CASES = [
     # the pair-fold chain of perfbench's naturals-chain: every restriction
     # halves the image, so the pass leaves 16 of slot 0's 256 candidates
     ([4] * 4, [4] * 4, [(k + 1, k, [0, 1, 2, 3], [0, 0, 2, 2]) for k in range(3)]),
+    # slot 2's table misses value 1, so the pass runs and cuts slot 1 to
+    # {0, 2}; then slot 0's forcing of slot 1 cuts both elements of slot 0
+    # to {0, 2} before the search, which still has two values per element
+    ([2, 1, 1], [3, 3, 2], [(0, 1, [0, 0], [2, 1, 0]), (2, 1, [0], [0, 2])]),
+    # slots 0 and 1 force element 0 of slot 2 to 0 and to 1: the early
+    # forcer check at slot 1 empties slot 0's mask inside the pass (which
+    # slot 3 sets off), so the call returns [] before any search
+    ([1, 1, 1, 1], [2, 2, 2, 1], [(0, 2, [0], [0, 0]), (1, 2, [0], [1, 1]), (3, 0, [0], [0])]),
 ]
 
 
