@@ -40,6 +40,11 @@ A p == q constraint filters the slot's candidates, the product of the
 domains, on the pairs x != ftab[x].  Each diagonal x == ftab[x] is a
 unary mask instead: family[p][x] is a fixed point of gtab.
 
+A constraint into a slot q with one target value holds for every
+family, since both of its sides are that value.  Setup drops it, in
+every form: it would add only narrowings, forcer checks and filters
+that let every value through.
+
 A bad partial family is rejected as soon as the filled slots show the
 conflict, which can be before max(p, q).  When slots p0 < p1 both force
 element e of slot q (p1 < q), the two constraints together say that
@@ -74,6 +79,14 @@ exception is a p == q constraint between two different elements of the
 slot, which the pass does not cover: it is checked once, at setup, and
 if it fails there is no family.
 
+When no narrowing reaches the last searched slot, its candidates are
+the same after every prefix.  They are built once, when a prefix first
+reaches the slot (so a slot that every prefix dies before is never
+built), filtered once by its p == q constraints and joined once to the
+fixed slots after it; each prefix then adds its families to the output
+in one ``extend``.  A narrowed last slot builds its candidates for each
+prefix and adds its families one at a time.
+
 Candidates are the product of each element's values in ascending
 order, so the product keeps the lexicographic order.  Callers pass one
 constraint per generating arrow of their base category, not one per
@@ -103,7 +116,7 @@ of a presheaf under restriction.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 from operator import itemgetter
 
 
@@ -119,8 +132,8 @@ def natural_families(f_sizes, g_sizes, morphisms):
     forcings = []   # the p < q constraints
     prunes = False  # can the pass shrink a full mask?
     for p, q, ftab, gtab in morphisms:
-        if not ftab:
-            continue  # slot p has no source values: nothing to check
+        if not ftab or g_sizes[q] == 1:
+            continue  # no source values, or one value to land on: it always holds
         if p < q:
             forcings.append((p, q, ftab, gtab))
             single = [1 << v for v in gtab]
@@ -177,8 +190,13 @@ def natural_families(f_sizes, g_sizes, morphisms):
     out = []
     last = order[-1]
     following = dict(zip(order, order[1:]))
+    ends = None  # the last slot's (func, *fixed slots after it) tuples, once built
 
     def rec(k: int) -> None:
+        nonlocal ends
+        if k == last and ends is not None:
+            out.extend(map(tuple(fam[:k]).__add__, ends))
+            return
         domains = dom[k].copy()
         for s, i, x, pre in narrowed[k]:
             m = domains[x] & pre[fam[s][i]]
@@ -193,6 +211,10 @@ def natural_families(f_sizes, g_sizes, morphisms):
         if closed[k]:
             cands = [func for func in cands if all(func[e] == gtab[func[x]] for x, e, gtab in closed[k])]
         if k == last:
+            if not narrowed[k]:  # the same candidates after every prefix: build them once
+                ends = list(zip(cands, *map(repeat, fam[k + 1:])))
+                out.extend(map(tuple(fam[:k]).__add__, ends))
+                return
             for func in cands:
                 fam[k] = func
                 out.append(tuple(fam))

@@ -49,7 +49,8 @@ class MatchingFamily(FrozenRecord):
 
     ``matching_families`` builds one per family, so it is a
     ``FrozenRecord``, a ``__slots__`` class that stays frozen, and not a
-    frozen dataclass: building one costs about half as much.
+    frozen dataclass: building one costs about half as much.  It builds
+    all of them at once with ``FrozenRecord.bulk``.
     """
 
     __slots__ = ("presheaf", "sieve", "assignment")
@@ -133,7 +134,7 @@ def matching_families(F: Presheaf, S: Sieve, bound: int | None = None) -> tuple[
         at = {f: i for i, f in enumerate(arrows)}
         flats.sort(key=itemgetter(*[at[f] for f in S.ordered]))
     assignments = [dict(zip(arrows, map(getitem, values, flat))) for flat in flats]
-    return tuple(map(MatchingFamily, repeat(F), repeat(S), assignments))
+    return MatchingFamily.bulk(len(assignments), repeat(F), repeat(S), assignments)
 
 
 def induced_family(F: Presheaf, S: Sieve, x: Label) -> MatchingFamily:

@@ -229,6 +229,14 @@ MUTANTS = (
     # the search does not filter a slot's candidates by its p == q constraints
     Mutant("closed-filter-skipped", "src/sheafkit/kernel.py", "natural_families",
            branch_skipped(source("closed[k]")), KERNEL_TESTS),
+    # a constraint is dropped when its source slot, not its target slot,
+    # has one value
+    Mutant("one-value-rule-on-source", "src/sheafkit/kernel.py", "natural_families",
+           replaced("g_sizes[q] == 1", "g_sizes[p] == 1"), KERNEL_TESTS),
+    # the last slot's candidates are built once even when a narrowing
+    # reaches it, so every prefix gets the first prefix's candidates
+    Mutant("last-slot-cached-when-narrowed", "src/sheafkit/kernel.py", "natural_families",
+           replaced("not narrowed[k]", "True"), KERNEL_TESTS),
 )
 
 

@@ -96,6 +96,24 @@ CASES = [
     # forcer check at slot 1 empties slot 0's mask inside the pass (which
     # slot 3 sets off), so the call returns [] before any search
     ([1, 1, 1, 1], [2, 2, 2, 1], [(0, 2, [0], [0, 0]), (1, 2, [0], [1, 1]), (3, 0, [0], [0])]),
+    # no narrowing reaches slot 1, the last searched slot, so its candidates
+    # are built once and filtered once by its swap constraint; they follow
+    # every prefix of slot 0, then the fixed slots 2 and 3
+    ([2, 2, 1, 0], [2, 3, 1, 2], [(1, 1, [1, 0], [1, 0, 2]), (1, 2, [0, 0], [0, 0, 0]), (0, 2, [0, 0], [0, 0])]),
+    # slot 2 has one value: a q < p, two p < q forcers of its element 0
+    # (an early-forcer pair) and a p == q constraint into it always hold,
+    # beside constraints that narrow, one of them out of slot 2
+    (
+        [2, 1, 2, 2],
+        [3, 3, 1, 2],
+        [
+            (0, 2, [0, 1], [0, 0, 0]), (1, 2, [0], [0, 0, 0]), (3, 2, [1, 0], [0, 0]), (2, 2, [1, 0], [0]),
+            (1, 0, [1], [2, 0, 1]), (0, 3, [0, 1], [0, 1, 1]), (3, 3, [1, 0], [0, 1]), (2, 0, [1, 1], [2]),
+        ],
+    ),
+    # slot 0 forces slot 1's element to 0 and to 1 at once, so every prefix
+    # dies at slot 1 and the last slot is never reached
+    ([1, 1, 2], [2, 2, 2], [(0, 1, [0], [0, 1]), (0, 1, [0], [1, 0])]),
 ]
 
 

@@ -13,9 +13,11 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from sheafkit.fincat import NaturalTransformation, enumerate_naturals
-from sheafkit.gallery import const2_presheaf, discrete2_site
+from sheafkit.fincat import NaturalTransformation, discrete_category, enumerate_naturals, presheaf
+from sheafkit.gallery import const2_presheaf, discrete2_site, discrete3_site
 from sheafkit.sheaf import MatchingFamily, matching_families
+
+from naive import naive_matching_families, naive_naturals
 
 
 def records():
@@ -50,6 +52,36 @@ def test_equality_and_hash_are_by_identity(index):
     assert hash(record) == object.__hash__(record)
     assert len({record, twin}) == 2
     assert record.same(twin)
+
+
+def dense_enumerations():
+    """(records, the (field, ...) rows they should hold) of two dense
+    enumerations: every natural map between 3- and 5-valued presheaves on
+    a discrete two-object base, and the matching families of a two-valued
+    presheaf on the discrete three-point site's top cover."""
+    C = discrete_category(["p", "q"])
+    F = presheaf(C, {"p": ("a", "b", "c"), "q": ("d", "e", "f")}, {})
+    G = presheaf(C, {"p": tuple("01234"), "q": tuple("56789")}, {})
+    site = discrete3_site()
+    H = const2_presheaf(site)
+    S = site.topology.covers["{a,b,c}"][0]
+    return [
+        (enumerate_naturals(F, G), [(F, G, comp) for comp in naive_naturals(F, G)]),
+        (matching_families(H, S), [(H, S, m) for m in naive_matching_families(H, S.arrows, site.category)]),
+    ]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["natural", "matching"])
+def test_records_built_in_bulk_are_the_records_init_builds(index):
+    records, rows = dense_enumerations()[index]
+    assert len(records) == len(rows) > 1
+    for record, row in zip(records, rows):
+        cls = type(record)
+        twin = cls(*row)
+        for name in cls.__slots__:
+            assert getattr(record, name) == getattr(twin, name)
+        assert list(fields(record)[0]) == list(fields(twin)[0])
+        assert record.same(twin) and twin.same(record)
 
 
 def fields(record):
