@@ -20,7 +20,6 @@ operations on ``Subobject`` parts live in ``tests/naive.py`` as the oracle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .config import check_bound, enumeration_bound
@@ -30,7 +29,7 @@ from .errors import (
     NotClosedSubobject,
     NotRestrictionStable,
 )
-from .fincat import NaturalTransformation, Presheaf, natural_transformation, presheaf, yoneda_presheaf
+from .fincat import FrozenRecord, NaturalTransformation, Presheaf, natural_transformation, presheaf, yoneda_presheaf
 from .kernel import down_sets
 from .labels import Label, label_key
 from .limits import SetFun, is_pullback
@@ -40,10 +39,8 @@ from .site import GrothendieckTopology, Sieve, Site, open_label, pullback_sieve
 
 # -- subobjects -----------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Subobject:
-    ambient: Presheaf
-    parts: dict[Label, frozenset]
+class Subobject(FrozenRecord):
+    __slots__ = ("ambient", "parts")
 
     def key(self) -> tuple:
         return tuple(
@@ -126,13 +123,15 @@ def _closed_masks(
 
 # -- Omega ------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class OmegaObject:
-    site: Site
-    presheaf: Presheaf
-    terminal: Presheaf
-    truth: NaturalTransformation
-    sieves: dict[Label, dict[Label, Sieve]]   # object -> element label -> closed sieve
+class OmegaObject(FrozenRecord):
+    __slots__ = (
+        "site",
+        "presheaf",
+        "terminal",
+        "truth",
+        "sieves",  # object -> element label -> closed sieve
+        "__dict__",
+    )
 
     def truth_label(self, u: Label) -> Label:
         return self.truth.components[u][()]
@@ -175,11 +174,12 @@ def omega(site: Site, bound: int | None = None) -> OmegaObject:
     return OmegaObject(site, om, one, truth, closed)
 
 
-@dataclass(frozen=True)
-class OmegaOpenIso:
-    ok: bool
-    table: dict[Label, tuple[tuple[Label, str], ...]]  # object -> (truth value, open) pairs
-    detail: str
+class OmegaOpenIso(FrozenRecord, eq=True):
+    __slots__ = (
+        "ok",
+        "table",  # object -> (truth value, open) pairs
+        "detail",
+    )
 
 
 def omega_open_iso(om: OmegaObject) -> OmegaOpenIso:
@@ -260,12 +260,8 @@ def characteristic_square_is_pullback(om: OmegaObject, A: Subobject, chi: Natura
     return True
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
-    ok: bool
-    subobjects: int
-    arrows: int
-    failures: tuple[str, ...]
+class ClassifyReport(FrozenRecord, eq=True):
+    __slots__ = ("ok", "subobjects", "arrows", "failures")
 
 
 def classify_round_trip(site: Site, X: Presheaf, bound: int | None = None) -> ClassifyReport:
@@ -412,8 +408,7 @@ class MaskAlgebra:
         return self.closure(0)
 
 
-@dataclass(frozen=True)
-class SubobjectLattice:
+class SubobjectLattice(FrozenRecord, eq=True):
     """The Heyting algebra of J-closed subobjects, certified element by element.
 
     ``algebra`` computes every operation on masks.  ``elements`` is
@@ -427,10 +422,12 @@ class SubobjectLattice:
     the same operations computed on parts, the oracle in ``tests/naive.py``.
     """
 
-    algebra: MaskAlgebra
-    elements: tuple[Subobject, ...]
-    masks: tuple[int, ...]
-    index: dict[int, int]          # mask -> position in elements
+    __slots__ = (
+        "algebra",
+        "elements",
+        "masks",
+        "index",  # mask -> position in elements
+    )
 
     def meet(self, i: int, j: int) -> int:
         return self.index[self.masks[i] & self.masks[j]]
@@ -459,14 +456,8 @@ def heyting(site: Site, F: Presheaf, bound: int | None = None) -> SubobjectLatti
     return SubobjectLattice(algebra, subs, masks, {m: i for i, m in enumerate(masks)})
 
 
-@dataclass(frozen=True)
-class HeytingReport:
-    ok: bool
-    size: int
-    checks: tuple[tuple[str, bool], ...]
-    excluded_middle_fails: bool
-    double_negation_strict: bool
-    witnesses: tuple[str, ...]
+class HeytingReport(FrozenRecord, eq=True):
+    __slots__ = ("ok", "size", "checks", "excluded_middle_fails", "double_negation_strict", "witnesses")
 
 
 def heyting_report(site: Site, F: Presheaf, bound: int | None = None) -> HeytingReport:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import INFINITY, encode_basestring
 from pathlib import Path
@@ -306,20 +305,22 @@ SCHEMA = {
 KINDS = tuple(SCHEMA)
 
 
-@dataclass
 class FormulaDocument:
-    model: LogicModel
-    formula: Formula
-    context: tuple[tuple[str, str], ...]
+    """A formula document, resolved: its model, its formula and its context."""
+
+    def __init__(self, model: LogicModel, formula: Formula, context: tuple[tuple[str, str], ...]):
+        self.model = model
+        self.formula = formula
+        self.context = context
 
 
-@dataclass
 class DocumentSet:
     """A resolved collection of documents with lazily built objects."""
 
-    raw: dict[str, dict] = field(default_factory=dict)
-    origin: dict[str, str] = field(default_factory=dict)
-    _built: dict = field(default_factory=dict)
+    def __init__(self):
+        self.raw: dict[str, dict] = {}
+        self.origin: dict[str, str] = {}
+        self._built: dict = {}
 
     def add(self, doc: dict, where: str, allow_shadow: bool = False) -> None:
         _check_header(doc, where)

@@ -9,7 +9,6 @@ family of test (co)cones, a mediating map must exist and be unique.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product, takewhile
 
 from . import kernel
@@ -21,17 +20,14 @@ from .errors import (
     ShapeMismatch,
     UsageError,
 )
-from .fincat import FinCategory, FinFunctor, check_pairs, to_point_functor, validate_category
+from .fincat import FinCategory, FinFunctor, FrozenRecord, check_pairs, to_point_functor, validate_category
 from .labels import Label, canon, label_key
 
 
 # -- plain set functions -------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SetFun:
-    dom: tuple[Label, ...]
-    cod: tuple[Label, ...]
-    table: dict[Label, Label]
+class SetFun(FrozenRecord):
+    __slots__ = ("dom", "cod", "table")
 
     def __call__(self, x: Label) -> Label:
         return self.table[x]
@@ -55,13 +51,10 @@ def set_fun(dom, cod, table) -> SetFun:
 
 # -- diagrams -------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Diagram:
+class Diagram(FrozenRecord):
     """Covariant set-valued functor on a finite shape category."""
 
-    shape: FinCategory
-    value: dict[Label, tuple[Label, ...]]
-    action: dict[Label, dict[Label, Label]]
+    __slots__ = ("shape", "value", "action")
 
     def size(self) -> int:
         return sum(len(v) for v in self.value.values())
@@ -161,13 +154,10 @@ def _constant(shape: FinCategory, values: tuple) -> Diagram:
 
 # -- limits ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeResult:
+class ConeResult(FrozenRecord, eq=True):
     """A (co)limit: apex elements plus per-object leg tables."""
 
-    diagram: Diagram
-    apex: tuple[Label, ...]
-    legs: dict[Label, dict[Label, Label]]
+    __slots__ = ("diagram", "apex", "legs")
 
 
 def limit(D: Diagram) -> ConeResult:
@@ -232,11 +222,8 @@ def _least_in_class(nodes, pairs) -> dict:
 
 # -- universal-property certificates ---------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
-    ok: bool
-    cones_checked: int
-    failures: tuple[str, ...]
+class Certificate(FrozenRecord, eq=True):
+    __slots__ = ("ok", "cones_checked", "failures")
 
 
 def _check_size(name: str, size: int) -> None:
@@ -353,13 +340,14 @@ def coequalizer(f: SetFun, g: SetFun) -> tuple[tuple[Label, ...], SetFun]:
 
 # -- Kan extensions ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KanResult:
-    direction: str                      # "left" | "right"
-    along: FinFunctor
-    source: Diagram                     # F on A
-    extension: Diagram                  # Lan/Ran on B
-    transform: dict[Label, dict[Label, Label]]
+class KanResult(FrozenRecord, eq=True):
+    __slots__ = (
+        "direction",  # "left" | "right"
+        "along",
+        "source",     # F on A
+        "extension",  # Lan/Ran on B
+        "transform",
+    )
     # left:  unit components  F(a) -> Lan(K(a))
     # right: counit components Ran(K(a)) -> F(a)
 

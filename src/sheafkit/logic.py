@@ -18,80 +18,60 @@ succeeded, so a refused query raises the same error every time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .classifier import MaskAlgebra, Subobject, is_closed, subobject
 from .config import DEFAULT_FORMULA_DEPTH, check_bound, enumeration_bound
 from .errors import IllSorted, ParseError, UnknownObject, UnknownSubobject
-from .fincat import Presheaf
+from .fincat import FrozenRecord, Presheaf
 from .labels import Label, label_key
 from .site import Site
 
 
 # -- formulas -----------------------------------------------------------------
 
-class Formula:
+class Formula(FrozenRecord, eq=True):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Mem(Formula):
-    var: str
-    pred: str
+    __slots__ = ("var", "pred")
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    left: str
-    right: str
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    sort: str
-    body: Formula
+    __slots__ = ("var", "sort", "body")
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: str
-    sort: str
-    body: Formula
+    __slots__ = ("var", "sort", "body")
 
 
 # -- parenthesized prefix syntax ----------------------------------------------------
@@ -210,11 +190,13 @@ def format_formula(phi: Formula) -> str:
 
 # -- models -------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class LogicModel:
-    site: Site
-    sorts: dict[str, Presheaf]
-    predicates: dict[str, tuple[str, Subobject]]   # name -> (sort name, subobject)
+class LogicModel(FrozenRecord):
+    __slots__ = (
+        "site",
+        "sorts",
+        "predicates",  # name -> (sort name, subobject)
+        "__dict__",
+    )
 
     @cached_property
     def _meanings(self) -> dict[tuple, dict[int, tuple[MaskAlgebra, int]]]:

@@ -1,5 +1,5 @@
 """Matching families, the sheaf condition, gluing, sheafification,
-pointwise presheaf limits, and exponentials.
+terminal and product presheaves, and exponentials.
 
 A matching family over a sieve is the same thing as a natural
 transformation out of the sieve viewed as a subpresheaf of the
@@ -12,7 +12,6 @@ covering sieve of U.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import getitem, itemgetter
 
@@ -32,14 +31,12 @@ from .fincat import (
     Presheaf,
     check_pairs,
     compose_naturals,
-    enumerate_naturals,
     natural_index_families,
     natural_transformation,
     presheaf,
     yoneda_presheaf,
 )
-from .labels import Label, canon
-from .limits import ConeResult, diagram, limit
+from .labels import Label
 from .site import GrothendieckTopology, Sieve, generate_sieve
 
 
@@ -47,18 +44,11 @@ class MatchingFamily(FrozenRecord):
     """A value ``assignment[f]`` of the presheaf at the domain of each
     arrow f of the sieve.
 
-    ``matching_families`` builds one per family, so it is a
-    ``FrozenRecord``, a ``__slots__`` class that stays frozen, and not a
-    frozen dataclass: building one costs about half as much.  It builds
-    all of them at once with ``FrozenRecord.bulk``.
+    ``matching_families`` builds one per family, all of them at once
+    with ``FrozenRecord.bulk``.
     """
 
     __slots__ = ("presheaf", "sieve", "assignment")
-
-    def __init__(self, presheaf: Presheaf, sieve: Sieve, assignment: dict[Label, Label]):
-        _set_presheaf(self, presheaf)
-        _set_sieve(self, sieve)
-        _set_assignment(self, assignment)
 
     def key(self) -> tuple:
         """(arrow, value) pairs in the label order of the arrows.  Every
@@ -68,11 +58,6 @@ class MatchingFamily(FrozenRecord):
 
     def same(self, other: "MatchingFamily") -> bool:
         return self.sieve == other.sieve and self.assignment == other.assignment
-
-
-_set_presheaf = MatchingFamily.presheaf.__set__
-_set_sieve = MatchingFamily.sieve.__set__
-_set_assignment = MatchingFamily.assignment.__set__
 
 
 def matching_family(F: Presheaf, S: Sieve, assignment) -> MatchingFamily:
@@ -182,21 +167,19 @@ def family_from_cover(site, F: Presheaf, u: Label, sections: dict) -> tuple[Siev
 
 # -- the sheaf condition ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SheafFailure:
-    at: Label
-    sieve: Sieve
-    kind: str            # "separation" | "gluing"
-    sections: int
-    families: int
-    witness: str
+class SheafFailure(FrozenRecord, eq=True):
+    __slots__ = (
+        "at",
+        "sieve",
+        "kind",  # "separation" | "gluing"
+        "sections",
+        "families",
+        "witness",
+    )
 
 
-@dataclass(frozen=True)
-class SheafReport:
-    ok: bool
-    failures: tuple[SheafFailure, ...]
-    pairs_checked: int
+class SheafReport(FrozenRecord, eq=True):
+    __slots__ = ("ok", "failures", "pairs_checked")
 
 
 def is_sheaf(F: Presheaf, J: GrothendieckTopology, bound: int | None = None) -> SheafReport:
@@ -375,123 +358,6 @@ def sheafify(
     once, u1 = plus_construction(F, J, bound)
     twice, u2 = plus_construction(once, J, bound)
     return twice, compose_naturals(u2, u1)
-
-
-def sheafification_is_initial(
-    F: Presheaf,
-    J: GrothendieckTopology,
-    sheaf_target: Presheaf,
-    bound: int | None = None,
-) -> bool:
-    """Every map from F to a sheaf factors uniquely through the unit."""
-    report = is_sheaf(sheaf_target, J, bound)
-    if not report.ok:
-        raise NotASheafHere("the comparison target is not a sheaf")
-    result, unit = sheafify(F, J, bound)
-    mediating = enumerate_naturals(result, sheaf_target, bound)
-    for phi in enumerate_naturals(F, sheaf_target, bound):
-        hits = [psi for psi in mediating if compose_naturals(psi, unit).same(phi)]
-        if len(hits) != 1:
-            return False
-    return True
-
-
-# -- pointwise presheaf limits --------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class PresheafDiagram:
-    shape: FinCategory
-    node: dict[Label, Presheaf]
-    edge: dict[Label, NaturalTransformation]
-
-
-def presheaf_diagram(shape: FinCategory, node, edge) -> PresheafDiagram:
-    """Validate a diagram of presheaves: a presheaf at each object of
-    ``shape`` and a natural map along each non-identity arrow.
-
-    Identities carry identity maps.  E(g∘f) == E(g)∘E(f) is checked for
-    every arrow g and every generator f of the shape into src g
-    (``check_pairs``), which proves it for every f, as in
-    ``limits.diagram``: for f = f'∘e with e a generator,
-    E(g∘f) = E((g∘f')∘e) = E(g∘f')∘E(e) = E(g)∘E(f')∘E(e) = E(g)∘E(f).
-    """
-    node = dict(node)
-    edge = dict(edge)
-    if not node and shape.objects:
-        raise DanglingReference("diagram misses its nodes")
-    base = None
-    for j in shape.objects:
-        if j not in node:
-            raise DanglingReference(f"diagram misses the presheaf at {j!r}")
-        if base is None:
-            base = node[j].base
-        elif not node[j].base.same(base):
-            raise BaseMismatch(f"presheaf at {j!r} lives over a different base")
-    for f in shape.morphisms:
-        if shape.is_identity(f):
-            continue
-        if f not in edge:
-            raise DanglingReference(f"diagram misses the map along {f!r}")
-        eta = edge[f]
-        if not (eta.source is node[shape.src[f]] or eta.source.same(node[shape.src[f]])):
-            raise BaseMismatch(f"map along {f!r} starts at the wrong presheaf")
-        if not (eta.target is node[shape.tgt[f]] or eta.target.same(node[shape.tgt[f]])):
-            raise BaseMismatch(f"map along {f!r} ends at the wrong presheaf")
-    from .fincat import identity_natural
-
-    def commutes(inner):
-        for g in shape.morphisms:
-            for f in inner(shape.src[g]):
-                if shape.is_identity(f) or shape.is_identity(g):
-                    continue
-                gf = shape.compose(g, f)
-                left = compose_naturals(edge[g], edge[f])
-                right = edge[gf] if not shape.is_identity(gf) else identity_natural(node[shape.src[f]])
-                if not left.same(right):
-                    raise BaseMismatch(f"diagram does not commute along ({g!r}, {f!r})")
-
-    check_pairs(shape, commutes)
-    return PresheafDiagram(shape, node, edge)
-
-
-def presheaf_limit(pd: PresheafDiagram) -> tuple[Presheaf, dict[Label, NaturalTransformation]]:
-    """Limit computed pointwise by delegating each object to ``limits.limit``."""
-    shape = pd.shape
-    base = next(iter(pd.node.values())).base if pd.node else None
-    if base is None:
-        raise DanglingReference("empty presheaf diagram needs an explicit base; use terminal_presheaf")
-    per_object: dict[Label, ConeResult] = {}
-    for u in base.objects:
-        D = diagram(
-            shape,
-            {j: pd.node[j].value[u] for j in shape.objects},
-            {
-                f: dict(pd.edge[f].components[u])
-                for f in shape.morphisms
-                if not shape.is_identity(f)
-            },
-        )
-        per_object[u] = limit(D)
-    value = {u: canon(per_object[u].apex) for u in base.objects}
-    pos = {j: i for i, j in enumerate(shape.objects)}
-    restrict = {}
-    for f in base.morphisms:
-        if base.is_identity(f):
-            continue
-        u, v = base.tgt[f], base.src[f]
-        restrict[f] = {
-            t: tuple(pd.node[j].restrict[f][t[pos[j]]] for j in shape.objects)
-            for t in value[u]
-        }
-    result = presheaf(base, value, restrict)
-    legs = {}
-    for j in shape.objects:
-        legs[j] = natural_transformation(
-            result,
-            pd.node[j],
-            {u: {t: t[pos[j]] for t in value[u]} for u in base.objects},
-        )
-    return result, legs
 
 
 def terminal_presheaf(base: FinCategory) -> Presheaf:

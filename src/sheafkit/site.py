@@ -10,7 +10,6 @@ open-cover site is the saturation of the least open neighbourhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -21,16 +20,13 @@ from .errors import (
     DanglingReference,
     SemanticError,
 )
-from .fincat import FinCategory, Presheaf, poset_category
+from .fincat import FinCategory, FrozenRecord, Presheaf, poset_category
 from .kernel import down_sets
 from .labels import Label, canon, label_key
 
 
-@dataclass(frozen=True, eq=False)
-class Sieve:
-    category: FinCategory
-    apex: Label
-    arrows: frozenset
+class Sieve(FrozenRecord):
+    __slots__ = ("category", "apex", "arrows", "__dict__")
 
     def __eq__(self, other):
         return isinstance(other, Sieve) and self.apex == other.apex and self.arrows == other.arrows
@@ -149,10 +145,8 @@ def all_sieves(category: FinCategory, apex: Label, bound: int | None = None) -> 
 
 # -- topologies -----------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GrothendieckTopology:
-    category: FinCategory
-    covers: dict[Label, tuple[Sieve, ...]]
+class GrothendieckTopology(FrozenRecord):
+    __slots__ = ("category", "covers", "__dict__")
 
     @cached_property
     def _listed(self) -> dict[Label, frozenset]:
@@ -184,18 +178,12 @@ class GrothendieckTopology:
         return self.least[u].arrows <= arrows
 
 
-@dataclass(frozen=True)
-class TopologyViolation:
-    axiom: str
-    at: Label
-    detail: str
+class TopologyViolation(FrozenRecord, eq=True):
+    __slots__ = ("axiom", "at", "detail")
 
 
-@dataclass(frozen=True)
-class TopologyReport:
-    ok: bool
-    violations: tuple[TopologyViolation, ...]
-    sieves_checked: int
+class TopologyReport(FrozenRecord, eq=True):
+    __slots__ = ("ok", "violations", "sieves_checked")
 
 
 def validate_topology(J: GrothendieckTopology, bound: int | None = None) -> TopologyReport:
@@ -306,10 +294,8 @@ def saturate_topology(category: FinCategory, families, bound: int | None = None)
 
 # -- finite spaces ------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class FiniteSpace:
-    points: tuple[Label, ...]
-    opens: tuple[frozenset, ...]
+class FiniteSpace(FrozenRecord):
+    __slots__ = ("points", "opens")
 
 
 def finite_space(points, opens) -> FiniteSpace:
@@ -344,12 +330,9 @@ def open_label(o: frozenset) -> str:
 
 # -- sites ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Site:
-    category: FinCategory
-    topology: GrothendieckTopology
-    space: FiniteSpace | None = None
-    open_of: dict[Label, frozenset] | None = field(default=None)
+class Site(FrozenRecord):
+    __slots__ = ("category", "topology", "space", "open_of", "__dict__")
+    _defaults = {"space": None, "open_of": None}
 
     def is_open_cover_site(self) -> bool:
         return self.space is not None

@@ -9,7 +9,6 @@ with the section-change calculation for s_j = s_i · g_ij.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .config import check_bound, enumeration_bound
@@ -21,7 +20,7 @@ from .errors import (
     NotUniquelyTransitive,
     SemanticError,
 )
-from .fincat import Presheaf, presheaf
+from .fincat import FrozenRecord, Presheaf, presheaf
 from .labels import Label, label_key
 from .sheaf import is_sheaf
 from .site import Site, overlap, slice_site
@@ -29,12 +28,8 @@ from .site import Site, overlap, slice_site
 
 # -- groups --------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GroupSheaf:
-    sections: Presheaf
-    mult: dict[Label, dict[tuple[Label, Label], Label]]
-    unit: dict[Label, Label]
-    inverse: dict[Label, dict[Label, Label]]
+class GroupSheaf(FrozenRecord):
+    __slots__ = ("sections", "mult", "unit", "inverse")
 
     def mul(self, u: Label, a: Label, b: Label) -> Label:
         return self.mult[u][(a, b)]
@@ -112,11 +107,8 @@ def group_sheaf(G: Presheaf, mult, unit=None, inverse=None) -> GroupSheaf:
 
 # -- torsor candidates ------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class TorsorCandidate:
-    space: Presheaf
-    group: GroupSheaf
-    action: dict[Label, dict[tuple[Label, Label], Label]]
+class TorsorCandidate(FrozenRecord):
+    __slots__ = ("space", "group", "action")
 
     def act(self, u: Label, p: Label, g: Label) -> Label:
         return self.action[u][(p, g)]
@@ -157,12 +149,8 @@ def torsor_candidate(P: Presheaf, G: GroupSheaf, action) -> TorsorCandidate:
     return TorsorCandidate(P, G, action)
 
 
-@dataclass(frozen=True)
-class TorsorReport:
-    ok: bool
-    locally_nonempty: bool
-    uniquely_transitive: bool
-    failures: tuple[str, ...]
+class TorsorReport(FrozenRecord, eq=True):
+    __slots__ = ("ok", "locally_nonempty", "uniquely_transitive", "failures")
 
 
 def is_torsor(
@@ -208,12 +196,8 @@ def is_torsor(
     return TorsorReport(nonempty_ok and transitive_ok, nonempty_ok, transitive_ok, tuple(failures))
 
 
-@dataclass(frozen=True)
-class CanonicalMapReport:
-    ok: bool
-    map_bijective: bool
-    locally_surjective: bool
-    failures: tuple[str, ...]
+class CanonicalMapReport(FrozenRecord, eq=True):
+    __slots__ = ("ok", "map_bijective", "locally_surjective", "failures")
 
 
 def canonical_map_check(T: TorsorCandidate, site: Site) -> CanonicalMapReport:
@@ -251,13 +235,14 @@ def canonical_map_check(T: TorsorCandidate, site: Site) -> CanonicalMapReport:
 
 # -- cocycles ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Cocycle:
-    site: Site
-    group: GroupSheaf
-    target: Label
-    cover: tuple[Label, ...]
-    values: dict[tuple[int, int], Label]   # (i, j) -> g_ij in G(U_i ∩ U_j)
+class Cocycle(FrozenRecord):
+    __slots__ = (
+        "site",
+        "group",
+        "target",
+        "cover",
+        "values",  # (i, j) -> g_ij in G(U_i ∩ U_j)
+    )
 
     def overlap(self, i: int, j: int) -> Label:
         return overlap(self.site, self.cover[i], self.cover[j])
@@ -303,11 +288,8 @@ def cocycle(site: Site, G: GroupSheaf, target: Label, cover, values) -> Cocycle:
     return Cocycle(site, G, target, cover, vals)
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    ok: bool
-    failures: tuple[str, ...]
-    triples_checked: int
+class CocycleReport(FrozenRecord, eq=True):
+    __slots__ = ("ok", "failures", "triples_checked")
 
 
 def check_cocycle(c: Cocycle) -> CocycleReport:
@@ -344,10 +326,11 @@ def check_cocycle(c: Cocycle) -> CocycleReport:
 
 # -- torsors from sections, sections from torsors ------------------------------------------
 
-@dataclass(frozen=True)
-class LocalSections:
-    cover: tuple[Label, ...]
-    sections: dict[int, Label]   # cover index -> section of P over that member
+class LocalSections(FrozenRecord, eq=True):
+    __slots__ = (
+        "cover",
+        "sections",  # cover index -> section of P over that member
+    )
 
 
 def extract_cocycle(T: TorsorCandidate, site: Site, target: Label, L: LocalSections) -> Cocycle:
@@ -397,11 +380,12 @@ def restrict_group(G: GroupSheaf, sub: Site) -> GroupSheaf:
     )
 
 
-@dataclass(frozen=True)
-class GluedTorsor:
-    site: Site                      # the slice over the cocycle's target
-    torsor: TorsorCandidate
-    canonical_sections: LocalSections
+class GluedTorsor(FrozenRecord, eq=True):
+    __slots__ = (
+        "site",  # the slice over the cocycle's target
+        "torsor",
+        "canonical_sections",
+    )
 
 
 def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None) -> GluedTorsor:
@@ -480,10 +464,8 @@ def glue_torsor(site: Site, G: GroupSheaf, c: Cocycle, bound: int | None = None)
 
 # -- cocycle equivalence ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    equivalent: bool
-    witness: dict[int, Label] | None
+class EquivalenceResult(FrozenRecord, eq=True):
+    __slots__ = ("equivalent", "witness")
 
 
 def cocycles_equivalent(c1: Cocycle, c2: Cocycle, bound: int | None = None) -> EquivalenceResult:

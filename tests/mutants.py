@@ -1,5 +1,6 @@
 """Mutation check of the internal logic, the descent layer, the sheaf
-condition and the search kernel: does the suite notice a broken engine?
+condition, the search kernel and the record mechanism: does the suite
+notice a broken engine?
 
 Each mutant is one small edit to the syntax tree of a library function,
 made with the standard ``ast`` module in a temporary copy of the
@@ -33,6 +34,7 @@ LOGIC_TESTS = ("tests/test_logic.py", "tests/test_acceptance.py")
 TORSOR_TESTS = ("tests/test_torsor.py", "tests/test_acceptance.py", "tests/test_documents.py", "tests/test_bounds.py")
 SHEAF_TESTS = ("tests/test_sheaf.py", "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_hash_stability.py")
 KERNEL_TESTS = ("tests/test_kernel.py", "tests/test_fincat.py", "tests/test_limits.py", "tests/test_sheaf.py")
+RECORD_TESTS = ("tests/test_records.py", "tests/test_logic.py", "tests/test_documents.py")
 
 
 def source(text: str) -> Callable[[ast.AST], bool]:
@@ -169,6 +171,24 @@ def counts_least_sieves(node):
     return None
 
 
+def shared_dict(target: str):
+    """Make ``target: ... = {}`` hand every instance one dict, as a
+    mutable default does."""
+    def edit(node):
+        if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == target:
+            node.value = ast.parse(f"globals().setdefault({target!r}, {{}})", mode="eval").body
+            return node
+        return None
+    return edit
+
+
+def assignment_allowed(node):
+    # raise _frozen(...)  ->  object.__setattr__(self, name, value)
+    if isinstance(node, ast.Raise):
+        return ast.Expr(ast.parse("object.__setattr__(self, name, value)", mode="eval").body)
+    return None
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -237,6 +257,13 @@ MUTANTS = (
     # reaches it, so every prefix gets the first prefix's candidates
     Mutant("last-slot-cached-when-narrowed", "src/sheafkit/kernel.py", "natural_families",
            replaced("not narrowed[k]", "True"), KERNEL_TESTS),
+    # records of two classes with equal fields compare equal
+    Mutant("record-eq-ignores-class", "src/sheafkit/fincat.py", "_fields_equal",
+           replaced("other.__class__ is self.__class__", "isinstance(other, FrozenRecord)"), RECORD_TESTS),
+    # every DocumentSet holds the same dict of raw documents
+    Mutant("document-sets-share-raw", "src/sheafkit/documents.py", "__init__", shared_dict("self.raw"), RECORD_TESTS),
+    # assigning a record's field goes through
+    Mutant("record-setattr-assigns", "src/sheafkit/fincat.py", "__setattr__", assignment_allowed, RECORD_TESTS),
 )
 
 

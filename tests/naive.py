@@ -41,7 +41,10 @@ the least covering sieves.  They list sieves with the library's
 keep its order and raise its ``IntractableSize`` at the same bound.
 ``section_rank`` and ``locate`` are not oracles but readers of the
 library's own tables, which the tests use to compare orders and lattice
-positions.
+positions.  The last section is not oracles either: it holds library
+constructions that only the tests call, ``presheaves_isomorphic``,
+``sheafification_is_initial``, ``presheaf_diagram`` and
+``presheaf_limit``, built on the library as they were inside it.
 """
 
 from __future__ import annotations
@@ -56,13 +59,32 @@ from sheafkit.errors import (
     IncompatibleFamily,
     IntractableSize,
     MissingComposite,
+    NotASheafHere,
     NotNatural,
 )
 from sheafkit.classifier import Subobject, is_closed, subobject
 from sheafkit.config import enumeration_bound
-from sheafkit.fincat import natural_transformation, presheaf
-from sheafkit.labels import label_key
-from sheafkit.sheaf import MatchingFamily, SheafFailure, SheafReport, induced_family, matching_families
+from sheafkit.fincat import (
+    FrozenRecord,
+    check_pairs,
+    compose_naturals,
+    enumerate_naturals,
+    identity_natural,
+    natural_index_families,
+    natural_transformation,
+    presheaf,
+)
+from sheafkit.labels import canon, label_key
+from sheafkit.limits import diagram, limit
+from sheafkit.sheaf import (
+    MatchingFamily,
+    SheafFailure,
+    SheafReport,
+    induced_family,
+    is_sheaf,
+    matching_families,
+    sheafify,
+)
 from sheafkit.site import (
     GrothendieckTopology,
     Sieve,
@@ -780,7 +802,7 @@ def naive_matching_family(F, S, assignment):
 
 
 def naive_presheaf_diagram_commutes(shape, node, edge):
-    """Reference for the commutation check of ``sheaf.presheaf_diagram``
+    """Reference for the commutation check of ``presheaf_diagram`` below
     on a diagram whose nodes and edge ends are right: E(g∘f) = E(g)∘E(f)
     for every composable pair of non-identity arrows, an identity g∘f
     standing for the identity map."""
@@ -992,3 +1014,128 @@ def under_bounds(build, bounds=range(101)):
         except IntractableSize as err:
             found.append((err.search, err.size, err.bound))
     return found
+
+
+# -- constructions only the tests use ------------------------------------------------
+#
+# Library code, not oracles: isomorphism of presheaves, the universal
+# property of sheafification, and diagrams of presheaves with their
+# pointwise limits.  No command, benchmark or library module calls them,
+# so they live here, where the tests that check them are.
+
+def presheaves_isomorphic(F, G, bound=None):
+    """Strict equality of tables is ``same``; this decides isomorphism instead."""
+    if not F.base.same(G.base):
+        return False
+    for u in F.base.objects:
+        if len(F.value[u]) != len(G.value[u]):
+            return False
+    return any(
+        all(len(set(func)) == len(func) for func in fam)
+        for fam in natural_index_families(F, G, bound)
+    )
+
+
+def sheafification_is_initial(F, J, sheaf_target, bound=None):
+    """Every map from F to a sheaf factors uniquely through the unit."""
+    report = is_sheaf(sheaf_target, J, bound)
+    if not report.ok:
+        raise NotASheafHere("the comparison target is not a sheaf")
+    result, unit = sheafify(F, J, bound)
+    mediating = enumerate_naturals(result, sheaf_target, bound)
+    for phi in enumerate_naturals(F, sheaf_target, bound):
+        hits = [psi for psi in mediating if compose_naturals(psi, unit).same(phi)]
+        if len(hits) != 1:
+            return False
+    return True
+
+
+class PresheafDiagram(FrozenRecord):
+    __slots__ = ("shape", "node", "edge")
+
+
+def presheaf_diagram(shape, node, edge):
+    """Validate a diagram of presheaves: a presheaf at each object of
+    ``shape`` and a natural map along each non-identity arrow.
+
+    Identities carry identity maps.  E(g∘f) == E(g)∘E(f) is checked for
+    every arrow g and every generator f of the shape into src g
+    (``check_pairs``), which proves it for every f, as in
+    ``limits.diagram``: for f = f'∘e with e a generator,
+    E(g∘f) = E((g∘f')∘e) = E(g∘f')∘E(e) = E(g)∘E(f')∘E(e) = E(g)∘E(f).
+    """
+    node = dict(node)
+    edge = dict(edge)
+    if not node and shape.objects:
+        raise DanglingReference("diagram misses its nodes")
+    base = None
+    for j in shape.objects:
+        if j not in node:
+            raise DanglingReference(f"diagram misses the presheaf at {j!r}")
+        if base is None:
+            base = node[j].base
+        elif not node[j].base.same(base):
+            raise BaseMismatch(f"presheaf at {j!r} lives over a different base")
+    for f in shape.morphisms:
+        if shape.is_identity(f):
+            continue
+        if f not in edge:
+            raise DanglingReference(f"diagram misses the map along {f!r}")
+        eta = edge[f]
+        if not (eta.source is node[shape.src[f]] or eta.source.same(node[shape.src[f]])):
+            raise BaseMismatch(f"map along {f!r} starts at the wrong presheaf")
+        if not (eta.target is node[shape.tgt[f]] or eta.target.same(node[shape.tgt[f]])):
+            raise BaseMismatch(f"map along {f!r} ends at the wrong presheaf")
+    def commutes(inner):
+        for g in shape.morphisms:
+            for f in inner(shape.src[g]):
+                if shape.is_identity(f) or shape.is_identity(g):
+                    continue
+                gf = shape.compose(g, f)
+                left = compose_naturals(edge[g], edge[f])
+                right = edge[gf] if not shape.is_identity(gf) else identity_natural(node[shape.src[f]])
+                if not left.same(right):
+                    raise BaseMismatch(f"diagram does not commute along ({g!r}, {f!r})")
+
+    check_pairs(shape, commutes)
+    return PresheafDiagram(shape, node, edge)
+
+
+def presheaf_limit(pd):
+    """Limit computed pointwise by delegating each object to ``limits.limit``."""
+    shape = pd.shape
+    base = next(iter(pd.node.values())).base if pd.node else None
+    if base is None:
+        raise DanglingReference("empty presheaf diagram needs an explicit base; use terminal_presheaf")
+    per_object = {}
+    for u in base.objects:
+        D = diagram(
+            shape,
+            {j: pd.node[j].value[u] for j in shape.objects},
+            {
+                f: dict(pd.edge[f].components[u])
+                for f in shape.morphisms
+                if not shape.is_identity(f)
+            },
+        )
+        per_object[u] = limit(D)
+    value = {u: canon(per_object[u].apex) for u in base.objects}
+    pos = {j: i for i, j in enumerate(shape.objects)}
+    restrict = {}
+    for f in base.morphisms:
+        if base.is_identity(f):
+            continue
+        u, v = base.tgt[f], base.src[f]
+        restrict[f] = {
+            t: tuple(pd.node[j].restrict[f][t[pos[j]]] for j in shape.objects)
+            for t in value[u]
+        }
+    result = presheaf(base, value, restrict)
+    legs = {}
+    for j in shape.objects:
+        legs[j] = natural_transformation(
+            result,
+            pd.node[j],
+            {u: {t: t[pos[j]] for t in value[u]} for u in base.objects},
+        )
+    return result, legs

@@ -23,7 +23,6 @@ from sheafkit.fincat import (
     natural_transformation,
     poset_category,
     presheaf,
-    presheaves_isomorphic,
     validate_category,
     yoneda_from_element,
     yoneda_presheaf,
@@ -32,7 +31,7 @@ from sheafkit.fincat import (
 
 from sheafkit.documents import load_documents
 
-from naive import naive_hom, naive_into, naive_naturals
+from naive import naive_hom, naive_into, naive_naturals, presheaves_isomorphic
 from randgen import random_poset
 
 

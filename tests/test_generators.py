@@ -2,8 +2,9 @@
 
 When a category has no non-identity endomorphism and no cycle of arrows,
 ``FinCategory.generators`` lists its irreducible arrows, and the library
-checks the laws of presheaves, diagrams, naturals, matching families and
-diagrams of presheaves on generator pairs only.  The oracles in naive.py
+checks the laws of presheaves, diagrams, naturals and matching families
+on generator pairs only, through ``fincat.check_pairs``, as
+``presheaf_diagram`` in naive.py does for diagrams of presheaves.  The oracles in naive.py
 check every composable pair and every arrow.  Each example builds valid
 tables on one of six kinds of category, applies at most one mutation,
 and requires the library and the oracle to agree on the verdict, the
@@ -48,7 +49,7 @@ from sheafkit.fincat import (
 from sheafkit.kernel import encode, natural_families
 from sheafkit.labels import label_key
 from sheafkit.limits import certify_colimit, certify_limit, colimit, diagram, diagram_naturals, limit
-from sheafkit.sheaf import induced_family, matching_families, matching_family, presheaf_diagram, product_presheaf
+from sheafkit.sheaf import induced_family, matching_families, matching_family, product_presheaf
 from sheafkit.site import all_sieves, maximal_sieve
 
 from naive import (
@@ -62,6 +63,7 @@ from naive import (
     naive_presheaf,
     naive_presheaf_diagram_commutes,
     naive_validate_category,
+    presheaf_diagram,
 )
 from randgen import (
     cyclic_product,

@@ -13,7 +13,6 @@ from sheafkit.fincat import (
     arrow_category,
     enumerate_naturals,
     poset_category,
-    presheaves_isomorphic,
     presheaf,
     terminal_category,
     yoneda_presheaf,
@@ -36,10 +35,7 @@ from sheafkit.sheaf import (
     matching_families,
     matching_family,
     plus_construction,
-    presheaf_diagram,
-    presheaf_limit,
     product_presheaf,
-    sheafification_is_initial,
     sheafify,
     terminal_presheaf,
 )
@@ -60,7 +56,11 @@ from naive import (
     naive_matching_families,
     naive_naturals,
     naive_plus_construction,
+    presheaf_diagram,
+    presheaf_limit,
+    presheaves_isomorphic,
     section_rank,
+    sheafification_is_initial,
     under_bounds,
 )
 from randgen import random_poset, random_presheaf, random_site, renamed_arrows
