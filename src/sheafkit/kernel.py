@@ -97,16 +97,19 @@ Label tables reach the search in three steps:
     encode(objects, f_value, g_value, arrows) -> natural_families arguments
     natural_families(...)                     -> index families
     decode(objects, f_value, g_value, fams)   -> {object: {x: y}} dicts
+    decode(..., flat=True)                    -> {x: y} dicts over all slots
 
 Callers that only count families, test them slot by slot or permute
 their indices stay on the index families and never decode.  Decoding
-turns each distinct slot function into its {x: y} dict once per call;
-the families that use that function share the dict.  Each family gets
-its own outer {object: ...} dict, keyed in ``objects`` order.  Because
+is one loop for both record kinds: natural transformations take the
+nested form, matching families (x an arrow of the sieve) the flat one.
+Each family gets its own outer dict, keyed in slot order.  Because
 families come in lexicographic order, neighbours share their prefix
-and differ in the last slot that varies at all, so the outer dict of a
+and differ in the last slot that varies at all, so the dict of a
 family with the same prefix as the one before it is a copy of that
-family's dict with one slot replaced, not a fresh dict from all slots.
+family's dict with that slot replaced, not a fresh dict from all slots.
+The nested form turns each distinct slot function into its {x: y} dict
+once per call, and the families that use that function share the dict.
 ``label_families`` is the three steps in a row.
 
 Sieves and subobjects are enumerated as down-sets of a preorder by
@@ -116,8 +119,8 @@ of a presheaf under restriction.
 
 from __future__ import annotations
 
-from itertools import product, repeat
-from operator import itemgetter
+from itertools import chain, product, repeat
+from operator import getitem, itemgetter
 
 
 def natural_families(f_sizes, g_sizes, morphisms):
@@ -319,44 +322,60 @@ def encode(objects, f_value, g_value, arrows):
     return [len(f_value[j]) for j in objects], [len(g_value[j]) for j in objects], morphisms
 
 
-def decode(objects, f_value, g_value, fams):
-    """One {object: {x: y}} component dict per index family, in order.
+def decode(objects, f_value, g_value, fams, flat=False):
+    """One record dict per index family, in order.
 
+    Nested (the default): {object: {x: y}}, keyed in ``objects`` order.
     Each distinct slot function becomes its {x: y} dict once; every
     family that uses it shares that dict, so callers must not mutate it.
-    The outer dicts belong to one family each and keep ``objects`` order.
 
-    Slot v is the last slot with more than one function among ``fams``;
-    the slots after it are the same in every family.  A run of families
-    with equal slots before v is, in lexicographic order, one prefix
-    with v counting up: its first family's dict is built from all slots,
-    and each later one is a copy of it with slot v replaced, which keeps
-    the key order.
+    Flat: {x: y} over the source values of every slot, keyed slot by slot
+    in ``objects`` order; source values must be distinct across slots.
+
+    Either way the outer dicts belong to one family each.  Slot v is the
+    last slot with more than one function among ``fams``; the slots after
+    it are the same in every family.  A run of families with equal slots
+    before v is, in lexicographic order, one prefix with v counting up:
+    its first family's dict is built from all slots in one C-level
+    ``dict(zip(...))``, and each later one is a copy of it with slot v's
+    entry replaced (nested) or updated with slot v's {x: y} table (flat).
+    Either keeps the key order.
     """
-    tables = []
-    for k, j in enumerate(objects):
-        fv, gv = f_value[j], g_value[j]
-        tables.append({
-            func: {x: gv[i] for x, i in zip(fv, func)}
-            for func in set(map(itemgetter(k), fams))
-        })
-    varying = [k for k, table in enumerate(tables) if len(table) > 1]
-    if not varying:  # at most one family
-        return [dict(zip(objects, map(dict.__getitem__, tables, fam))) for fam in fams]
-    v = varying[-1]
-    u, table = objects[v], tables[v]
+    if flat:
+        keys = [x for j in objects for x in f_value[j]]
+        cols = [g_value[j] for j in objects for _ in f_value[j]]
+        spread = chain.from_iterable
+    else:
+        keys, spread = objects, iter
+        cols = [_tables(f_value[j], g_value[j], set(map(itemgetter(k), fams))) for k, j in enumerate(objects)]
+    for v in reversed(range(len(objects))):
+        funcs = set(map(itemgetter(v), fams)) if flat else cols[v]
+        if len(funcs) > 1:
+            break
+    else:  # at most one family
+        return [dict(zip(keys, map(getitem, cols, spread(fam)))) for fam in fams]
+    u = objects[v]
+    table = _tables(f_value[u], g_value[u], funcs) if flat else funcs
     out = []
     prefix = None
     for fam in fams:
         head = fam[:v]
         if head != prefix:
             prefix = head
-            shared = comp = dict(zip(objects, map(dict.__getitem__, tables, fam)))
+            shared = comp = dict(zip(keys, map(getitem, cols, spread(fam))))
         else:
             comp = shared.copy()
-            comp[u] = table[fam[v]]
+            if flat:
+                comp.update(table[fam[v]])
+            else:
+                comp[u] = table[fam[v]]
         out.append(comp)
     return out
+
+
+def _tables(fv, gv, funcs):
+    """{func: {x: y}} for each slot function in ``funcs``."""
+    return {func: {x: gv[i] for x, i in zip(fv, func)} for func in funcs}
 
 
 def label_families(objects, f_value, g_value, arrows):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, repeat
-from operator import getitem, itemgetter
+from operator import itemgetter
 
 from .config import check_bound, enumeration_bound
 from .errors import (
@@ -36,6 +36,7 @@ from .fincat import (
     presheaf,
     yoneda_presheaf,
 )
+from .kernel import decode
 from .labels import Label
 from .site import GrothendieckTopology, Sieve, generate_sieve
 
@@ -107,18 +108,28 @@ def matching_families(F: Presheaf, S: Sieve, bound: int | None = None) -> tuple[
     the kernel's index families: the arrow f sits at its position in
     ``sp.value[src f]``, and its value's index is its position in
     ``F.value[src f]``, which is its section rank.  Flattened, a family
-    lists the value index of every arrow in slot order.
+    lists the value index of every arrow in slot order: by domain in
+    object order, each domain's arrows in label order.
+
+    Canonical order is lexicographic in the section ranks over the arrows
+    in label order (``S.ordered``).  When that is the slot order, which
+    it is unless arrows from different objects interleave in label order
+    (never on an open-cover site), it is the kernel's order and nothing
+    is sorted; otherwise the index families are sorted by their permuted
+    flat key.  ``kernel.decode``'s flat form then builds each assignment,
+    keyed by the arrows in slot order, the same decoder that
+    ``enumerate_naturals`` uses.
     """
     sp = S.presheaf
     C = F.base
+    fams = natural_index_families(sp, F, bound)
     arrows = [f for w in C.objects for f in sp.value[w]]
-    values = [F.value[C.src[f]] for f in arrows]
-    flats = [tuple(chain.from_iterable(fam)) for fam in natural_index_families(sp, F, bound)]
-    if arrows:
+    if arrows != list(S.ordered):
         # in label order of their values, arrow by arrow
         at = {f: i for i, f in enumerate(arrows)}
-        flats.sort(key=itemgetter(*[at[f] for f in S.ordered]))
-    assignments = [dict(zip(arrows, map(getitem, values, flat))) for flat in flats]
+        key = itemgetter(*[at[f] for f in S.ordered])
+        fams.sort(key=lambda fam: key(tuple(chain.from_iterable(fam))))
+    assignments = decode(C.objects, sp.value, F.value, fams, flat=True)
     return MatchingFamily.bulk(len(assignments), repeat(F), repeat(S), assignments)
 
 

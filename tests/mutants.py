@@ -35,6 +35,7 @@ TORSOR_TESTS = ("tests/test_torsor.py", "tests/test_acceptance.py", "tests/test_
 SHEAF_TESTS = ("tests/test_sheaf.py", "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_hash_stability.py")
 KERNEL_TESTS = ("tests/test_kernel.py", "tests/test_fincat.py", "tests/test_limits.py", "tests/test_sheaf.py")
 RECORD_TESTS = ("tests/test_records.py", "tests/test_logic.py", "tests/test_documents.py")
+DECODE_TESTS = ("tests/test_kernel.py", "tests/test_sheaf.py", "tests/test_records.py", "tests/test_fincat.py")
 
 
 def source(text: str) -> Callable[[ast.AST], bool]:
@@ -182,6 +183,14 @@ def shared_dict(target: str):
     return edit
 
 
+def statement_dropped(text: str):
+    """Replace the statement that unparses to ``text`` by ``pass``."""
+    match = source(text)
+    def edit(node):
+        return ast.Pass() if isinstance(node, ast.stmt) and match(node) else None
+    return edit
+
+
 def assignment_allowed(node):
     # raise _frozen(...)  ->  object.__setattr__(self, name, value)
     if isinstance(node, ast.Raise):
@@ -257,6 +266,18 @@ MUTANTS = (
     # reaches it, so every prefix gets the first prefix's candidates
     Mutant("last-slot-cached-when-narrowed", "src/sheafkit/kernel.py", "natural_families",
            replaced("not narrowed[k]", "True"), KERNEL_TESTS),
+    # a family that shares its prefix keeps the first family's varying
+    # slot, in the nested and the flat form alike
+    Mutant("decode-copy-keeps-stale-slot", "src/sheafkit/kernel.py", "decode",
+           statement_dropped("if flat:\n    comp.update(table[fam[v]])\nelse:\n    comp[u] = table[fam[v]]"),
+           DECODE_TESTS),
+    # the prefix leaves out the slot just before the varying one
+    Mutant("decode-prefix-one-short", "src/sheafkit/kernel.py", "decode", replaced("fam[:v]", "fam[:v - 1]"),
+           DECODE_TESTS),
+    # matching families stay in the kernel's slot order when the label
+    # order of the arrows differs
+    Mutant("matching-sort-skipped", "src/sheafkit/sheaf.py", "matching_families",
+           replaced("arrows != list(S.ordered)", "False"), DECODE_TESTS),
     # records of two classes with equal fields compare equal
     Mutant("record-eq-ignores-class", "src/sheafkit/fincat.py", "_fields_equal",
            replaced("other.__class__ is self.__class__", "isinstance(other, FrozenRecord)"), RECORD_TESTS),

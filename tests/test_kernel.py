@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheafkit.fincat import (
+    discrete_category,
     enumerate_naturals,
     natural_index_families,
     natural_transformation,
@@ -27,9 +28,10 @@ from sheafkit.fincat import (
     validate_category,
     yoneda_presheaf,
 )
+from sheafkit.gallery import const2_presheaf, discrete2_site
 from sheafkit.kernel import decode, down_sets, label_families, natural_families
 from sheafkit.sheaf import matching_families, product_presheaf
-from sheafkit.site import all_sieves
+from sheafkit.site import all_sieves, generate_sieve
 
 from naive import naive_decode, naive_natural_families, naive_naturals
 from randgen import cyclic_product, random_poset, random_presheaf
@@ -222,15 +224,25 @@ def test_a_search_leaves_no_cyclic_garbage():
                dict(zip(g_value[objects[0]], g_value[objects[1]])))]
     sieves = all_sieves(C, C.objects[-1])
     assert label_families(objects, f_value, g_value, arrows)
+    # both forms of decode, each with prefixes that repeat
+    P = presheaf(discrete_category(["p", "q"]), {"p": (0, 1), "q": (0, 1, 2)}, {})
+    assert len(enumerate_naturals(P, P)) == 2 ** 2 * 3 ** 3
+    site = discrete2_site()
+    H = const2_presheaf(site)
+    pieces = generate_sieve(site.category, "{a,b}", ["{a}<{a,b}", "{b}<{a,b}"])
+    assert len(matching_families(H, pieces)) == 4
     gc.collect()
     gc.disable()
     try:
         for case in CASES + [chain_case(3, 5), triangle_case(3)]:
             natural_families(*case)
         natural_index_families(F, G)
+        enumerate_naturals(F, G)
+        enumerate_naturals(P, P)
         label_families(objects, f_value, g_value, arrows)
         for S in sieves:
             matching_families(G, S)
+        matching_families(H, pieces)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -295,6 +307,41 @@ def test_decode_does_not_need_the_kernel_order(fs, data):
     fams = data.draw(st.lists(family, max_size=12))
     objects, f_value, g_value = labelled(fs, gs, random.Random(data.draw(st.integers(0, 2**32 - 1))))
     assert_same_decoding(decode(objects, f_value, g_value, fams), naive_decode(objects, f_value, g_value, fams))
+
+
+def assert_flat_decoding(objects, f_value, g_value, fams):
+    """The flat form is the reference's nested records with every slot's
+    {x: y} pairs joined in ``objects`` order, keys in that order too.
+    Source values are tagged with their object, so keys are distinct
+    across slots, as the flat form needs."""
+    f_value = {j: tuple((j, x) for x in f_value[j]) for j in objects}
+    got = decode(objects, f_value, g_value, fams, flat=True)
+    want = [{x: y for j in objects for x, y in comp[j].items()}
+            for comp in naive_decode(objects, f_value, g_value, fams)]
+    assert got == want
+    assert [list(comp) for comp in got] == [list(comp) for comp in want]
+    assert len({id(comp) for comp in got}) == len(got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kernel_instances(), st.integers(0, 2**32 - 1))
+@example(([], [], []), 0)  # no objects: one empty family
+@example(([0, 2, 0], [1, 2, 3], []), 0)  # slots with no source values
+@example(([1, 2], [0, 2], []), 0)  # no families
+@example(([1, 2, 1], [2, 2, 1], []), 0)  # a last varying slot of two values
+def test_flat_decode_matches_the_reference(case, seed):
+    fs, gs, mors = case
+    fams = natural_families(fs, gs, mors)
+    assert_flat_decoding(*labelled(fs, gs, random.Random(seed)), fams)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2), max_size=4), st.data())
+def test_flat_decode_does_not_need_the_kernel_order(fs, data):
+    gs = [data.draw(st.integers(1, 3)) for _ in fs]
+    family = st.tuples(*[st.tuples(*[st.integers(0, g - 1)] * f) for f, g in zip(fs, gs)])
+    fams = data.draw(st.lists(family, max_size=12))
+    assert_flat_decoding(*labelled(fs, gs, random.Random(data.draw(st.integers(0, 2**32 - 1)))), fams)
 
 
 def test_decode_edge_cases():

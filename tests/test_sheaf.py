@@ -15,6 +15,7 @@ from sheafkit.fincat import (
     poset_category,
     presheaf,
     terminal_category,
+    validate_category,
     yoneda_presheaf,
 )
 from sheafkit.gallery import (
@@ -133,6 +134,82 @@ def test_matching_families_follow_arrow_order_not_object_order():
     got = [m.assignment for m in matching_families(F, S)]
     assert got == [{"a": a, "z": z} for a in (1, "q") for z in (0, "p")]
     assert got == sorted(naive_matching_families(F, S.arrows, C), key=lambda m: (str(m["a"]), str(m["z"])))
+
+
+def slot_order(S):
+    """The arrows of S by domain in object order, each domain's arrows in
+    label order: the order of the kernel's slots."""
+    C = S.category
+    return [f for w in C.objects for f in sorted((f for f in S.arrows if C.src[f] == w), key=label_key)]
+
+
+def assert_rank_order_and_slot_keys(F, S):
+    """The families are the oracle's, sorted by the section ranks of their
+    values in label order of the arrows, and every assignment lists its
+    arrows in slot order (dict equality alone ignores key order)."""
+    C = F.base
+    rank = section_rank(F)
+    arrows = sorted(S.arrows, key=label_key)
+    oracle = sorted(naive_matching_families(F, S.arrows, C), key=lambda m: [rank[C.src[f]][m[f]] for f in arrows])
+    got = [m.assignment for m in matching_families(F, S)]
+    assert got == oracle
+    assert all(list(a) == slot_order(S) for a in got)
+
+
+def two_parallel_arrows(a="a"):
+    """a: v -> t and two parallel arrows b, c: w -> t, with 2 sections at v
+    and 3 at w: every assignment matches, so the last varying slot (w)
+    holds two arrows and each prefix (the value at a) repeats 9 times.
+    The arrow from v is named ``a``."""
+    arrows = [(a, "v", "t"), ("b", "w", "t"), ("c", "w", "t")]
+    ident = {u: f"id_{u}" for u in "tvw"}
+    table = {(i, i): i for i in ident.values()}
+    for f, s, t in arrows:
+        table[(ident[t], f)] = table[(f, ident[s])] = f
+    C = validate_category(list("tvw"), [(i, u, u) for u, i in ident.items()] + arrows, ident, table)
+    F = presheaf(C, {"t": ((),), "v": (0, 1), "w": ("p", "q", "r")},
+                 {a: {(): 0}, "b": {(): "p"}, "c": {(): "q"}})
+    return F, generate_sieve(C, "t", [a, "b", "c"])
+
+
+def test_a_slot_of_two_arrows_is_replaced_whole_in_slot_order():
+    F, S = two_parallel_arrows()
+    assert slot_order(S) == ["a", "b", "c"]
+    assert len(matching_families(F, S)) == 2 * 3 * 3
+    assert_rank_order_and_slot_keys(F, S)
+
+
+def test_a_renamed_arrow_sorts_the_families_into_label_order():
+    """Named z, the arrow from v comes last in label order but its slot
+    comes first, so the kernel's order (z varying slowest) is not the
+    label order (z varying fastest) and the families are sorted."""
+    F, S = two_parallel_arrows("z")
+    assert slot_order(S) == ["z", "b", "c"]
+    assert_rank_order_and_slot_keys(F, S)
+    got = [m.assignment for m in matching_families(F, S)]
+    assert [a["z"] for a in got[:3]] == [0, 1, 0]
+
+
+def test_renamed_arrows_are_sorted_into_rank_order_with_slot_keys():
+    """Renamed arrows put the label order of many random sieves out of
+    slot order."""
+    sorted_after = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        C = renamed_arrows(rng, random_poset(rng, max_objs=4))
+        F = random_presheaf(rng, C)
+        for u in C.objects:
+            for S in all_sieves(C, u):
+                sorted_after += slot_order(S) != sorted(S.arrows, key=label_key)
+                assert_rank_order_and_slot_keys(F, S)
+    assert sorted_after >= 20
+
+
+def test_the_empty_sieve_has_one_empty_family_in_slot_order():
+    F, _ = two_parallel_arrows()
+    E = empty_sieve(F.base, "t")
+    assert [m.assignment for m in matching_families(F, E)] == [{}]
+    assert_rank_order_and_slot_keys(F, E)
 
 
 def test_empty_sieve_on_empty_open_has_one_family():
