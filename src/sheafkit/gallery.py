@@ -1,72 +1,48 @@
-"""Programmatic construction of the bundled fixture gallery.
+"""Builders for the objects of the bundled fixture gallery.
 
-The JSON documents shipped under ``sheafkit/fixtures`` are generated from
-these builders (see ``write_gallery``); tests and the CLI use both paths
-and cross-check them.
+The JSON documents shipped under ``sheafkit/fixtures`` are the source of
+the gallery: the CLI reads them, and the named site builders below build
+them afresh.  The other builders compute the derived objects (the constant
+presheaves, the Z/2 local systems, torsors and cocycles) from any site;
+the tests compare what they compute on the gallery sites with the bundled
+documents.
 """
 
 from __future__ import annotations
 
-from .fincat import arrow_category, presheaf
-from .labels import label_key, show_label
-from .site import FiniteSpace, Site, finite_space, open_cover_topology, presheaf_site
+from .documents import load_documents
+from .fincat import presheaf
+from .labels import label_key
+from .site import Site, overlap
 from .torsor import Cocycle, GluedTorsor, GroupSheaf, cocycle, glue_torsor, group_sheaf, torsor_candidate
 
 
-def sierpinski_space() -> FiniteSpace:
-    """Two points, one of them open: the minimal non-Boolean space."""
-    return finite_space(["b", "t"], [(), ("t",), ("b", "t")])
-
-
-def discrete2_space() -> FiniteSpace:
-    return finite_space(["a", "b"], [(), ("a",), ("b",), ("a", "b")])
-
-
-def discrete3_space() -> FiniteSpace:
-    pts = ["a", "b", "c"]
-    opens = [()]
-    for mask in range(1, 8):
-        opens.append(tuple(p for i, p in enumerate(pts) if mask >> i & 1))
-    return finite_space(pts, opens)
-
-
-def chain3_space() -> FiniteSpace:
-    """Three-point chain: opens are initial segments."""
-    return finite_space(["1", "2", "3"], [(), ("1",), ("1", "2"), ("1", "2", "3")])
-
-
-def pseudocircle_space() -> FiniteSpace:
-    """Four-point model of the circle; carries a nontrivial double cover."""
-    return finite_space(
-        ["a", "b", "x", "y"],
-        [(), ("a",), ("b",), ("a", "b"), ("a", "b", "x"), ("a", "b", "y"),
-         ("a", "b", "x", "y")],
-    )
-
-
 def sierpinski_site() -> Site:
-    return open_cover_topology(sierpinski_space())
+    """Two points, one of them open: the minimal non-Boolean space."""
+    return load_documents([]).site("sierpinski")
 
 
 def discrete2_site() -> Site:
-    return open_cover_topology(discrete2_space())
+    return load_documents([]).site("discrete2")
 
 
 def discrete3_site() -> Site:
-    return open_cover_topology(discrete3_space())
+    return load_documents([]).site("discrete3")
 
 
 def chain3_site() -> Site:
-    return open_cover_topology(chain3_space())
+    """Three-point chain: opens are initial segments."""
+    return load_documents([]).site("chain3")
 
 
 def pseudocircle_site() -> Site:
-    return open_cover_topology(pseudocircle_space())
+    """Four-point model of the circle; carries a nontrivial double cover."""
+    return load_documents([]).site("pseudocircle")
 
 
 def arrow_site() -> Site:
     """The walking arrow with its trivial topology: a presheaf topos."""
-    return presheaf_site(arrow_category())
+    return load_documents([]).site("arrow-trivial")
 
 
 def const2_presheaf(site: Site):
@@ -206,8 +182,6 @@ def sign_cocycle(site: Site | None = None, G: GroupSheaf | None = None) -> Cocyc
 
 
 def unit_cocycle(site: Site, G: GroupSheaf, target: str, cover) -> Cocycle:
-    from .site import overlap
-
     cover = tuple(cover)
     values = {
         (i, j): G.unit[overlap(site, cover[i], cover[j])]
@@ -222,282 +196,3 @@ def pc_double_cover() -> GluedTorsor:
     site = pseudocircle_site()
     G = z2_local_system(site)
     return glue_torsor(site, G, sign_cocycle(site, G))
-
-
-# -- document emission --------------------------------------------------------------
-#
-# The JSON gallery shipped with the package is generated from the builders
-# above; labels that are tuples internally are rendered as strings.
-
-def _header(kind: str, name: str) -> dict:
-    return {"schema": 1, "kind": kind, "name": name}
-
-
-def _space_doc(name: str, X: FiniteSpace) -> dict:
-    doc = _header("space", name)
-    doc["points"] = list(X.points)
-    doc["opens"] = [sorted(o, key=label_key) for o in X.opens]
-    return doc
-
-
-def _category_doc(name: str, C) -> dict:
-    doc = _header("category", name)
-    doc["objects"] = [show_label(o) for o in C.objects]
-    doc["morphisms"] = [
-        {"name": show_label(m), "src": show_label(C.src[m]), "tgt": show_label(C.tgt[m])}
-        for m in C.morphisms
-    ]
-    doc["identities"] = {show_label(u): show_label(C.identity[u]) for u in C.objects}
-    doc["compose"] = sorted(
-        ([show_label(g), show_label(f), show_label(gf)] for (g, f), gf in C.table.items()),
-        key=lambda t: (t[0], t[1]),
-    )
-    return doc
-
-
-def _presheaf_doc(name: str, F, base_ref: str) -> dict:
-    doc = _header("presheaf", name)
-    doc["base"] = base_ref
-    doc["values"] = {
-        show_label(u): [show_label(x) for x in F.value[u]] for u in F.base.objects
-    }
-    doc["restrictions"] = {
-        show_label(f): {show_label(x): show_label(y) for x, y in F.restrict[f].items()}
-        for f in F.base.morphisms
-        if not F.base.is_identity(f)
-    }
-    return doc
-
-
-def _group_doc(name: str, G: GroupSheaf, presheaf_ref: str) -> dict:
-    doc = _header("group-sheaf", name)
-    doc["presheaf"] = presheaf_ref
-    doc["mult"] = {
-        show_label(u): sorted(
-            [show_label(a), show_label(b), show_label(ab)]
-            for (a, b), ab in G.mult[u].items()
-        )
-        for u in G.sections.base.objects
-    }
-    doc["unit"] = {show_label(u): show_label(G.unit[u]) for u in G.sections.base.objects}
-    return doc
-
-
-def _action_doc(name: str, T, space_ref: str, group_ref: str) -> dict:
-    doc = _header("action", name)
-    doc["space-presheaf"] = space_ref
-    doc["group"] = group_ref
-    doc["action"] = {
-        show_label(u): sorted(
-            [show_label(p), show_label(g), show_label(pg)]
-            for (p, g), pg in T.action[u].items()
-        )
-        for u in T.space.base.objects
-    }
-    return doc
-
-
-def _cocycle_doc(name: str, c: Cocycle, site_ref: str, group_ref: str) -> dict:
-    doc = _header("cocycle", name)
-    doc["site"] = site_ref
-    doc["group"] = group_ref
-    doc["target"] = c.target
-    doc["cover"] = list(c.cover)
-    doc["values"] = sorted(
-        [i, j, show_label(g)] for (i, j), g in c.values.items()
-    )
-    return doc
-
-
-def _diagram_doc(name: str, D, shape_ref: str) -> dict:
-    doc = _header("diagram", name)
-    doc["shape"] = shape_ref
-    doc["values"] = {
-        show_label(u): [show_label(x) for x in D.value[u]] for u in D.shape.objects
-    }
-    doc["actions"] = {
-        show_label(f): {show_label(x): show_label(y) for x, y in D.action[f].items()}
-        for f in D.shape.morphisms
-        if not D.shape.is_identity(f)
-    }
-    return doc
-
-
-def _shape_categories():
-    from .fincat import poset_category, validate_category
-
-    cospan = poset_category(
-        ["l", "m", "r"], lambda a, b: a == b or b == "m", name=lambda a, b: f"{a}<{b}"
-    )
-    span = poset_category(
-        ["l", "m", "r"], lambda a, b: a == b or a == "m", name=lambda a, b: f"{a}<{b}"
-    )
-    chain5 = poset_category(
-        [f"c{i}" for i in range(1, 6)], lambda a, b: a <= b, name=lambda a, b: f"{a}<{b}"
-    )
-    tower4 = poset_category(
-        [f"t{i}" for i in range(1, 5)], lambda a, b: a >= b, name=lambda a, b: f"{a}>{b}"
-    )
-    parallel = validate_category(
-        ["a", "b"],
-        [("id_a", "a", "a"), ("id_b", "b", "b"), ("f", "a", "b"), ("g", "a", "b")],
-        {"a": "id_a", "b": "id_b"},
-        {
-            ("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
-            ("f", "id_a"): "f", ("id_b", "f"): "f",
-            ("g", "id_a"): "g", ("id_b", "g"): "g",
-        },
-    )
-    return {"cospan": cospan, "span": span, "chain5": chain5, "tower4": tower4,
-            "parallel-pair": parallel}
-
-
-def build_documents() -> list[dict]:
-    """Every bundled fixture document, generated from the builders above."""
-    from .limits import diagram as make_diagram
-
-    docs: list[dict] = []
-    docs.append(_space_doc("sierpinski", sierpinski_space()))
-    docs.append(_space_doc("discrete2", discrete2_space()))
-    docs.append(_space_doc("discrete3", discrete3_space()))
-    docs.append(_space_doc("chain3", chain3_space()))
-    docs.append(_space_doc("pseudocircle", pseudocircle_space()))
-
-    docs.append(_category_doc("arrow", arrow_category()))
-    shapes = _shape_categories()
-    for name, cat in sorted(shapes.items()):
-        docs.append(_category_doc(name, cat))
-
-    trivial = _header("topology", "arrow-trivial")
-    trivial["category"] = "arrow"
-    trivial["covers"] = "trivial"
-    docs.append(trivial)
-
-    d2 = discrete2_site()
-    docs.append(_presheaf_doc("const2", const2_presheaf(d2), "discrete2"))
-    docs.append(_presheaf_doc("const2-full", const2_full_presheaf(d2), "discrete2"))
-
-    sier = sierpinski_site()
-    docs.append(_presheaf_doc("sier-one", terminal_one(sier), "sierpinski"))
-
-    from .fincat import presheaf as make_presheaf
-
-    two_one = make_presheaf(
-        arrow_category(), {"0": ("x", "y"), "1": ("z",)}, {"0->1": {"z": "x"}}
-    )
-    docs.append(_presheaf_doc("two-one", two_one, "arrow"))
-
-    pc = pseudocircle_site()
-    Gpc = z2_local_system(pc)
-    docs.append(_presheaf_doc("pc-z2-sections", Gpc.sections, "pseudocircle"))
-    docs.append(_group_doc("pc-z2", Gpc, "pc-z2-sections"))
-    glued = pc_double_cover()
-    docs.append(_presheaf_doc("pc-double", glued.torsor.space, "pseudocircle"))
-    docs.append(_action_doc("pc-action", glued.torsor, "pc-double", "pc-z2"))
-    docs.append(_cocycle_doc("pc-sign", sign_cocycle(pc, Gpc), "pseudocircle", "pc-z2"))
-    docs.append(
-        _cocycle_doc(
-            "pc-unit", unit_cocycle(pc, Gpc, PC_WHOLE, (PC_UX, PC_UY)), "pseudocircle", "pc-z2"
-        )
-    )
-
-    Gd2 = z2_local_system(d2)
-    docs.append(_presheaf_doc("d2-z2-sections", Gd2.sections, "discrete2"))
-    docs.append(_group_doc("d2-z2", Gd2, "d2-z2-sections"))
-    docs.append(
-        _action_doc("d2-trivial-action", trivial_torsor(Gd2), "d2-z2-sections", "d2-z2")
-    )
-
-    c2 = make_diagram(
-        shapes["cospan"],
-        {"l": ("1", "2"), "m": ("*",), "r": ("a", "b")},
-        {"l<m": {"1": "*", "2": "*"}, "r<m": {"a": "*", "b": "*"}},
-    )
-    docs.append(_diagram_doc("c2", c2, "cospan"))
-    c2_span = make_diagram(
-        shapes["span"],
-        {"m": ("1", "2"), "l": ("1", "2"), "r": ("a", "b")},
-        {"m<l": {"1": "1", "2": "2"}, "m<r": {"1": "a", "2": "b"}},
-    )
-    docs.append(_diagram_doc("c2-span", c2_span, "span"))
-    eq_pair = make_diagram(
-        shapes["parallel-pair"],
-        {"a": ("1", "2", "3"), "b": ("1", "2")},
-        {"f": {"1": "1", "2": "1", "3": "2"}, "g": {"1": "1", "2": "2", "3": "2"}},
-    )
-    docs.append(_diagram_doc("eq-pair", eq_pair, "parallel-pair"))
-    tower = make_diagram(
-        shapes["tower4"],
-        {f"t{k}": tuple(str(i) for i in range(2 ** k)) for k in range(1, 5)},
-        {
-            f"t{j}>{i_}": {str(x): str(x % 2 ** int(i_[1:])) for x in range(2 ** j)}
-            for j in range(2, 5)
-            for i_ in (f"t{i}" for i in range(1, j))
-        },
-    )
-    docs.append(_diagram_doc("z2-tower4", tower, "tower4"))
-    chain = make_diagram(
-        shapes["chain5"],
-        {f"c{k}": tuple(str(i) for i in range(1, k + 1)) for k in range(1, 6)},
-        {
-            f"c{i}<c{j}": {str(x): str(x) for x in range(1, i + 1)}
-            for i in range(1, 6)
-            for j in range(i + 1, 6)
-        },
-    )
-    docs.append(_diagram_doc("incl-chain5", chain, "chain5"))
-
-    exists_doc = _header("formula", "pc-exists-section")
-    exists_doc["site"] = "pseudocircle"
-    exists_doc["sorts"] = {"P": "pc-double"}
-    exists_doc["predicates"] = {}
-    exists_doc["context"] = []
-    exists_doc["text"] = "(exists s P (true))"
-    docs.append(exists_doc)
-
-    em_doc = _header("formula", "sier-em")
-    em_doc["site"] = "sierpinski"
-    em_doc["sorts"] = {"F": "sier-one"}
-    em_doc["predicates"] = {"A": {"sort": "F", "parts": {"{t}": ["*"], "{}": ["*"]}}}
-    em_doc["context"] = [["x", "F"]]
-    em_doc["text"] = "(or (in x A) (not (in x A)))"
-    docs.append(em_doc)
-
-    imp_doc = _header("formula", "sier-implication")
-    imp_doc["site"] = "sierpinski"
-    imp_doc["sorts"] = {"F": "sier-one"}
-    imp_doc["predicates"] = {
-        "A": {"sort": "F", "parts": {"{t}": ["*"], "{}": ["*"]}},
-        "B": {"sort": "F", "parts": {"{}": ["*"]}},
-    }
-    imp_doc["context"] = [["x", "F"]]
-    imp_doc["text"] = "(forall y F (implies (in y A) (in y B)))"
-    docs.append(imp_doc)
-
-    return docs
-
-
-def terminal_one(site: Site):
-    """The terminal presheaf with a string label, for document friendliness."""
-    cat = site.category
-    value = {u: ("*",) for u in cat.objects}
-    restrict = {
-        f: {"*": "*"} for f in cat.morphisms if not cat.is_identity(f)
-    }
-    return presheaf(cat, value, restrict)
-
-
-def write_gallery(directory) -> list[str]:
-    """Serialize the bundled fixtures into a directory; returns the paths."""
-    from pathlib import Path
-
-    from .documents import serialize_document
-
-    out = []
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    for doc in build_documents():
-        path = target / f"{doc['name']}.json"
-        path.write_text(serialize_document(doc), encoding="utf-8")
-        out.append(str(path))
-    return out

@@ -78,6 +78,9 @@ def diagram(shape: FinCategory, value, action) -> Diagram:
         if j not in value:
             raise DanglingReference(f"diagram misses value at {j!r}")
         vals[j] = canon(value[j])
+    for j in value:
+        if j not in shape.object_set:
+            raise DanglingReference(f"diagram value at unknown object {j!r}")
     members = {j: set(vals[j]) for j in shape.objects}
     act: dict[Label, dict[Label, Label]] = {}
     for f in shape.morphisms:
@@ -93,6 +96,9 @@ def diagram(shape: FinCategory, value, action) -> Diagram:
                 raise DanglingReference(f"action along {f!r} misses {x!r}")
             if tab[x] not in members[b]:
                 raise DanglingReference(f"action along {f!r} sends {x!r} outside D({b!r})")
+        for x in tab:
+            if x not in members[a]:
+                raise DanglingReference(f"action along {f!r} defined on unknown {x!r}")
         act[f] = {x: tab[x] for x in vals[a]}
     for j in shape.objects:
         i = shape.identity[j]
@@ -467,7 +473,7 @@ def kan_to_point(direction: str, D: Diagram, bound: int | None = None) -> ConeRe
     if direction == "left":
         apex = tuple((a, x) for ((a, _m), x) in ext.value["pt"])
         legs = {
-            a: {x: _strip_left(res.extension, res, a, x) for x in D.value[a]}
+            a: {x: _strip_left(res, a, x) for x in D.value[a]}
             for a in D.shape.objects
         }
         return ConeResult(D, canon(apex), legs)
@@ -482,7 +488,7 @@ def kan_to_point(direction: str, D: Diagram, bound: int | None = None) -> ConeRe
     return ConeResult(D, apex, legs)
 
 
-def _strip_left(ext, res: KanResult, a, x):
+def _strip_left(res: KanResult, a, x):
     cls = res.transform[a][x]
     (a2, _m), y = cls
     return (a2, y)

@@ -1,6 +1,6 @@
 """Mutation check of the internal logic, the descent layer, the sheaf
-condition, the search kernel and the record mechanism: does the suite
-notice a broken engine?
+condition, the search kernel, the record mechanism and the document
+schema walker: does the suite notice a broken engine?
 
 Each mutant is one small edit to the syntax tree of a library function,
 made with the standard ``ast`` module in a temporary copy of the
@@ -36,6 +36,7 @@ SHEAF_TESTS = ("tests/test_sheaf.py", "tests/test_acceptance.py", "tests/test_bo
 KERNEL_TESTS = ("tests/test_kernel.py", "tests/test_fincat.py", "tests/test_limits.py", "tests/test_sheaf.py")
 RECORD_TESTS = ("tests/test_records.py", "tests/test_logic.py", "tests/test_documents.py")
 DECODE_TESTS = ("tests/test_kernel.py", "tests/test_sheaf.py", "tests/test_records.py", "tests/test_fincat.py")
+DOCUMENT_TESTS = ("tests/test_documents.py", "tests/test_document_fuzz.py")
 
 
 def source(text: str) -> Callable[[ast.AST], bool]:
@@ -285,6 +286,12 @@ MUTANTS = (
     Mutant("document-sets-share-raw", "src/sheafkit/documents.py", "__init__", shared_dict("self.raw"), RECORD_TESTS),
     # assigning a record's field goes through
     Mutant("record-setattr-assigns", "src/sheafkit/fincat.py", "__setattr__", assignment_allowed, RECORD_TESTS),
+    # the schema's bulk check passes entries of any length ...
+    Mutant("entry-fits-ignores-length", "src/sheafkit/documents.py", "fits",
+           replaced("set(map(len, values)) <= {self.n}", "True"), DOCUMENT_TESTS),
+    # ... and records that miss a required field
+    Mutant("record-fits-skips-required", "src/sheafkit/documents.py", "fits",
+           replaced("self.required <= v.keys()", "True"), DOCUMENT_TESTS),
 )
 
 

@@ -723,6 +723,9 @@ def naive_diagram(shape, value, action):
         if j not in value:
             raise DanglingReference(f"diagram misses value at {j!r}")
         vals[j] = _sorted(value[j])
+    for j in value:
+        if j not in shape.objects:
+            raise DanglingReference(f"diagram value at unknown object {j!r}")
     act = {}
     for f in shape.morphisms:
         a, b = shape.src[f], shape.tgt[f]
@@ -737,6 +740,9 @@ def naive_diagram(shape, value, action):
                 raise DanglingReference(f"action along {f!r} misses {x!r}")
             if tab[x] not in vals[b]:
                 raise DanglingReference(f"action along {f!r} sends {x!r} outside D({b!r})")
+        for x in tab:
+            if x not in vals[a]:
+                raise DanglingReference(f"action along {f!r} defined on unknown {x!r}")
         act[f] = {x: tab[x] for x in vals[a]}
     for j in shape.objects:
         for x in vals[j]:

@@ -230,6 +230,19 @@ def test_extract_cocycle_section_index_outside_the_cover_is_a_usage_error(entry)
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("glue", "--presheaf", "const2", "--site", "discrete2", "--at", "{a,b}",
+      "--section", "{a}=0", "--section", "{b}=1", "--section", "{a}=1"), "--section names '{a}'"),
+    (("force", "--formula", "sier-em", "--at", "{b,t}", "--env", "x=*", "--env", "x=*"), "--env names 'x'"),
+    ((*EXTRACT, "--section", "0=((0),(0,1))", "--section", "1=((0,1),(0))", "--section", "0=((1),(1,0))"),
+     "--section names '0'"),
+    ((*EXTRACT, "--section", "0=((0),(0,1))", "--section", "1=((0,1),(0))", "--section", "00=((1),(1,0))"),
+     "--section names index 0"),
+])
+def test_a_repeated_key_is_a_usage_error(argv, message):
+    assert invoke(*argv) == (2, f"usage error: {message} more than once\n")
+
+
 def test_extract_cocycle_with_an_unknown_cover_member_exits_two():
     argv = [*EXTRACT, "--section", "0=((0),(0,1))"]
     argv[argv.index("{a,b,y}")] = "nowhere"

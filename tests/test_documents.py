@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,21 @@ from sheafkit.documents import (
 )
 from sheafkit.errors import ParseError, SemanticError, UnresolvedReference
 from sheafkit.fincat import poset_category
-from sheafkit.gallery import build_documents, pc_double_cover
+from sheafkit.gallery import (
+    PC_UX,
+    PC_UY,
+    PC_WHOLE,
+    const2_full_presheaf,
+    const2_presheaf,
+    discrete2_site,
+    pc_double_cover,
+    pseudocircle_site,
+    sign_cocycle,
+    trivial_torsor,
+    unit_cocycle,
+    z2_local_system,
+)
+from sheafkit.labels import show_label
 
 
 def test_gallery_loads_and_builds_every_kind():
@@ -53,7 +68,7 @@ def test_round_trip_is_byte_idempotent(tmp_path):
     second = tmp_path / "second"
     first.mkdir()
     second.mkdir()
-    for doc in build_documents():
+    for doc in gallery_documents().values():
         (first / f"{doc['name']}.json").write_text(serialize_document(doc), encoding="utf-8")
     ds = load_documents([str(first)], include_gallery=False)
     for name in ds.names():
@@ -124,7 +139,7 @@ def test_unknown_kind_and_schema_rejected():
 
 
 def test_digest_is_stable():
-    docs = {d["name"]: d for d in build_documents()}
+    docs = gallery_documents()
     d1 = document_digest(docs["sierpinski"])
     d2 = document_digest(json.loads(serialize_document(docs["sierpinski"])))
     assert d1 == d2
@@ -159,7 +174,6 @@ def test_enumeration_bound_env_override(monkeypatch):
     from sheafkit.config import enumeration_bound
     from sheafkit.errors import IntractableSize
     from sheafkit.fincat import enumerate_naturals
-    from sheafkit.gallery import const2_presheaf, discrete2_site
 
     site = discrete2_site()
     F = const2_presheaf(site)
@@ -310,6 +324,19 @@ def test_diagram_without_values_is_a_semantic_error(tmp_path):
         tmp_path, "eq-pair", lambda doc: doc.pop("values"), "equalizer", "--diagram", "mal",
     )
     assert got == (2, f'error: MalformedDocument: {p}: mal: missing field "values"\n')
+
+
+LIMIT_MAL = ("limit", "--diagram", "mal", "--certify", "2")
+
+
+def test_diagram_value_at_an_object_outside_the_shape_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(tmp_path, "c2", lambda doc: doc["values"].update(zz=["1"]), *LIMIT_MAL)
+    assert got == (2, f"error: SemanticError: {p}: mal: diagram value at unknown object 'zz'\n")
+
+
+def test_diagram_action_on_an_element_outside_its_source_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(tmp_path, "c2", lambda doc: doc["actions"]["l<m"].update(ghost="*"), *LIMIT_MAL)
+    assert got == (2, f"error: SemanticError: {p}: mal: action along 'l<m' defined on unknown 'ghost'\n")
 
 
 def test_nested_list_in_space_opens_is_a_semantic_error(tmp_path):
@@ -511,17 +538,48 @@ def test_unknown_point_is_named_in_document_order(tmp_path):
     assert got == (2, f"error: SemanticError: {p}: discrete2: open set names unknown point 'p'\n")
 
 
-def test_bundled_fixtures_are_what_the_generator_writes(tmp_path):
-    from importlib import resources
-
-    from sheafkit.gallery import write_gallery
-
-    write_gallery(tmp_path)
-    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+def test_bundled_fixtures_are_their_own_canonical_serialization():
     root = resources.files("sheafkit") / "fixtures"
-    bundled = {e.name: e.read_bytes() for e in root.iterdir() if e.name.endswith(".json")}
-    assert len(written) == 33
-    assert written == bundled
+    entries = [e for e in root.iterdir() if e.name.endswith(".json")]
+    assert len(entries) == 33
+    for entry in entries:
+        text = entry.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert entry.name == f"{doc['name']}.json"
+        assert serialize_document(doc) == text
+
+
+def shown_triples(table):
+    """{(a, b): c} as the sorted list of shown [a, b, c] triples."""
+    return sorted([show_label(a), show_label(b), show_label(c)] for (a, b), c in table.items())
+
+
+def test_derived_fixtures_are_what_the_builders_compute():
+    docs = gallery_documents()
+    d2, pc = discrete2_site(), pseudocircle_site()
+    Gd2, Gpc = z2_local_system(d2), z2_local_system(pc)
+    glued = pc_double_cover()
+    presheaves = {
+        "const2": const2_presheaf(d2), "const2-full": const2_full_presheaf(d2),
+        "d2-z2-sections": Gd2.sections, "pc-z2-sections": Gpc.sections, "pc-double": glued.torsor.space,
+    }
+    for name, F in presheaves.items():
+        C = F.base
+        assert docs[name]["values"] == {show_label(u): [show_label(x) for x in F.value[u]] for u in C.objects}
+        assert docs[name]["restrictions"] == {
+            show_label(f): {show_label(x): show_label(y) for x, y in F.restrict[f].items()}
+            for f in C.morphisms
+            if not C.is_identity(f)
+        }
+    for name, G in {"d2-z2": Gd2, "pc-z2": Gpc}.items():
+        objects = G.sections.base.objects
+        assert docs[name]["mult"] == {show_label(u): shown_triples(G.mult[u]) for u in objects}
+        assert docs[name]["unit"] == {show_label(u): show_label(G.unit[u]) for u in objects}
+    for name, T in {"pc-action": glued.torsor, "d2-trivial-action": trivial_torsor(Gd2)}.items():
+        assert docs[name]["action"] == {show_label(u): shown_triples(T.action[u]) for u in T.space.base.objects}
+    cocycles = {"pc-sign": sign_cocycle(pc, Gpc), "pc-unit": unit_cocycle(pc, Gpc, PC_WHOLE, (PC_UX, PC_UY))}
+    for name, c in cocycles.items():
+        assert docs[name]["values"] == sorted([i, j, show_label(g)] for (i, j), g in c.values.items())
 
 
 # -- the canonical writer ------------------------------------------------------

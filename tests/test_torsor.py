@@ -15,7 +15,6 @@ from sheafkit.gallery import (
     chain3_site,
     connected_components,
     discrete2_site,
-    finite_space,
     pc_double_cover,
     pseudocircle_site,
     sign_cocycle,
@@ -24,7 +23,7 @@ from sheafkit.gallery import (
     z2_local_system,
 )
 from sheafkit.sheaf import is_sheaf
-from sheafkit.site import open_cover_topology, overlap
+from sheafkit.site import finite_space, open_cover_topology, overlap
 from sheafkit.torsor import (
     LocalSections,
     canonical_map_check,
