@@ -11,10 +11,12 @@ closure when its restrictions along ``J.least[u]`` all are.
 The Heyting operations exist once, on bitmasks of sections
 (``MaskAlgebra``).  ``enumerate_subobjects`` lists the closed subobjects
 as the J-closed down-sets of the sections under restriction, found by
-``kernel.down_sets``, and ``omega`` the closed sieves on U as those of
-the representable h_U; ``heyting`` certifies the operations against that
-list, and ``logic.interpret`` evaluates formulas on them.  The same
-operations on ``Subobject`` parts live in ``tests/naive.py`` as the oracle.
+``kernel.down_sets``; ``heyting`` certifies the operations against that
+list, and ``logic.interpret`` evaluates formulas on them.  ``omega``
+keeps the closed sieves among ``site.all_sieves``, by the same rule on
+arrows: f is in the closure of S when f∘g ∈ S for every g in
+``J.least[src f]``.  The same operations on ``Subobject`` parts live in
+``tests/naive.py`` as the oracle.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .errors import (
     NotClosedSubobject,
     NotRestrictionStable,
 )
-from .fincat import FrozenRecord, NaturalTransformation, Presheaf, natural_transformation, presheaf, yoneda_presheaf
+from .fincat import FrozenRecord, NaturalTransformation, Presheaf, natural_transformation, presheaf
 from .kernel import down_sets
 from .labels import Label, label_key
 from .limits import SetFun, is_pullback
 from .sheaf import terminal_presheaf
-from .site import GrothendieckTopology, Sieve, Site, open_label, pullback_sieve
+from .site import GrothendieckTopology, Sieve, Site, all_sieves, open_label, pullback_sieve
 
 
 # -- subobjects -----------------------------------------------------------------
@@ -148,21 +150,19 @@ def omega(site: Site, bound: int | None = None) -> OmegaObject:
     """Omega(U) = J-closed sieves on U; restriction is sieve pullback;
     true picks the maximal sieve.
 
-    The sieves on U are the down-sets of h_U under restriction, so the
-    closed ones are the closed down-sets of its ``MaskAlgebra``: f: V -> U
-    is in the closure of S when f∘g ∈ S for every g in J.least[V], that
-    is when f*S covers.  The bound counts all 2^n sets of arrows into U."""
+    The sieves on U are ``all_sieves(C, U)``, in ``Sieve.key`` order, and
+    the closed ones are kept: f: V -> U outside S is in its closure when
+    f∘g ∈ S for every g in J.least[V], that is when f*S covers.  The
+    bound counts all 2^n sets of arrows into U."""
     C, J = site.category, site.topology
     if C.objects:  # a category with no objects runs no search and reads no bound
         bound = enumeration_bound(bound)
     closed: dict[Label, dict[Label, Sieve]] = {}
     for u in C.objects:
-        check_bound(f"sieves on {u!r}", [2 ** len(C.into(u))], bound)
-        algebra = MaskAlgebra(J, yoneda_presheaf(C, u))
-        arrows = [f for _, f in algebra.nodes]
-        masks = filter(algebra.is_closed, down_sets(algebra.below))
-        here = [Sieve(C, u, frozenset(f for bit, f in enumerate(arrows) if m >> bit & 1)) for m in masks]
-        closed[u] = {S.ordered: S for S in sorted(here, key=Sieve.key)}
+        sieves = all_sieves(C, u, bound)  # the bound is checked before J.least is read
+        # each f into u with {f∘g : g in L(src f)}: S holding it puts f in the closure
+        covered = [(f, {C.table[(f, g)] for g in J.least[C.src[f]].arrows}) for f in C.into(u)]
+        closed[u] = {S.ordered: S for S in sieves if not any(f not in S.arrows and fl <= S.arrows for f, fl in covered)}
     value = {u: tuple(sorted(closed[u], key=label_key)) for u in C.objects}
     restrict = {
         f: {lbl: pullback_sieve(C, f, closed[C.tgt[f]][lbl]).ordered for lbl in value[C.tgt[f]]}

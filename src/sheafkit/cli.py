@@ -569,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--docs": {"action": "append", "default": [], "help": "document file or directory"},
         "--format": {"choices": ("text", "json"), "default": "text"},
         "--seed": {"type": int, "default": 0,
-                   "help": "seed for randomized test-family generation"},
+                   "help": "recorded in the report's options; no command samples, so none reads it"},
         "--bound": {"type": int, "default": None,
                     "help": "enumeration bound (overrides WORKBENCH_BOUND)"},
         "--timing": {"action": "store_true", "help": "include timing in the report"},

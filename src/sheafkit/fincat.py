@@ -564,9 +564,10 @@ def presheaf(base: FinCategory, value, restrict) -> Presheaf:
     """Validate a contravariant value/restriction table.
 
     For f: V -> U, ``restrict[f]`` maps F(U) to F(V).  Identity entries
-    may be omitted; they are filled in.  Identities must restrict to
-    identities.  Functoriality restrict(f∘g) == restrict(g)∘restrict(f)
-    is checked for every arrow f and every generator g into src f
+    may be omitted; they are filled in, and an entry along an arrow
+    outside the base is refused.  Identities must restrict to identities.
+    Functoriality restrict(f∘g) == restrict(g)∘restrict(f) is checked
+    for every arrow f and every generator g into src f
     (``check_pairs``), which proves it for every g.  An identity g holds
     by the identity check.  Otherwise g = g'∘e with e a generator and g'
     shorter, and by associativity restrict(f∘g) = restrict((f∘g')∘e)
@@ -582,6 +583,9 @@ def presheaf(base: FinCategory, value, restrict) -> Presheaf:
     for u in value:
         if u not in base.object_set:
             raise DanglingReference(f"presheaf value at unknown object {u!r}")
+    for f in restrict:
+        if f not in base.morphism_set:
+            raise DanglingReference(f"presheaf restriction along unknown arrow {f!r}")
     members = {u: set(vals[u]) for u in base.objects}
 
     rest: dict[Label, dict[Label, Label]] = {}

@@ -100,9 +100,11 @@ Label tables reach the search in three steps:
     decode(..., flat=True)                    -> {x: y} dicts over all slots
 
 Callers that only count families, test them slot by slot or permute
-their indices stay on the index families and never decode.  Decoding
-is one loop for both record kinds: natural transformations take the
-nested form, matching families (x an arrow of the sieve) the flat one.
+their indices stay on the index families and never decode; limits and
+the (co)cone certificates are among them.  Three functions decode:
+``fincat.enumerate_naturals`` and ``limits.diagram_naturals`` take the
+nested form, ``sheaf.matching_families`` (x an arrow of the sieve) the
+flat one.
 Each family gets its own outer dict, keyed in slot order.  Because
 families come in lexicographic order, neighbours share their prefix
 and differ in the last slot that varies at all, so the dict of a
@@ -110,7 +112,6 @@ family with the same prefix as the one before it is a copy of that
 family's dict with that slot replaced, not a fresh dict from all slots.
 The nested form turns each distinct slot function into its {x: y} dict
 once per call, and the families that use that function share the dict.
-``label_families`` is the three steps in a row.
 
 Sieves and subobjects are enumerated as down-sets of a preorder by
 ``down_sets``: arrows into an object under precomposition, and sections
@@ -377,8 +378,3 @@ def _tables(fv, gv, funcs):
     """{func: {x: y}} for each slot function in ``funcs``."""
     return {func: {x: gv[i] for x, i in zip(fv, func)} for func in funcs}
 
-
-def label_families(objects, f_value, g_value, arrows):
-    """``natural_families`` over label tables: encode, search, decode."""
-    fams = natural_families(*encode(objects, f_value, g_value, arrows))
-    return decode(objects, f_value, g_value, fams)

@@ -64,7 +64,8 @@ def diagram(shape: FinCategory, value, action) -> Diagram:
     """Validate a covariant value/action table.
 
     For f: a -> b, ``action[f]`` maps D(a) to D(b).  Identity entries may
-    be omitted; they are filled in.  Identities must act as identities.
+    be omitted; they are filled in, and an entry along an arrow outside
+    the shape is refused.  Identities must act as identities.
     Functoriality act(g∘f) == act(g)∘act(f) is checked for every arrow g
     and every generator f of the shape into src g (``check_pairs``), which
     proves it for every f.  An identity f holds by the identity check.
@@ -81,6 +82,9 @@ def diagram(shape: FinCategory, value, action) -> Diagram:
     for j in value:
         if j not in shape.object_set:
             raise DanglingReference(f"diagram value at unknown object {j!r}")
+    for f in action:
+        if f not in shape.morphism_set:
+            raise DanglingReference(f"diagram action along unknown arrow {f!r}")
     members = {j: set(vals[j]) for j in shape.objects}
     act: dict[Label, dict[Label, Label]] = {}
     for f in shape.morphisms:
@@ -130,11 +134,12 @@ def diagram_naturals(F: Diagram, G: Diagram, bound: int | None = None):
         (len(G.value[j]) ** len(F.value[j]) for j in F.shape.objects),
         bound,
     )
-    return _naturals(F, G)
+    return kernel.decode(F.shape.objects, F.value, G.value, _naturals(F, G))
 
 
 def _naturals(F: Diagram, G: Diagram):
-    """All F => G, unbounded; callers check the bound their search needs.
+    """All F => G as the kernel's index families (slot k is
+    ``shape.objects[k]``), unbounded; callers check the bound they need.
 
     The kernel gets one constraint per generating arrow of the shape
     (``FinCategory.generating_arrows``), not one per arrow.  The squares
@@ -146,7 +151,7 @@ def _naturals(F: Diagram, G: Diagram):
     """
     shape = F.shape
     arrows = [(shape.src[f], shape.tgt[f], F.action[f], G.action[f]) for f in shape.generating_arrows]
-    return kernel.label_families(shape.objects, F.value, G.value, arrows)
+    return kernel.natural_families(*kernel.encode(shape.objects, F.value, G.value, arrows))
 
 
 _POINT = "*"  # the one element of the terminal diagram Δ₁
@@ -175,7 +180,7 @@ def limit(D: Diagram) -> ConeResult:
     """
     objs = D.shape.objects
     apex = tuple(
-        tuple(cone[j][_POINT] for j in objs)
+        tuple(D.value[j][i] for j, (i,) in zip(objs, cone))
         for cone in _naturals(_constant(D.shape, (_POINT,)), D)
     )
     pos = {j: i for i, j in enumerate(objs)}
@@ -248,17 +253,18 @@ def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) 
     bound = enumeration_bound(bound)
     D = res.diagram
     objs = D.shape.objects
-    # how many apex elements have each tuple of legs
-    images = Counter(tuple(res.legs[j][p] for j in objs) for p in res.apex)
+    # how many apex elements have each tuple of leg positions
+    ranks = [{y: i for i, y in enumerate(D.value[j])} for j in objs]
+    images = Counter(tuple(rank.get(res.legs[j][p]) for j, rank in zip(objs, ranks)) for p in res.apex)
     failures = []
     checked = 0
     for T in _test_apexes(max_apex):
         check_bound("test cones", (len(D.value[j]) ** len(T) for j in objs), bound)
-        for legs in _cones_from(T, D):
+        for legs in _naturals(_constant(D.shape, T), D):  # legs[k][i]: t_i's leg, a position in D(objs[k])
             checked += 1
             # the mediating map is forced pointwise; check existence+uniqueness
-            for t in T:
-                hits = images[tuple(legs[j][t] for j in objs)]
+            for i, t in enumerate(T):
+                hits = images[tuple(leg[i] for leg in legs)]
                 if hits != 1:
                     failures.append(
                         f"test cone over apex size {len(T)}: {hits} mediating images for {t!r}"
@@ -267,40 +273,29 @@ def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) 
     return Certificate(not failures, checked, tuple(failures))
 
 
-def _cones_from(T, D: Diagram):
-    """All cones (legs T -> D(j)) over a test apex: the naturals Δ_T => D."""
-    return _naturals(_constant(D.shape, T), D)
-
-
 def certify_colimit(res: ConeResult, max_apex: int = 3, bound: int | None = None) -> Certificate:
     """Check every test cocone factors uniquely through the colimit."""
     _check_size("max_apex", max_apex)
     bound = enumeration_bound(bound)
     D = res.diagram
     shape = D.shape
+    classes = [[res.legs[j][x] for x in D.value[j]] for j in shape.objects]
     failures = []
     checked = 0
     for T in _test_apexes(max_apex):
         check_bound("test cocones", (len(T) ** len(D.value[j]) for j in shape.objects), bound)
-        for legs in _cocones_into(T, D):
+        for legs in _naturals(D, _constant(shape, T)):  # legs[k]: D(objects[k]) -> positions in T
             checked += 1
             # mediating map forced on each class; consistent iff well-defined
             mediating = {}
             ok = True
-            for j in shape.objects:
-                for x in D.value[j]:
-                    cls = res.legs[j][x]
-                    want = legs[j][x]
+            for labels, leg in zip(classes, legs):
+                for cls, want in zip(labels, leg):
                     if mediating.setdefault(cls, want) != want:
                         ok = False
             if not ok or len(mediating) != len(res.apex):
                 failures.append(f"test cocone into apex size {len(T)} has no unique factorization")
     return Certificate(not failures, checked, tuple(failures))
-
-
-def _cocones_into(T, D: Diagram):
-    """All cocones (legs D(j) -> T) into a test apex: the naturals D => Δ_T."""
-    return _naturals(D, _constant(D.shape, T))
 
 
 # -- named special cases -------------------------------------------------------------

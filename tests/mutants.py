@@ -1,6 +1,7 @@
 """Mutation check of the internal logic, the descent layer, the sheaf
-condition, the search kernel, the record mechanism and the document
-schema walker: does the suite notice a broken engine?
+condition, the search kernel, the record mechanism, the document schema
+walker, the (co)limit certificates and the classifier's sieves: does the
+suite notice a broken engine?
 
 Each mutant is one small edit to the syntax tree of a library function,
 made with the standard ``ast`` module in a temporary copy of the
@@ -37,6 +38,8 @@ KERNEL_TESTS = ("tests/test_kernel.py", "tests/test_fincat.py", "tests/test_limi
 RECORD_TESTS = ("tests/test_records.py", "tests/test_logic.py", "tests/test_documents.py")
 DECODE_TESTS = ("tests/test_kernel.py", "tests/test_sheaf.py", "tests/test_records.py", "tests/test_fincat.py")
 DOCUMENT_TESTS = ("tests/test_documents.py", "tests/test_document_fuzz.py")
+CONE_TESTS = ("tests/test_limits.py", "tests/test_generators.py", "tests/test_acceptance.py",
+              "tests/test_classifier.py", "tests/test_site.py")
 
 
 def source(text: str) -> Callable[[ast.AST], bool]:
@@ -292,6 +295,21 @@ MUTANTS = (
     # ... and records that miss a required field
     Mutant("record-fits-skips-required", "src/sheafkit/documents.py", "fits",
            replaced("self.required <= v.keys()", "True"), DOCUMENT_TESTS),
+    # a test cone may find two apex elements with its legs
+    Mutant("limit-certificate-admits-twins", "src/sheafkit/limits.py", "certify_limit",
+           replaced("hits != 1", "hits < 1"), CONE_TESTS),
+    # a colimit may have a class that no element reaches ...
+    Mutant("colimit-certificate-admits-ghosts", "src/sheafkit/limits.py", "certify_colimit",
+           replaced("not ok or len(mediating) != len(res.apex)", "not ok"), CONE_TESTS),
+    # ... or one label for two classes
+    Mutant("colimit-certificate-admits-merges", "src/sheafkit/limits.py", "certify_colimit",
+           replaced("not ok or len(mediating) != len(res.apex)", "len(mediating) != len(res.apex)"), CONE_TESTS),
+    # Omega keeps every sieve, closed or not
+    Mutant("omega-keeps-every-sieve", "src/sheafkit/classifier.py", "omega",
+           replaced("not any((f not in S.arrows and fl <= S.arrows for f, fl in covered))", "True"), CONE_TESTS),
+    # dropping a node leaves the nodes above it undecided
+    Mutant("down-sets-drop-below", "src/sheafkit/kernel.py", "down_sets",
+           replaced("decided | above[i]", "decided | below[i]"), CONE_TESTS),
 )
 
 

@@ -681,6 +681,9 @@ def naive_presheaf(base, value, restrict):
     for u in value:
         if u not in base.objects:
             raise DanglingReference(f"presheaf value at unknown object {u!r}")
+    for f in restrict:
+        if f not in base.morphisms:
+            raise DanglingReference(f"presheaf restriction along unknown arrow {f!r}")
     rest = {}
     for f in base.morphisms:
         u, v = base.tgt[f], base.src[f]
@@ -726,6 +729,9 @@ def naive_diagram(shape, value, action):
     for j in value:
         if j not in shape.objects:
             raise DanglingReference(f"diagram value at unknown object {j!r}")
+    for f in action:
+        if f not in shape.morphisms:
+            raise DanglingReference(f"diagram action along unknown arrow {f!r}")
     act = {}
     for f in shape.morphisms:
         a, b = shape.src[f], shape.tgt[f]

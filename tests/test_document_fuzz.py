@@ -1,13 +1,15 @@
 """Mutation fuzzing of the bundled documents through the command line.
 
 Each example takes one gallery fixture, applies one mutation to it (delete
-a field or item, retype it, shorten a list, nest a value in a list, or
-swap a label for another label of the same document), and runs a
+a field or item, retype it, shorten a list, nest a value in a list, swap
+a label for another label of the same document, or add an entry to an
+object, a copy of one of its entries under a new key), and runs a
 subcommand that reads the fixture with the mutated file shadowing the
 gallery copy.  Whatever the mutation, the command must give a verdict
 (exit 0 or 1) or reject the input (exit 2); no exception may escape.
 """
 
+import copy
 import json
 
 from hypothesis import HealthCheck, given, settings
@@ -77,7 +79,8 @@ def mutations(draw):
     spots = list(places(doc))
     leaves = [(p, v) for p, v in spots if not isinstance(v, (list, dict))]
     lists = [(p, v) for p, v in spots if isinstance(v, list) and v]
-    where = {"delete": spots, "retype": spots, "shorten": lists, "nest": spots, "swap": leaves}
+    objects = [(p, v) for p, v in spots if isinstance(v, dict) and v]
+    where = {"delete": spots, "retype": spots, "shorten": lists, "nest": spots, "swap": leaves, "add": objects}
     how = draw(st.sampled_from([how for how, at in where.items() if at]))
     path, value = draw(st.sampled_from(where[how]))
     parent, key = parent_of(doc, path), path[-1]
@@ -89,6 +92,8 @@ def mutations(draw):
         value.pop()
     elif how == "nest":
         parent[key] = [value]
+    elif how == "add":
+        value["nope"] = copy.deepcopy(value[draw(st.sampled_from(sorted(value)))])
     else:
         labels = sorted({json.dumps(v) for _, v in leaves})
         parent[key] = json.loads(draw(st.sampled_from([s for s in labels if s != json.dumps(value)] or labels)))

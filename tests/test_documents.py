@@ -339,6 +339,19 @@ def test_diagram_action_on_an_element_outside_its_source_is_a_semantic_error(tmp
     assert got == (2, f"error: SemanticError: {p}: mal: action along 'l<m' defined on unknown 'ghost'\n")
 
 
+def test_diagram_action_along_an_arrow_outside_the_shape_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(tmp_path, "c2", lambda doc: doc["actions"].update(nope={"1": "*", "2": "*"}), *LIMIT_MAL)
+    assert got == (2, f"error: SemanticError: {p}: mal: diagram action along unknown arrow 'nope'\n")
+
+
+def test_presheaf_restriction_along_an_arrow_outside_the_base_is_a_semantic_error(tmp_path):
+    p, got = run_malformed(
+        tmp_path, "const2", lambda doc: doc["restrictions"].update(nope={"0": "0", "1": "1"}),
+        "check-sheaf", "--presheaf", "mal", "--site", "discrete2",
+    )
+    assert got == (2, f"error: SemanticError: {p}: mal: presheaf restriction along unknown arrow 'nope'\n")
+
+
 def test_nested_list_in_space_opens_is_a_semantic_error(tmp_path):
     p, got = run_malformed(
         tmp_path, "sierpinski", lambda doc: doc["opens"].append(["b", ["t"]]),

@@ -10,14 +10,18 @@ slots, so ``decode`` agrees with it only if sharing prefixes between
 neighbouring families loses no slot and keeps every key order.
 """
 
+import ast
 import gc
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sheafkit
+from sheafkit import kernel
 from sheafkit.fincat import (
     discrete_category,
     enumerate_naturals,
@@ -29,7 +33,7 @@ from sheafkit.fincat import (
     yoneda_presheaf,
 )
 from sheafkit.gallery import const2_presheaf, discrete2_site
-from sheafkit.kernel import decode, down_sets, label_families, natural_families
+from sheafkit.kernel import decode, down_sets, encode, natural_families
 from sheafkit.sheaf import matching_families, product_presheaf
 from sheafkit.site import all_sieves, generate_sieve
 
@@ -223,7 +227,7 @@ def test_a_search_leaves_no_cyclic_garbage():
     arrows = [(objects[0], objects[1], {x: f_value[objects[1]][0] for x in f_value[objects[0]]},
                dict(zip(g_value[objects[0]], g_value[objects[1]])))]
     sieves = all_sieves(C, C.objects[-1])
-    assert label_families(objects, f_value, g_value, arrows)
+    assert decode(objects, f_value, g_value, natural_families(*encode(objects, f_value, g_value, arrows)))
     # both forms of decode, each with prefixes that repeat
     P = presheaf(discrete_category(["p", "q"]), {"p": (0, 1), "q": (0, 1, 2)}, {})
     assert len(enumerate_naturals(P, P)) == 2 ** 2 * 3 ** 3
@@ -239,7 +243,7 @@ def test_a_search_leaves_no_cyclic_garbage():
         natural_index_families(F, G)
         enumerate_naturals(F, G)
         enumerate_naturals(P, P)
-        label_families(objects, f_value, g_value, arrows)
+        decode(objects, f_value, g_value, natural_families(*encode(objects, f_value, g_value, arrows)))
         for S in sieves:
             matching_families(G, S)
         matching_families(H, pieces)
@@ -349,6 +353,47 @@ def test_decode_edge_cases():
     assert decode([], {}, {}, []) == []
     assert decode(["u"], {"u": ("x",)}, {"u": ()}, []) == []
     assert decode(["u"], {"u": ()}, {"u": ()}, [((),)]) == [{"u": {}}]
+
+
+# -- who decodes ---------------------------------------------------------------------
+
+class DecodeReferences(ast.NodeVisitor):
+    """The (module, innermost function) of every reference to ``kernel.decode``."""
+
+    def __init__(self, module):
+        self.module, self.where, self.found = module, "<module>", set()
+
+    def visit_FunctionDef(self, node):
+        outer, self.where = self.where, node.name
+        self.generic_visit(node)
+        self.where = outer
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            assert alias.name != "decode" or alias.asname is None, f"{self.module} renames decode"
+
+    def visit_Name(self, node):
+        if node.id == "decode":
+            self.found.add((self.module, self.where))
+
+    def visit_Attribute(self, node):
+        if node.attr == "decode" and ast.unparse(node.value) == "kernel":
+            self.found.add((self.module, self.where))
+        self.generic_visit(node)
+
+
+def test_only_the_three_record_builders_decode():
+    """Callers that count families or test them slot by slot stay on the
+    index families: in ``src/sheafkit`` only the functions that build
+    label records reach ``kernel.decode``, and the kernel keeps no
+    encode-search-decode wrapper."""
+    found = set()
+    for path in sorted(Path(sheafkit.__file__).parent.glob("*.py")):
+        refs = DecodeReferences(path.stem)
+        refs.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= refs.found
+    assert found == {("fincat", "enumerate_naturals"), ("limits", "diagram_naturals"), ("sheaf", "matching_families")}
+    assert not hasattr(kernel, "label_families")
 
 
 # -- down_sets ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ from sheafkit.fincat import (
     to_point_functor,
 )
 from sheafkit.limits import (
+    Certificate,
+    ConeResult,
     certify_colimit,
     certify_limit,
     coequalizer,
@@ -146,6 +148,47 @@ def test_certify_limit_rejects_corrupted_apex():
     from sheafkit.limits import ConeResult
     broken = ConeResult(D, res.apex[1:], {j: {t: res.legs[j][t] for t in res.apex[1:]} for j in D.shape.objects})
     assert not certify_limit(broken).ok
+
+
+def two_one():
+    """The discrete diagram p: {0, 1}, q: {x}."""
+    return diagram(discrete_category(["p", "q"]), {"p": ("0", "1"), "q": ("x",)}, {})
+
+
+def test_certify_limit_rejects_an_apex_with_two_elements_of_the_same_legs():
+    D = two_one()
+    res = limit(D)
+    first = res.apex[0]
+    legs = {j: {**res.legs[j], "twin": res.legs[j][first]} for j in D.shape.objects}
+    cert = certify_limit(ConeResult(D, (*res.apex, "twin"), legs), max_apex=2)
+    # the cones that send some t to first's legs find two mediating images
+    assert cert == Certificate(False, 1 + 2 + 4, (
+        "test cone over apex size 1: 2 mediating images for 't0'",
+        "test cone over apex size 2: 2 mediating images for 't0'",
+        "test cone over apex size 2: 2 mediating images for 't0'",
+        "test cone over apex size 2: 2 mediating images for 't1'",
+    ))
+
+
+def test_certify_colimit_rejects_a_class_that_no_element_reaches():
+    D = two_one()
+    res = colimit(D)
+    cert = certify_colimit(ConeResult(D, (*res.apex, "ghost"), res.legs), max_apex=2)
+    # every cocone factors, but the mediating map on "ghost" is not unique
+    assert cert == Certificate(False, 0 + 1 + 8, (
+        ("test cocone into apex size 1 has no unique factorization",)
+        + ("test cocone into apex size 2 has no unique factorization",) * 8
+    ))
+
+
+def test_certify_colimit_rejects_two_classes_merged_into_one_label():
+    D = two_one()
+    res = colimit(D)
+    assert res.apex == (("p", "0"), ("p", "1"), ("q", "x"))
+    legs = {**res.legs, "q": {"x": ("p", "0")}}
+    cert = certify_colimit(ConeResult(D, res.apex[:2], legs), max_apex=2)
+    # the cocones into two points that separate p's 0 from q's x do not factor
+    assert cert == Certificate(False, 0 + 1 + 8, ("test cocone into apex size 2 has no unique factorization",) * 4)
 
 
 # -- colimits ------------------------------------------------------------------
