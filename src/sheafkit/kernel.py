@@ -79,13 +79,34 @@ exception is a p == q constraint between two different elements of the
 slot, which the pass does not cover: it is checked once, at setup, and
 if it fails there is no family.
 
-When no narrowing reaches the last searched slot, its candidates are
-the same after every prefix.  They are built once, when a prefix first
-reaches the slot (so a slot that every prefix dies before is never
-built), filtered once by its p == q constraints and joined once to the
-fixed slots after it; each prefix then adds its families to the output
-in one ``extend``.  A narrowed last slot builds its candidates for each
-prefix and adds its families one at a time.
+A slot is forced when one constraint names one value for each of its
+elements: a p < q table whose ftab reaches every element of slot q, or
+a q < p table whose gtab is one-to-one, so that no preimage mask has
+two bits.  Setup tests each constraint for this once.  After the slots
+before it are filled, the narrowings at a forced slot leave each
+element one value or none, so the slot has one function or none, and
+the search computes it instead of branching on it.  Its narrowings are
+grouped by element when the slot is classified.  Inside the candidate
+loop of the slot the search branches on before it, each run of forced
+slots is filled in one loop: element by element, the element's
+narrowings are intersected in turn, and the first empty mask rejects
+the candidate; the slot's p == q filter then checks the one function,
+and the family is added or the search goes on to the next slot it
+branches on.  A forced slot builds no product and makes no call, and
+it adds one candidate or none, so the order stays the same.  The
+intersection starts from every bit, not from dom[k][x]: after the pass
+every narrowing at slot k names only values in dom[k][x], for every
+value the search gives the earlier element.  A forced slot with only
+fixed slots before it is computed once, at setup, and fixed.
+
+When no narrowing reaches the last slot the search branches on, and no
+forced slot follows it, its candidates are the same after every prefix.
+They are built once, when a prefix first reaches the slot (so a slot
+that every prefix dies before is never built), filtered once by its
+p == q constraints and joined once to the fixed slots after it; each
+prefix then adds its families to the output in one ``extend``.
+Otherwise the last slot builds its candidates for each prefix and adds
+its families one at a time.
 
 Candidates are the product of each element's values in ascending
 order, so the product keeps the lexicographic order.  Callers pass one
@@ -135,6 +156,7 @@ def natural_families(f_sizes, g_sizes, morphisms):
     diagonals = []  # (k, x, fixed): family[k][x] in mask fixed, for the pass
     forcings = []   # the p < q constraints
     prunes = False  # can the pass shrink a full mask?
+    forced = set()  # slots where one constraint names one value for every element
     for p, q, ftab, gtab in morphisms:
         if not ftab or g_sizes[q] == 1:
             continue  # no source values, or one value to land on: it always holds
@@ -142,10 +164,15 @@ def natural_families(f_sizes, g_sizes, morphisms):
             forcings.append((p, q, ftab, gtab))
             single = [1 << v for v in gtab]
             narrowed[q] += [(p, x, e, single) for x, e in enumerate(ftab)]
+            if f_sizes[q] == 1 or len(set(ftab)) == f_sizes[q]:  # onto: it forces every element of slot q
+                forced.add(q)
         elif q < p:
             pre = _premasks(gtab, g_sizes[q])
             narrowed[p] += [(q, i, x, pre) for x, i in enumerate(ftab)]
-            prunes = prunes or not all(pre)  # gtab misses a value
+            missed = pre.count(0)  # values of slot q that gtab misses
+            prunes = prunes or missed > 0
+            if len(pre) - missed == len(gtab):  # one-to-one: each preimage has at most one value
+                forced.add(p)
         else:
             closed[p] += [(x, e, gtab) for x, e in enumerate(ftab) if e != x]
             fixed = sum(1 << y for y, v in enumerate(gtab) if y == v)
@@ -171,24 +198,35 @@ def natural_families(f_sizes, g_sizes, morphisms):
     if prunes and not _prune(dom, narrowed, diagonals):
         return []  # an element with no value left
 
-    # slots with exactly one function are fixed once; the search visits the rest
+    # slots with exactly one function are fixed once; the search branches on
+    # the rest, except forced slots, which it computes
     fam = [None] * n
     values = [None] * n  # values[k][x]: the values in dom[k][x], ascending
     spots = [()] * n     # spots[k]: the elements that the narrowings at slot k touch
-    order = []
+    order = []  # the slots the search branches on
+    runs = {}   # k in order -> (j, plan, p == q pairs) of each forced slot j after it, up to the next
     for k, masks in enumerate(dom):
         if g_sizes[k] == 1 or not masks:
             fam[k] = (0,) * len(masks)
-        elif prunes and sum(map(int.bit_count, masks)) == len(masks):  # one value per element
-            func = fam[k] = tuple(m.bit_length() - 1 for m in masks)
-            if closed[k] and not all(func[e] == gtab[func[x]] for x, e, gtab in closed[k]):
-                return []  # the pass does not check two elements against each other
-        else:
-            order.append(k)
-            # without the pass every mask is full
-            values[k] = list(map(_values, masks)) if prunes else [range(g_sizes[k])] * len(masks)
-            if narrowed[k]:
-                spots[k] = {x for _, _, x, _ in narrowed[k]}
+            continue
+        if k in forced and not order:  # forced by fixed slots alone: computed here, once
+            for s, i, x, pre in narrowed[k]:
+                masks[x] &= pre[fam[s][i]]
+            if not all(masks):
+                return []
+        elif not prunes or sum(map(int.bit_count, masks)) != len(masks):  # not one value per element
+            if k in forced:
+                runs.setdefault(order[-1], []).append((k, _plan(narrowed[k], f_sizes[k]), closed[k]))
+            else:
+                order.append(k)
+                # without the pass every mask is full
+                values[k] = list(map(_values, masks)) if prunes else [range(g_sizes[k])] * len(masks)
+                if narrowed[k]:
+                    spots[k] = {x for _, _, x, _ in narrowed[k]}
+            continue
+        func = fam[k] = tuple(m.bit_length() - 1 for m in masks)
+        if closed[k] and not all(func[e] == gtab[func[x]] for x, e, gtab in closed[k]):
+            return []  # the pass does not check two elements against each other
     if not order:
         return [tuple(fam)]
     out = []
@@ -214,19 +252,48 @@ def natural_families(f_sizes, g_sizes, morphisms):
         cands = product(*vals)
         if closed[k]:
             cands = [func for func in cands if all(func[e] == gtab[func[x]] for x, e, gtab in closed[k])]
-        if k == last:
-            if not narrowed[k]:  # the same candidates after every prefix: build them once
-                ends = list(zip(cands, *map(repeat, fam[k + 1:])))
-                out.extend(map(tuple(fam[:k]).__add__, ends))
+        run = runs.get(k)
+        if run is None:
+            if k == last:
+                if not narrowed[k]:  # the same candidates after every prefix: build them once
+                    ends = list(zip(cands, *map(repeat, fam[k + 1:])))
+                    out.extend(map(tuple(fam[:k]).__add__, ends))
+                    return
+                for func in cands:
+                    fam[k] = func
+                    out.append(tuple(fam))
                 return
+            nxt = following[k]
             for func in cands:
                 fam[k] = func
-                out.append(tuple(fam))
+                rec(nxt)
             return
-        nxt = following[k]
+        nxt = following.get(k)
         for func in cands:
             fam[k] = func
-            rec(nxt)
+            for j, plan, pairs in run:  # each forced slot: one function or none
+                row = []
+                for nars in plan:  # each element: the one value its narrowings leave
+                    m = -1
+                    for s, i, pre in nars:
+                        m &= pre[fam[s][i]]
+                        if not m:
+                            break
+                    else:
+                        row.append(m.bit_length() - 1)
+                        continue
+                    break
+                else:
+                    row = tuple(row)
+                    if not pairs or all(row[e] == gtab[row[x]] for x, e, gtab in pairs):
+                        fam[j] = row
+                        continue
+                break
+            else:
+                if nxt is None:
+                    out.append(tuple(fam))
+                else:
+                    rec(nxt)
 
     rec(order[0])
     del rec  # it refers to itself through its closure cell
@@ -249,6 +316,15 @@ def _prune(dom, narrowed, diagonals):
             m = dom[k][x]
             dom[s][i] &= sum(1 << v for v, w in enumerate(pre) if w & m)
     return all(map(all, dom))
+
+
+def _plan(narrowed, size):
+    """The narrowings at a forced slot, (s, i, pre) triples grouped by the
+    element x of the slot they narrow, for x in order."""
+    plan = [[] for _ in range(size)]
+    for s, i, x, pre in narrowed:
+        plan[x].append((s, i, pre))
+    return plan
 
 
 def _values(m):

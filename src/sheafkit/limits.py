@@ -2,8 +2,9 @@
 
 Limits are computed as compatible families, colimits as quotients of the
 disjoint union by the generated equivalence.  Every result can be
-certified against its universal property: for an exhaustively generated
-family of test (co)cones, a mediating map must exist and be unique.
+certified against its universal property: its legs must form a
+(co)cone, and for an exhaustively generated family of test (co)cones, a
+mediating map must exist and be unique.
 """
 
 from __future__ import annotations
@@ -242,13 +243,21 @@ def _check_size(name: str, size: int) -> None:
         raise UsageError(f"{name} must be at least 0, got {size}")
 
 
+def _generating_squares(shape: FinCategory):
+    """(f, src f, tgt f) for the generating arrows of ``shape``.  Legs that
+    commute along these commute along every arrow, as the squares of
+    ``_naturals`` do."""
+    return [(f, shape.src[f], shape.tgt[f]) for f in shape.generating_arrows]
+
+
 def _test_apexes(max_size: int):
     for size in range(max_size + 1):
         yield tuple(f"t{i}" for i in range(size))
 
 
 def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) -> Certificate:
-    """Check every test cone (apex size <= max_apex) has a unique mediating map."""
+    """Check that the legs form a cone, and that every test cone (apex
+    size <= max_apex) has a unique mediating map."""
     _check_size("max_apex", max_apex)
     bound = enumeration_bound(bound)
     D = res.diagram
@@ -256,7 +265,12 @@ def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) 
     # how many apex elements have each tuple of leg positions
     ranks = [{y: i for i, y in enumerate(D.value[j])} for j in objs]
     images = Counter(tuple(rank.get(res.legs[j][p]) for j, rank in zip(objs, ranks)) for p in res.apex)
-    failures = []
+    failures = [
+        f"the legs of {p!r} do not commute with {f!r}"
+        for p in res.apex
+        for f, a, b in _generating_squares(D.shape)
+        if D.action[f].get(res.legs[a][p]) != res.legs[b][p]
+    ]
     checked = 0
     for T in _test_apexes(max_apex):
         check_bound("test cones", (len(D.value[j]) ** len(T) for j in objs), bound)
@@ -274,13 +288,19 @@ def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) 
 
 
 def certify_colimit(res: ConeResult, max_apex: int = 3, bound: int | None = None) -> Certificate:
-    """Check every test cocone factors uniquely through the colimit."""
+    """Check that the legs form a cocone, and that every test cocone
+    factors uniquely through the colimit."""
     _check_size("max_apex", max_apex)
     bound = enumeration_bound(bound)
     D = res.diagram
     shape = D.shape
     classes = [[res.legs[j][x] for x in D.value[j]] for j in shape.objects]
-    failures = []
+    failures = [
+        f"the leg of {x!r} differs from the leg of its image under {f!r}"
+        for f, a, b in _generating_squares(shape)
+        for x in D.value[a]
+        if res.legs[b][D.action[f][x]] != res.legs[a][x]
+    ]
     checked = 0
     for T in _test_apexes(max_apex):
         check_bound("test cocones", (len(T) ** len(D.value[j]) for j in shape.objects), bound)

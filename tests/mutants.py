@@ -1,7 +1,8 @@
 """Mutation check of the internal logic, the descent layer, the sheaf
 condition, the search kernel, the record mechanism, the document schema
-walker, the (co)limit certificates and the classifier's sieves: does the
-suite notice a broken engine?
+walker, the (co)limit certificates, the classifier's sieves and
+implication, and the generator-pair checks: does the suite notice a
+broken engine?
 
 Each mutant is one small edit to the syntax tree of a library function,
 made with the standard ``ast`` module in a temporary copy of the
@@ -40,6 +41,7 @@ DECODE_TESTS = ("tests/test_kernel.py", "tests/test_sheaf.py", "tests/test_recor
 DOCUMENT_TESTS = ("tests/test_documents.py", "tests/test_document_fuzz.py")
 CONE_TESTS = ("tests/test_limits.py", "tests/test_generators.py", "tests/test_acceptance.py",
               "tests/test_classifier.py", "tests/test_site.py")
+CLASSIFIER_TESTS = ("tests/test_classifier.py", "tests/test_generators.py", "tests/test_fincat.py")
 
 
 def source(text: str) -> Callable[[ast.AST], bool]:
@@ -187,11 +189,22 @@ def shared_dict(target: str):
     return edit
 
 
-def statement_dropped(text: str):
-    """Replace the statement that unparses to ``text`` by ``pass``."""
+def statement_replaced(text: str, by: str = "pass"):
+    """Replace the statement that unparses to ``text`` by ``by``."""
     match = source(text)
     def edit(node):
-        return ast.Pass() if isinstance(node, ast.stmt) and match(node) else None
+        return ast.parse(by).body[0] if isinstance(node, ast.stmt) and match(node) else None
+    return edit
+
+
+def loop_over(text: str, by: str):
+    """Make the ``for`` loop over ``text`` loop over ``by`` instead."""
+    match = source(text)
+    def edit(node):
+        if isinstance(node, ast.For) and match(node.iter):
+            node.iter = ast.parse(by, mode="eval").body
+            return node
+        return None
     return edit
 
 
@@ -270,10 +283,25 @@ MUTANTS = (
     # reaches it, so every prefix gets the first prefix's candidates
     Mutant("last-slot-cached-when-narrowed", "src/sheafkit/kernel.py", "natural_families",
            replaced("not narrowed[k]", "True"), KERNEL_TESTS),
+    # a forced slot takes each element's first narrowing and skips the others
+    Mutant("forced-slot-skips-other-narrowings", "src/sheafkit/kernel.py", "natural_families",
+           loop_over("nars", "nars[:1]"), KERNEL_TESTS),
+    # a q < p table that is not one-to-one counts as forcing ...
+    Mutant("many-to-one-table-forces", "src/sheafkit/kernel.py", "natural_families",
+           replaced("len(pre) - missed == len(gtab)", "True"), KERNEL_TESTS),
+    # ... and so does a p < q table that misses an element of its target
+    Mutant("table-missing-an-element-forces", "src/sheafkit/kernel.py", "natural_families",
+           replaced("len(set(ftab)) == f_sizes[q]", "True"), KERNEL_TESTS),
+    # a forced slot skips its p == q filter
+    Mutant("forced-slot-unfiltered", "src/sheafkit/kernel.py", "natural_families",
+           replaced("not pairs", "True"), KERNEL_TESTS),
+    # a slot forced by fixed slots alone is not narrowed by them
+    Mutant("setup-forced-slot-unnarrowed", "src/sheafkit/kernel.py", "natural_families",
+           statement_replaced("masks[x] &= pre[fam[s][i]]"), KERNEL_TESTS),
     # a family that shares its prefix keeps the first family's varying
     # slot, in the nested and the flat form alike
     Mutant("decode-copy-keeps-stale-slot", "src/sheafkit/kernel.py", "decode",
-           statement_dropped("if flat:\n    comp.update(table[fam[v]])\nelse:\n    comp[u] = table[fam[v]]"),
+           statement_replaced("if flat:\n    comp.update(table[fam[v]])\nelse:\n    comp[u] = table[fam[v]]"),
            DECODE_TESTS),
     # the prefix leaves out the slot just before the varying one
     Mutant("decode-prefix-one-short", "src/sheafkit/kernel.py", "decode", replaced("fam[:v]", "fam[:v - 1]"),
@@ -295,6 +323,12 @@ MUTANTS = (
     # ... and records that miss a required field
     Mutant("record-fits-skips-required", "src/sheafkit/documents.py", "fits",
            replaced("self.required <= v.keys()", "True"), DOCUMENT_TESTS),
+    # the limit's own legs are not checked to form a cone ...
+    Mutant("limit-legs-unchecked", "src/sheafkit/limits.py", "certify_limit",
+           replaced("D.action[f].get(res.legs[a][p]) != res.legs[b][p]", "False"), CONE_TESTS),
+    # ... nor the colimit's to form a cocone
+    Mutant("colimit-legs-unchecked", "src/sheafkit/limits.py", "certify_colimit",
+           replaced("res.legs[b][D.action[f][x]] != res.legs[a][x]", "False"), CONE_TESTS),
     # a test cone may find two apex elements with its legs
     Mutant("limit-certificate-admits-twins", "src/sheafkit/limits.py", "certify_limit",
            replaced("hits != 1", "hits < 1"), CONE_TESTS),
@@ -307,6 +341,14 @@ MUTANTS = (
     # Omega keeps every sieve, closed or not
     Mutant("omega-keeps-every-sieve", "src/sheafkit/classifier.py", "omega",
            replaced("not any((f not in S.arrows and fl <= S.arrows for f, fl in covered))", "True"), CONE_TESTS),
+    # a failed generator-pair check returns instead of running the full
+    # check, so the law is taken to hold
+    Mutant("check-pairs-without-fallback", "src/sheafkit/fincat.py", "check_pairs",
+           statement_replaced("pass", "return"), CLASSIFIER_TESTS),
+    # a ⇒ b keeps every node outside a - b, not only those with nothing
+    # below them in a - b: the implication is not closed downward
+    Mutant("implies-not-down-closed", "src/sheafkit/classifier.py", "implies",
+           replaced("d & escapes", "bit & escapes"), CLASSIFIER_TESTS),
     # dropping a node leaves the nodes above it undecided
     Mutant("down-sets-drop-below", "src/sheafkit/kernel.py", "down_sets",
            replaced("decided | above[i]", "decided | below[i]"), CONE_TESTS),

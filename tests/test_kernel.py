@@ -120,6 +120,43 @@ CASES = [
     # slot 0 forces slot 1's element to 0 and to 1 at once, so every prefix
     # dies at slot 1 and the last slot is never reached
     ([1, 1, 2], [2, 2, 2], [(0, 1, [0], [0, 1]), (0, 1, [0], [1, 0])]),
+    # forced slots, computed inside the candidate loop of the slot before
+    # them: a p < q table onto slot 1, where elements 0 and 2 of slot 0
+    # both force element 1 and so must agree ...
+    ([3, 2], [2, 3], [(0, 1, [1, 0, 1], [2, 0])]),
+    # ... a one-to-one q < p table back into slot 0, onto its targets and
+    # not onto them (then the pass cuts slot 0 to {0, 2} first)
+    ([2, 2], [3, 3], [(1, 0, [1, 0], [2, 0, 1])]),
+    ([2, 2], [3, 2], [(1, 0, [1, 0], [2, 0])]),
+    # ... a forced value outside the pruned mask: slot 1's diagonal keeps
+    # it to {0, 1}, so the pass cuts slot 0 to {0, 1} and value 2 is
+    # never forced
+    ([2, 2], [3, 3], [(0, 1, [0, 1], [0, 1, 2]), (1, 1, [0, 1], [0, 1, 1])]),
+    # ... two forcers of slot 2 that disagree unless slot 1 is the
+    # opposite of slot 0
+    ([1, 1, 1], [2, 2, 2], [(0, 2, [0], [0, 1]), (2, 1, [0], [1, 0])]),
+    # ... a forced slot whose p == q swap keeps half of its functions
+    ([2, 2], [2, 2], [(0, 1, [0, 1], [0, 1]), (1, 1, [1, 0], [1, 0])]),
+    # ... a forced last slot, with fixed slots after it
+    ([2, 2, 0, 1], [2, 2, 2, 1], [(0, 1, [1, 0], [1, 0]), (1, 3, [0, 0], [0, 0])]),
+    # ... a run of three forced slots after slot 0, a searched slot 4 and
+    # a forced slot 5 that slots 3 and 4 both reach
+    (
+        [2, 2, 2, 2, 1, 1],
+        [2, 2, 2, 2, 2, 2],
+        [(0, 1, [1, 0], [1, 0]), (1, 2, [0, 1], [1, 0]), (2, 3, [1, 0], [0, 1]), (4, 5, [0], [1, 0]),
+         (3, 5, [0, 0], [0, 0]), (3, 3, [1, 0], [1, 0])],
+    ),
+    # ... a slot forced only by a fixed one-function slot: computed once,
+    # at setup, before the searched slot 2 ...
+    ([2, 2, 2], [1, 3, 2], [(0, 1, [1, 0], [2])]),
+    # ... where two fixed forcers that disagree leave no family
+    ([2, 2, 1], [1, 1, 3], [(0, 2, [0, 0], [1]), (1, 2, [0, 0], [2])]),
+    # a q < p table that is not one-to-one does not force: slot 1 keeps
+    # both values of the preimage of slot 0's value
+    ([1, 1], [2, 2], [(1, 0, [0], [0, 0])]),
+    # a p < q table that misses an element of slot 1 does not force it
+    ([1, 2], [2, 2], [(0, 1, [1], [1, 0])]),
 ]
 
 
@@ -158,26 +195,40 @@ INSTANCE_SPACE = 4096
 
 
 @st.composite
-def kernel_instances(draw):
+def kernel_instances(draw, forcing=False):
     """Valid kernel inputs: empty slots, slots with one target value, p ==
     q and p > q constraints, tables that force one element to clashing
-    values, and elements that several slots force all occur."""
-    n = draw(st.integers(0, 6))
+    values, and elements that several slots force all occur.
+
+    With ``forcing``, there are at least two slots and as many tables as
+    slots, slots have source values and two or more target values while
+    the space allows it, and each table is drawn onto every element of
+    its target slot and one-to-one on values where the sizes allow it, so
+    that whole slots are forced; about half of such draws force a slot
+    that the search then computes instead of branching on it."""
+    n = draw(st.integers(2 if forcing else 0, 6))
     fs, gs = [], []
     room = INSTANCE_SPACE
     for _ in range(n):
-        f, g = draw(st.sampled_from([(f, g) for f in range(4) for g in range(4) if g**f <= room]))
+        sizes = [(f, g) for f in range(4) for g in range(4) if g**f <= room]
+        if forcing:
+            sizes = [(f, g) for f, g in sizes if f and g > 1] or sizes
+        f, g = draw(st.sampled_from(sizes))
         fs.append(f)
         gs.append(g)
         room //= max(g**f, 1)
     mors = []
     if n:
-        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=forcing * n, max_size=8))
         for p, q in pairs:
             if (fs[p] and not fs[q]) or (gs[p] and not gs[q]):
                 continue  # no table can exist
             ftab = draw(st.lists(st.integers(0, max(fs[q] - 1, 0)), min_size=fs[p], max_size=fs[p]))
             gtab = draw(st.lists(st.integers(0, max(gs[q] - 1, 0)), min_size=gs[p], max_size=gs[p]))
+            if forcing and fs[p] >= fs[q]:  # onto: every element of slot q is hit
+                ftab = draw(st.permutations([*range(fs[q]), *ftab[fs[q]:]]))
+            if forcing and gs[p] <= gs[q]:  # one-to-one
+                gtab = draw(st.permutations(range(gs[q])))[:gs[p]]
             mors.append((p, q, ftab, gtab))
     return fs, gs, mors
 
@@ -187,6 +238,13 @@ def kernel_instances(draw):
 @example(([3, 2], [0, 2], []))
 @example(([2, 2], [3, 3], [(1, 1, [1, 0], [2, 0, 1]), (0, 1, [0, 0], [0, 1, 1])]))
 def test_kernel_matches_reference_in_order(case):
+    fs, gs, mors = case
+    assert natural_families(fs, gs, mors) == naive_natural_families(fs, gs, mors)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kernel_instances(forcing=True))
+def test_kernel_matches_reference_with_forced_slots(case):
     fs, gs, mors = case
     assert natural_families(fs, gs, mors) == naive_natural_families(fs, gs, mors)
 

@@ -191,6 +191,34 @@ def test_certify_colimit_rejects_two_classes_merged_into_one_label():
     assert cert == Certificate(False, 0 + 1 + 8, ("test cocone into apex size 2 has no unique factorization",) * 4)
 
 
+def a_to_b():
+    """The walking arrow f: a -> b."""
+    return poset_category(["a", "b"], lambda u, v: u <= v, name=lambda u, v: "f" if u != v else f"id_{u}")
+
+
+def test_certify_colimit_rejects_legs_that_split_a_class():
+    """On a -> b with x |-> y, labelling x and y apart gives the coproduct,
+    not the colimit.  Each test cocone still factors uniquely through the
+    two labels, so only the cocone check on the legs themselves fails."""
+    D = diagram(a_to_b(), {"a": ("x",), "b": ("y",)}, {"f": {"x": "y"}})
+    split = ConeResult(D, ("x", "y"), {"a": {"x": "x"}, "b": {"y": "y"}})
+    cert = certify_colimit(split, max_apex=2)
+    assert cert == Certificate(False, 0 + 1 + 2, ("the leg of 'x' differs from the leg of its image under 'f'",))
+    assert certify_colimit(colimit(D), max_apex=2) == Certificate(True, 0 + 1 + 2, ())
+
+
+def test_certify_limit_rejects_an_apex_element_whose_legs_are_no_cone():
+    """On a -> b with x, z |-> y, an apex element with legs (x, w) is no
+    cone, since f sends x to y, not w.  No test cone reaches it, so only
+    the cone check on the legs themselves fails."""
+    D = diagram(a_to_b(), {"a": ("x", "z"), "b": ("y", "w")}, {"f": {"x": "y", "z": "y"}})
+    res = limit(D)
+    legs = {"a": {**res.legs["a"], "extra": "x"}, "b": {**res.legs["b"], "extra": "w"}}
+    cert = certify_limit(ConeResult(D, (*res.apex, "extra"), legs), max_apex=2)
+    assert cert == Certificate(False, 1 + 2 + 2**2, ("the legs of 'extra' do not commute with 'f'",))
+    assert certify_limit(res, max_apex=2) == Certificate(True, 1 + 2 + 2**2, ())
+
+
 # -- colimits ------------------------------------------------------------------
 
 def test_inclusion_chain_colimit_is_last_stage():
