@@ -97,7 +97,8 @@ it adds one candidate or none, so the order stays the same.  The
 intersection starts from every bit, not from dom[k][x]: after the pass
 every narrowing at slot k names only values in dom[k][x], for every
 value the search gives the earlier element.  A forced slot with only
-fixed slots before it is computed once, at setup, and fixed.
+fixed slots before it is searched like any other slot: its narrowings
+leave it one candidate or none.
 
 When no narrowing reaches the last slot the search branches on, and no
 forced slot follows it, its candidates are the same after every prefix.
@@ -164,7 +165,7 @@ def natural_families(f_sizes, g_sizes, morphisms):
             forcings.append((p, q, ftab, gtab))
             single = [1 << v for v in gtab]
             narrowed[q] += [(p, x, e, single) for x, e in enumerate(ftab)]
-            if f_sizes[q] == 1 or len(set(ftab)) == f_sizes[q]:  # onto: it forces every element of slot q
+            if len(set(ftab)) == f_sizes[q]:  # onto: it forces every element of slot q
                 forced.add(q)
         elif q < p:
             pre = _premasks(gtab, g_sizes[q])
@@ -208,25 +209,21 @@ def natural_families(f_sizes, g_sizes, morphisms):
     for k, masks in enumerate(dom):
         if g_sizes[k] == 1 or not masks:
             fam[k] = (0,) * len(masks)
-            continue
-        if k in forced and not order:  # forced by fixed slots alone: computed here, once
+        elif prunes and sum(map(int.bit_count, masks)) == len(masks):  # one value per element
+            func = fam[k] = tuple(m.bit_length() - 1 for m in masks)
+            if closed[k] and not all(func[e] == gtab[func[x]] for x, e, gtab in closed[k]):
+                return []  # the pass does not check two elements against each other
+        elif k in forced and order:  # filled in the candidate loop of the slot searched before it
+            plan = [[] for _ in masks]  # plan[x]: the narrowings at element x, as (s, i, pre)
             for s, i, x, pre in narrowed[k]:
-                masks[x] &= pre[fam[s][i]]
-            if not all(masks):
-                return []
-        elif not prunes or sum(map(int.bit_count, masks)) != len(masks):  # not one value per element
-            if k in forced:
-                runs.setdefault(order[-1], []).append((k, _plan(narrowed[k], f_sizes[k]), closed[k]))
-            else:
-                order.append(k)
-                # without the pass every mask is full
-                values[k] = list(map(_values, masks)) if prunes else [range(g_sizes[k])] * len(masks)
-                if narrowed[k]:
-                    spots[k] = {x for _, _, x, _ in narrowed[k]}
-            continue
-        func = fam[k] = tuple(m.bit_length() - 1 for m in masks)
-        if closed[k] and not all(func[e] == gtab[func[x]] for x, e, gtab in closed[k]):
-            return []  # the pass does not check two elements against each other
+                plan[x].append((s, i, pre))
+            runs.setdefault(order[-1], []).append((k, plan, closed[k]))
+        else:
+            order.append(k)
+            # without the pass every mask is full
+            values[k] = list(map(_values, masks)) if prunes else [range(g_sizes[k])] * len(masks)
+            if narrowed[k]:
+                spots[k] = {x for _, _, x, _ in narrowed[k]}
     if not order:
         return [tuple(fam)]
     out = []
@@ -253,7 +250,7 @@ def natural_families(f_sizes, g_sizes, morphisms):
         if closed[k]:
             cands = [func for func in cands if all(func[e] == gtab[func[x]] for x, e, gtab in closed[k])]
         run = runs.get(k)
-        if run is None:
+        if run is None:  # kept apart: an empty run loop per candidate made search_dense's hom-omega 15% slower
             if k == last:
                 if not narrowed[k]:  # the same candidates after every prefix: build them once
                     ends = list(zip(cands, *map(repeat, fam[k + 1:])))
@@ -316,15 +313,6 @@ def _prune(dom, narrowed, diagonals):
             m = dom[k][x]
             dom[s][i] &= sum(1 << v for v, w in enumerate(pre) if w & m)
     return all(map(all, dom))
-
-
-def _plan(narrowed, size):
-    """The narrowings at a forced slot, (s, i, pre) triples grouped by the
-    element x of the slot they narrow, for x in order."""
-    plan = [[] for _ in range(size)]
-    for s, i, x, pre in narrowed:
-        plan[x].append((s, i, pre))
-    return plan
 
 
 def _values(m):

@@ -243,13 +243,6 @@ def _check_size(name: str, size: int) -> None:
         raise UsageError(f"{name} must be at least 0, got {size}")
 
 
-def _generating_squares(shape: FinCategory):
-    """(f, src f, tgt f) for the generating arrows of ``shape``.  Legs that
-    commute along these commute along every arrow, as the squares of
-    ``_naturals`` do."""
-    return [(f, shape.src[f], shape.tgt[f]) for f in shape.generating_arrows]
-
-
 def _test_apexes(max_size: int):
     for size in range(max_size + 1):
         yield tuple(f"t{i}" for i in range(size))
@@ -261,15 +254,18 @@ def certify_limit(res: ConeResult, max_apex: int = 3, bound: int | None = None) 
     _check_size("max_apex", max_apex)
     bound = enumeration_bound(bound)
     D = res.diagram
-    objs = D.shape.objects
+    shape = D.shape
+    objs = shape.objects
     # how many apex elements have each tuple of leg positions
     ranks = [{y: i for i, y in enumerate(D.value[j])} for j in objs]
     images = Counter(tuple(rank.get(res.legs[j][p]) for j, rank in zip(objs, ranks)) for p in res.apex)
+    # legs that commute along the generating arrows commute along every
+    # arrow, as the squares of ``_naturals`` do
     failures = [
         f"the legs of {p!r} do not commute with {f!r}"
         for p in res.apex
-        for f, a, b in _generating_squares(D.shape)
-        if D.action[f].get(res.legs[a][p]) != res.legs[b][p]
+        for f in shape.generating_arrows
+        if D.action[f].get(res.legs[shape.src[f]][p]) != res.legs[shape.tgt[f]][p]
     ]
     checked = 0
     for T in _test_apexes(max_apex):
@@ -295,11 +291,11 @@ def certify_colimit(res: ConeResult, max_apex: int = 3, bound: int | None = None
     D = res.diagram
     shape = D.shape
     classes = [[res.legs[j][x] for x in D.value[j]] for j in shape.objects]
-    failures = [
+    failures = [  # along the generating arrows, as in certify_limit
         f"the leg of {x!r} differs from the leg of its image under {f!r}"
-        for f, a, b in _generating_squares(shape)
-        for x in D.value[a]
-        if res.legs[b][D.action[f][x]] != res.legs[a][x]
+        for f in shape.generating_arrows
+        for x in D.value[shape.src[f]]
+        if res.legs[shape.tgt[f]][D.action[f][x]] != res.legs[shape.src[f]][x]
     ]
     checked = 0
     for T in _test_apexes(max_apex):

@@ -295,9 +295,6 @@ MUTANTS = (
     # a forced slot skips its p == q filter
     Mutant("forced-slot-unfiltered", "src/sheafkit/kernel.py", "natural_families",
            replaced("not pairs", "True"), KERNEL_TESTS),
-    # a slot forced by fixed slots alone is not narrowed by them
-    Mutant("setup-forced-slot-unnarrowed", "src/sheafkit/kernel.py", "natural_families",
-           statement_replaced("masks[x] &= pre[fam[s][i]]"), KERNEL_TESTS),
     # a family that shares its prefix keeps the first family's varying
     # slot, in the nested and the flat form alike
     Mutant("decode-copy-keeps-stale-slot", "src/sheafkit/kernel.py", "decode",
@@ -325,10 +322,10 @@ MUTANTS = (
            replaced("self.required <= v.keys()", "True"), DOCUMENT_TESTS),
     # the limit's own legs are not checked to form a cone ...
     Mutant("limit-legs-unchecked", "src/sheafkit/limits.py", "certify_limit",
-           replaced("D.action[f].get(res.legs[a][p]) != res.legs[b][p]", "False"), CONE_TESTS),
+           replaced("D.action[f].get(res.legs[shape.src[f]][p]) != res.legs[shape.tgt[f]][p]", "False"), CONE_TESTS),
     # ... nor the colimit's to form a cocone
     Mutant("colimit-legs-unchecked", "src/sheafkit/limits.py", "certify_colimit",
-           replaced("res.legs[b][D.action[f][x]] != res.legs[a][x]", "False"), CONE_TESTS),
+           replaced("res.legs[shape.tgt[f]][D.action[f][x]] != res.legs[shape.src[f]][x]", "False"), CONE_TESTS),
     # a test cone may find two apex elements with its legs
     Mutant("limit-certificate-admits-twins", "src/sheafkit/limits.py", "certify_limit",
            replaced("hits != 1", "hits < 1"), CONE_TESTS),

@@ -147,8 +147,8 @@ CASES = [
         [(0, 1, [1, 0], [1, 0]), (1, 2, [0, 1], [1, 0]), (2, 3, [1, 0], [0, 1]), (4, 5, [0], [1, 0]),
          (3, 5, [0, 0], [0, 0]), (3, 3, [1, 0], [1, 0])],
     ),
-    # ... a slot forced only by a fixed one-function slot: computed once,
-    # at setup, before the searched slot 2 ...
+    # ... a slot forced only by a fixed one-function slot, so searched
+    # like any other, before the searched slot 2 ...
     ([2, 2, 2], [1, 3, 2], [(0, 1, [1, 0], [2])]),
     # ... where two fixed forcers that disagree leave no family
     ([2, 2, 1], [1, 1, 3], [(0, 2, [0, 0], [1]), (1, 2, [0, 0], [2])]),
