@@ -23,7 +23,7 @@ The domain of element x of slot k is an int bitmask, dom[k][x]: bit v
 is set while family[k][x] may still be v.
 
 Slots are filled in order.  Every constraint is applied at slot
-max(p, q), once the earlier slots are fixed.  There all of its checks
+max(p, q), once the earlier slots are filled.  There all of its checks
 between two slots take one form, a narrowing (s, i, x, pre) at slot k:
 
     family[k][x] lies in the mask pre[family[s][i]], for s < k
@@ -36,9 +36,9 @@ table tells the constraints apart:
     q < p:  at slot p, (q, ftab[x], x) with pre[v] = the gtab-preimage of v
     early forcer check, below: pre[y0] = the gtab1-preimage of gtab0[y0]
 
-A p == q constraint filters the slot's candidates, the product of the
-domains, on the pairs x != ftab[x].  Each diagonal x == ftab[x] is a
-unary mask instead: family[p][x] is a fixed point of gtab.
+A p == q constraint is one filter on the slot's candidates, the
+product of the domains: each pair (x, ftab[x]), the diagonal
+x == ftab[x] included, asks that family[p][ftab[x]] == gtab[family[p][x]].
 
 A constraint into a slot q with one target value holds for every
 family, since both of its sides are that value.  Setup drops it, in
@@ -55,9 +55,9 @@ constraints still run at slot q, so the checks add no family and lose
 none.
 
 One pruning pass runs before the search (directional arc consistency,
-Dechter & Pearl 1987).  It applies the diagonals, then goes through the
-slots from last to first, and each narrowing (s, i, x, pre) at slot k
-shrinks the earlier element to the values that the later one supports:
+Dechter & Pearl 1987).  It goes through the slots from last to first,
+and each narrowing (s, i, x, pre) at slot k shrinks the earlier element
+to the values that the later one supports:
 
     dom[s][i] = {v in dom[s][i] : pre[v] & dom[k][x] != 0}
 
@@ -65,19 +65,13 @@ A narrowing at slot k shrinks only a slot before k, so every mask is
 final before it shrinks an earlier one.  The pass removes only values
 that occur in no family, so the families and their order stay the
 same.  It runs only when something can shrink a full mask: a q < p
-table whose gtab misses a value, or a diagonal whose gtab moves one.
-A mask that empties leaves no family.
+table whose gtab misses a value.  A mask that empties leaves no family.
 
-A slot whose masks are all single bits after the pass has exactly one
-function: no source values, one target value, or one value left per
-element.  It is fixed once, before the search, and the recursion skips
-it, so a family whose remaining slots all have one function costs no
-call of its own.  The narrowings at such a slot hold for every family
-the search builds, because the pass has already cut the earlier element
-of each of them down to the values that agree with it.  The one
-exception is a p == q constraint between two different elements of the
-slot, which the pass does not cover: it is checked once, at setup, and
-if it fails there is no family.
+A slot is fixed only when it has no source values or one target value:
+its one function is all zeros, and the recursion skips it, so a family
+whose remaining slots are all fixed costs no call of its own.  Every
+other slot is forced or searched, even one that the pass leaves one
+value per element.
 
 A slot is forced when one constraint names one value for each of its
 elements: a p < q table whose ftab reaches every element of slot q, or
@@ -153,8 +147,7 @@ def natural_families(f_sizes, g_sizes, morphisms):
     if not all(map(all, dom)):
         return []  # a slot with no function at all
     narrowed = [[] for _ in range(n)]  # (s, i, x, pre): family[k][x] in mask pre[family[s][i]], s < k
-    closed = [[] for _ in range(n)]    # (x, e, gtab): family[k][e] == gtab[family[k][x]], e != x
-    diagonals = []  # (k, x, fixed): family[k][x] in mask fixed, for the pass
+    closed = [[] for _ in range(n)]    # (x, e, gtab): family[k][e] == gtab[family[k][x]]
     forcings = []   # the p < q constraints
     prunes = False  # can the pass shrink a full mask?
     forced = set()  # slots where one constraint names one value for every element
@@ -175,11 +168,7 @@ def natural_families(f_sizes, g_sizes, morphisms):
             if len(pre) - missed == len(gtab):  # one-to-one: each preimage has at most one value
                 forced.add(p)
         else:
-            closed[p] += [(x, e, gtab) for x, e in enumerate(ftab) if e != x]
-            fixed = sum(1 << y for y, v in enumerate(gtab) if y == v)
-            if fixed != (1 << len(gtab)) - 1:  # gtab moves a value
-                diagonals += [(p, x, fixed) for x, e in enumerate(ftab) if x == e]
-    prunes = prunes or bool(diagonals)
+            closed[p] += [(x, e, gtab) for x, e in enumerate(ftab)]
 
     # early forcer checks: each later forcer of element e of slot q is
     # checked against the earliest one, at its own slot
@@ -196,11 +185,11 @@ def natural_families(f_sizes, g_sizes, morphisms):
                     pre = composed[c0, c] = [own[v] for v in forcings[c0][3]]
                 narrowed[p].append((p0, x0, x, pre))
 
-    if prunes and not _prune(dom, narrowed, diagonals):
+    if prunes and not _prune(dom, narrowed):
         return []  # an element with no value left
 
-    # slots with exactly one function are fixed once; the search branches on
-    # the rest, except forced slots, which it computes
+    # slots with no source values or one target value are fixed; the search
+    # branches on the rest, except forced slots, which it computes
     fam = [None] * n
     values = [None] * n  # values[k][x]: the values in dom[k][x], ascending
     spots = [()] * n     # spots[k]: the elements that the narrowings at slot k touch
@@ -209,10 +198,6 @@ def natural_families(f_sizes, g_sizes, morphisms):
     for k, masks in enumerate(dom):
         if g_sizes[k] == 1 or not masks:
             fam[k] = (0,) * len(masks)
-        elif prunes and sum(map(int.bit_count, masks)) == len(masks):  # one value per element
-            func = fam[k] = tuple(m.bit_length() - 1 for m in masks)
-            if closed[k] and not all(func[e] == gtab[func[x]] for x, e, gtab in closed[k]):
-                return []  # the pass does not check two elements against each other
         elif k in forced and order:  # filled in the candidate loop of the slot searched before it
             plan = [[] for _ in masks]  # plan[x]: the narrowings at element x, as (s, i, pre)
             for s, i, x, pre in narrowed[k]:
@@ -297,17 +282,15 @@ def natural_families(f_sizes, g_sizes, morphisms):
     return out
 
 
-def _prune(dom, narrowed, diagonals):
+def _prune(dom, narrowed):
     """Shrink the masks ``dom`` to values that the narrowings support;
     False if a mask empties.
 
-    The diagonals go first, then each slot's narrowings from the last
-    slot to the first.  A narrowing at slot k only shrinks a slot before
-    k, so every mask is final before it shrinks an earlier one
-    (directional arc consistency, Dechter & Pearl 1987).
+    Each slot's narrowings go from the last slot to the first.  A
+    narrowing at slot k only shrinks a slot before k, so every mask is
+    final before it shrinks an earlier one (directional arc consistency,
+    Dechter & Pearl 1987).
     """
-    for k, x, fixed in diagonals:
-        dom[k][x] &= fixed
     for k in reversed(range(len(dom))):
         for s, i, x, pre in narrowed[k]:
             m = dom[k][x]

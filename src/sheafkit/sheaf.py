@@ -23,6 +23,7 @@ from .errors import (
     NoSuchFamily,
     NotASheafHere,
     SemanticError,
+    UnknownObject,
 )
 from .fincat import (
     FinCategory,
@@ -147,9 +148,13 @@ def family_from_cover(site, F: Presheaf, u: Label, sections: dict) -> tuple[Siev
     the extension is well defined exactly when the sections agree on
     overlaps, and IncompatibleFamily names the first disagreement in the
     label order of the sieve's arrows, which is also the order of the
-    assignment.
+    assignment.  An object outside the base, at u or in the cover, raises
+    UnknownObject.
     """
     C = F.base
+    for w in (u, *sections):
+        if w not in C.object_set:
+            raise UnknownObject(f"no object {w!r}")
     incl = {}
     for ui, s_i in sections.items():
         hom = C.hom(ui, u)

@@ -258,17 +258,16 @@ MUTANTS = (
     # the pass revises each earlier element by the narrowing's table alone,
     # not by the values left at the later element ...
     Mutant("prune-ignores-later-mask", "src/sheafkit/kernel.py", "_prune", replaced("w & m", "w"), KERNEL_TESTS),
-    # ... goes through the slots from first to last ...
+    # ... and goes through the slots from first to last
     Mutant("prune-slots-ascending", "src/sheafkit/kernel.py", "_prune",
            replaced("reversed(range(len(dom)))", "range(len(dom))"), KERNEL_TESTS),
-    # ... and skips the fixed points of the diagonals x == ftab[x]
-    Mutant("prune-drops-diagonals", "src/sheafkit/kernel.py", "_prune", replaced("diagonals", "()"), KERNEL_TESTS),
     # a p < q square lets a forced element take value 0 as well
     Mutant("forcing-admits-zero", "src/sheafkit/kernel.py", "natural_families",
            replaced("[1 << v for v in gtab]", "[1 << v | 1 for v in gtab]"), KERNEL_TESTS),
-    # a slot fixed before the search skips its p == q check
-    Mutant("fixed-slot-unchecked", "src/sheafkit/kernel.py", "natural_families",
-           branch_skipped(lambda t: isinstance(t, ast.BoolOp) and source("closed[k]")(t.values[0])), KERNEL_TESTS),
+    # a p == q constraint skips its diagonal pairs x == ftab[x]
+    Mutant("closed-drops-diagonals", "src/sheafkit/kernel.py", "natural_families",
+           replaced("[(x, e, gtab) for x, e in enumerate(ftab)]", "[(x, e, gtab) for x, e in enumerate(ftab) if e != x]"),
+           KERNEL_TESTS),
     # the search does not narrow
     Mutant("narrowing-skipped", "src/sheafkit/kernel.py", "natural_families",
            replaced("domains[x] & pre[fam[s][i]]", "domains[x]"), KERNEL_TESTS),

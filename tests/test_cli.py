@@ -261,6 +261,13 @@ def test_force_at_an_unknown_object_exits_two():
     )
 
 
+@pytest.mark.parametrize("at, section", [("nope", "{a}=0"), ("{a,b}", "nope=0")])
+def test_glue_with_an_unknown_object_exits_two(at, section):
+    assert invoke("glue", "--presheaf", "const2", "--site", "discrete2", "--at", at, "--section", section) == (
+        2, "error: UnknownObject: no object 'nope'\n"
+    )
+
+
 @pytest.mark.parametrize("argv, message", [
     ("classify --site sierpinski --presheaf const2", "presheaf and topology live over different categories"),
     ("heyting --site discrete2 --presheaf sier-one", "presheaf and topology live over different categories"),

@@ -80,16 +80,16 @@ CASES = [
     ([0, 2], [2, 2], [(0, 0, [], [1, 0]), (1, 1, [0, 0], [0, 1])]),
     # a slot with source values and no target values: no family at all
     ([0, 1, 2], [1, 0, 2], []),
-    # the pass cuts slot 0 to one value per element, (1, 1), which its own
-    # swap constraint rejects: the fixed slot is checked once, at setup
+    # the pass cuts slot 0 to one value per element, (1, 1): slot 0 is still
+    # searched, and its swap filter rejects that one candidate
     ([2, 2], [2, 1], [(1, 0, [0, 1], [1]), (0, 0, [1, 0], [1, 0])]),
-    # the pass empties a domain: slot 1 asks for value 1, the diagonal for 0
+    # slot 1 cuts slot 0 to value 1 in the pass, and the diagonal filter,
+    # which asks for 0, rejects it
     ([1, 1], [2, 1], [(1, 0, [0], [1]), (0, 0, [0], [0, 0])]),
-    # slot 2 pins slot 1 to value 1, so slot 1 is fixed and never searched:
-    # only the pass's preimage revision keeps slot 0's forcing of it, which
-    # here empties slot 0 ...
+    # the pass cuts slot 1 to value 1 by slot 2's table, then carries it back
+    # through slot 0's forcing of slot 1, which here empties slot 0 ...
     ([1, 1, 1], [2, 2, 1], [(2, 1, [0], [1]), (0, 1, [0], [0, 0])]),
-    # ... and here leaves slot 0 one value
+    # ... and here leaves slot 0 one value, from which slot 1 is forced
     ([1, 1, 1], [2, 2, 1], [(2, 1, [0], [1]), (0, 1, [0], [0, 1])]),
     # the pair-fold chain of perfbench's naturals-chain: every restriction
     # halves the image, so the pass leaves 16 of slot 0's 256 candidates
@@ -128,9 +128,9 @@ CASES = [
     # not onto them (then the pass cuts slot 0 to {0, 2} first)
     ([2, 2], [3, 3], [(1, 0, [1, 0], [2, 0, 1])]),
     ([2, 2], [3, 2], [(1, 0, [1, 0], [2, 0])]),
-    # ... a forced value outside the pruned mask: slot 1's diagonal keeps
-    # it to {0, 1}, so the pass cuts slot 0 to {0, 1} and value 2 is
-    # never forced
+    # ... a forced value that the p == q filter rejects: slot 0 forces
+    # slot 1 to its own values, and slot 1's diagonal keeps only the fixed
+    # points 0 and 1, so every candidate of slot 0 with a 2 dies there
     ([2, 2], [3, 3], [(0, 1, [0, 1], [0, 1, 2]), (1, 1, [0, 1], [0, 1, 1])]),
     # ... two forcers of slot 2 that disagree unless slot 1 is the
     # opposite of slot 0
