@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import INFINITY, encode_basestring
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -62,21 +63,68 @@ def serialize_document(doc: dict) -> str:
     """The canonical text: ``json.dumps(doc, **_CANONICAL)`` and a newline.
 
     ``json.dumps`` runs its pure-Python encoder whenever it indents.  This
-    writer gives the same bytes faster: strings go through the encoder's
-    own C ``encode_basestring``, a list of strings or of ints is joined in
-    one C call, and a list of equal-length lists of strings, such as a
-    category's ``compose`` entries, is filled into one row template in C
-    calls only.  Dicts with string keys and lists recurse;
-    any other value (a tuple, a dict with other keys, a subclass) is
-    rendered by ``json.dumps`` itself and re-indented to its depth, which
-    is exact because JSON text has no raw newline inside a string.
+    writer gives the same bytes faster.  Strings go through the encoder's
+    own C ``encode_basestring``, and a list of strings or of ints is joined
+    in one C call.  Three uniform shapes are written in bulk: their
+    strings are encoded in one pass, woven with the text that goes between
+    them, and joined once (``_woven``).
+
+    - A list of equal-length lists of strings, such as a category's
+      ``compose`` entries.
+    - A list of string-to-string records that all have one key set, such
+      as a category's ``morphisms``; each key's ``"key": `` head is part
+      of the text between the values.
+    - An object whose values are all non-empty string-to-string objects,
+      such as a presheaf's ``restrictions`` or a diagram's ``actions``:
+      the inner key lists are sorted in one pass, and the inner keys and
+      values, flattened in that order, alternate with ``: ``, ``,`` and,
+      after each inner object's last value, the next outer key's head.
+
+    A value that fits no shape recurses: dicts with string keys and lists
+    item by item, and any other value (a tuple, a dict with other keys, a
+    subclass) is rendered by ``json.dumps`` itself and re-indented to its
+    depth, which is exact because JSON text has no raw newline inside a
+    string.
     """
     return _text(doc, "\n") + "\n"
+
+
+def _woven(first: str, tokens: list, seps: list, last: str) -> str:
+    """``first``, then each token followed by the next of ``seps``, read
+    cyclically, with ``last`` in place of the final one.  ``tokens`` is a
+    non-empty list whose length is a multiple of ``len(seps)``."""
+    parts = [first] * (2 * len(tokens) + 1)
+    parts[1::2] = tokens
+    parts[2::2] = seps * (len(tokens) // len(seps))
+    parts[-1] = last
+    return "".join(parts)
 
 
 def _string_rows(rows: list) -> bool:
     """Whether every row is a list of strings, all of one nonzero length."""
     return len(set(map(len, rows))) == 1 and bool(rows[0]) and _all_are(str, chain.from_iterable(rows))
+
+
+def _string_records(records: list) -> bool:
+    """Whether every record is a dict of strings to strings, all with one
+    non-empty key set."""
+    keys = records[0].keys()
+    return (
+        bool(keys)
+        and all(map(keys.__eq__, map(dict.keys, records)))
+        and _all_are(str, keys)
+        and _all_are(str, chain.from_iterable(map(dict.values, records)))
+    )
+
+
+def _string_tables(tables) -> bool:
+    """Whether every table is a non-empty dict of strings to strings."""
+    return (
+        _all_are(dict, tables)
+        and all(tables)
+        and _all_are(str, chain.from_iterable(tables))
+        and _all_are(str, chain.from_iterable(map(dict.values, tables)))
+    )
 
 
 def _text(value, pad: str) -> str:
@@ -85,20 +133,45 @@ def _text(value, pad: str) -> str:
     if kind in _SCALARS:
         return _SCALARS[kind](value)
     inner = pad + "  "
+    row = inner + "  "
     if kind is list and value:
         kinds = set(map(type, value))
         if len(kinds) == 1 and kinds <= {str, int}:
             items = map(_SCALARS[kinds.pop()], value)
         elif kinds == {list} and _string_rows(value):
-            width = len(value[0])
-            row = "[" + inner + "  " + ("," + inner + "  ").join(["%s"] * width) + inner + "]"
-            strings = map(encode_basestring, chain.from_iterable(value))
-            items = map(row.__mod__, zip(*[strings] * width))
+            seps = ["," + row] * (len(value[0]) - 1) + [inner + "]," + inner + "[" + row]
+            strings = list(map(encode_basestring, chain.from_iterable(value)))
+            return _woven("[" + inner + "[" + row, strings, seps, inner + "]" + pad + "]")
+        elif kinds == {dict} and _string_records(value):
+            keys = sorted(value[0])
+            heads = [encode_basestring(key) + ": " for key in keys]
+            seps = ["," + row + head for head in heads[1:]] + [inner + "}," + inner + "{" + row + heads[0]]
+            fields = itemgetter(*keys)
+            records = map(fields, value) if len(keys) > 1 else zip(map(fields, value))
+            strings = list(map(encode_basestring, chain.from_iterable(records)))
+            return _woven("[" + inner + "{" + row + heads[0], strings, seps, inner + "}" + pad + "]")
         else:
             items = [_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict and value and _all_are(str, value):
-        items = [encode_basestring(key) + ": " + _text(value[key], inner) for key in sorted(value)]
+        keys = sorted(value)
+        if _string_tables(value.values()):
+            tables = list(map(value.__getitem__, keys))
+            inner_keys = list(map(sorted, tables))
+            pairs = sum(map(len, inner_keys))
+            strings = [""] * (2 * pairs)
+            strings[0::2] = map(encode_basestring, chain.from_iterable(inner_keys))
+            lookups = map(attrgetter("__getitem__"), tables)
+            strings[1::2] = map(encode_basestring, chain.from_iterable(map(map, lookups, inner_keys)))
+            # ": " after a key, "," after a value, and the next object's
+            # head after the last value of each object
+            seps = [": ", "," + row] * pairs
+            heads = map((inner + "}," + inner + "%s: {" + row).__mod__, map(encode_basestring, keys[1:]))
+            for end, head in zip(accumulate(map(len, inner_keys)), heads):
+                seps[2 * end - 1] = head
+            first = "{" + inner + encode_basestring(keys[0]) + ": {" + row
+            return _woven(first, strings, seps, inner + "}" + pad + "}")
+        items = [encode_basestring(key) + ": " + _text(value[key], inner) for key in keys]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return json.dumps(value, **_CANONICAL).replace("\n", pad)
 

@@ -354,7 +354,7 @@ def validate_category(
     obj_set = set(objs)
     src: dict[Label, Label] = {}
     tgt: dict[Label, Label] = {}
-    names = []
+    ends: dict[Label, tuple[Label, Label]] = {}
     for name, a, b in morphisms:
         if name in src:
             raise DanglingReference(f"duplicate morphism name {name!r}")
@@ -364,16 +364,15 @@ def validate_category(
             raise DanglingReference(f"morphism {name!r} has unknown target {b!r}")
         src[name] = a
         tgt[name] = b
-        names.append(name)
-    mors = tuple(sorted(names, key=label_key))
-    mor_set = set(mors)
+        ends[name] = (a, b)
+    mors = canon(ends)
 
     ident = dict(identity)
     for u in objs:
         if u not in ident:
             raise IdentityViolation(f"object {u!r} has no identity entry")
         m = ident[u]
-        if m not in mor_set:
+        if m not in ends:
             raise DanglingReference(f"identity of {u!r} names unknown morphism {m!r}")
         if src[m] != u or tgt[m] != u:
             raise IdentityViolation(f"identity {m!r} of {u!r} is not an endomorphism of {u!r}")
@@ -384,8 +383,13 @@ def validate_category(
     table: dict[tuple[Label, Label], Label] = {}
     items = compose.items() if hasattr(compose, "items") else compose
     for (g, f), gf in items:
+        # one lookup per name accepts a good entry; the checks below run
+        # only on an entry that fails it, to name what is wrong
+        eg, ef = ends.get(g), ends.get(f)
+        if eg and ef and ef[1] == eg[0] and ends.get(gf) == (ef[0], eg[1]) and table.setdefault((g, f), gf) == gf:
+            continue
         for m in (g, f, gf):
-            if m not in mor_set:
+            if m not in ends:
                 raise DanglingReference(f"compose entry ({g!r}, {f!r}) -> {gf!r} names unknown morphism {m!r}")
         if tgt[f] != src[g]:
             raise DanglingReference(f"compose entry for non-composable pair ({g!r}, {f!r})")

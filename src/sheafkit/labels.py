@@ -25,8 +25,13 @@ def label_key(label: Label):
 
 
 def canon(labels) -> tuple:
-    """Canonically sorted, duplicate-free tuple of labels."""
-    return tuple(sorted(set(labels), key=label_key))
+    """Canonically sorted, duplicate-free tuple of labels.  Labels that are
+    all exactly ``str`` sort as they are: ``label_key`` maps each to
+    ``(1, label)``, which orders them the same way."""
+    unique = set(labels)
+    if set(map(type, unique)) <= {str}:
+        return tuple(sorted(unique))
+    return tuple(sorted(unique, key=label_key))
 
 
 def show_label(label: Label) -> str:

@@ -261,11 +261,23 @@ def _least_is_a_basis(J: GrothendieckTopology) -> bool:
 def _sieve_failures(F: Presheaf, u: Label, S: Sieve, rank, bound) -> list[SheafFailure]:
     """The separation and gluing failures of F on the sieve S at u.
 
+    A sieve that holds the identity of u has none, and is decided without
+    a search (the Yoneda lemma).  It has apex u and, closed under
+    precomposition, holds id_u ∘ f = f for every f into u: S is the
+    maximal sieve on u, the representable y(u), and a matching family m
+    on it is a natural transformation y(u) -> F.  For every f in S,
+    m(f) = m(id_u ∘ f) = m(id_u)·f, so m is the family induced by the
+    section m(id_u), and x ↦ (f ↦ x·f) is a bijection from F(u) onto the
+    families, inverse to m ↦ m(id_u): no two sections induce one family,
+    and every family glues.
+
     Matching families stay the kernel's index families of
     ``natural_index_families(S.presheaf, F)``: one tuple per object w,
     holding the section rank of the value at each arrow of S from w.  A
     section x induces the family whose entry at f is the rank of x·f.
     """
+    if F.base.identity[u] in S.arrows:
+        return []
     sp = S.presheaf
     families = natural_index_families(sp, F, bound)
     slots = [(rank[w], [F.restrict[f] for f in sp.value[w]]) for w in F.base.objects]

@@ -1,8 +1,8 @@
 """Mutation check of the internal logic, the descent layer, the sheaf
 condition, the search kernel, the record mechanism, the document schema
-walker, the (co)limit certificates, the classifier's sieves and
-implication, and the generator-pair checks: does the suite notice a
-broken engine?
+walker and canonical writer, the compose check, the (co)limit
+certificates, the classifier's sieves and implication, and the
+generator-pair checks: does the suite notice a broken engine?
 
 Each mutant is one small edit to the syntax tree of a library function,
 made with the standard ``ast`` module in a temporary copy of the
@@ -42,6 +42,7 @@ DOCUMENT_TESTS = ("tests/test_documents.py", "tests/test_document_fuzz.py")
 CONE_TESTS = ("tests/test_limits.py", "tests/test_generators.py", "tests/test_acceptance.py",
               "tests/test_classifier.py", "tests/test_site.py")
 CLASSIFIER_TESTS = ("tests/test_classifier.py", "tests/test_generators.py", "tests/test_fincat.py")
+CATEGORY_TESTS = ("tests/test_fincat.py", "tests/test_thin.py")
 
 
 def source(text: str) -> Callable[[ast.AST], bool]:
@@ -334,6 +335,24 @@ MUTANTS = (
     # ... or one label for two classes
     Mutant("colimit-certificate-admits-merges", "src/sheafkit/limits.py", "certify_colimit",
            replaced("not ok or len(mediating) != len(res.apex)", "len(mediating) != len(res.apex)"), CONE_TESTS),
+    # the writer's bulk rows put the row break between the first two strings ...
+    Mutant("writer-rows-separators-swapped", "src/sheafkit/documents.py", "_text",
+           replaced("[',' + row] * (len(value[0]) - 1) + [inner + '],' + inner + '[' + row]",
+                    "[inner + '],' + inner + '[' + row] + [',' + row] * (len(value[0]) - 1)"), DOCUMENT_TESTS),
+    # ... its bulk records the record break after the first value ...
+    Mutant("writer-records-separators-swapped", "src/sheafkit/documents.py", "_text",
+           replaced("[',' + row + head for head in heads[1:]] + [inner + '},' + inner + '{' + row + heads[0]]",
+                    "[inner + '},' + inner + '{' + row + heads[0]] + [',' + row + head for head in heads[1:]]"),
+           DOCUMENT_TESTS),
+    # ... and its bulk objects of objects a comma after each key
+    Mutant("writer-tables-separators-swapped", "src/sheafkit/documents.py", "_text",
+           replaced("[': ', ',' + row] * pairs", "[',' + row, ': '] * pairs"), DOCUMENT_TESTS),
+    # a compose entry is accepted without g composable after f
+    Mutant("compose-fast-path-skips-ends", "src/sheafkit/fincat.py", "validate_category",
+           replaced("ef[1] == eg[0]", "True"), CATEGORY_TESTS),
+    # every sieve is taken for the maximal one and decided without a search
+    Mutant("maximal-sieve-shortcut-everywhere", "src/sheafkit/sheaf.py", "_sieve_failures",
+           replaced("F.base.identity[u] in S.arrows", "True"), SHEAF_TESTS),
     # Omega keeps every sieve, closed or not
     Mutant("omega-keeps-every-sieve", "src/sheafkit/classifier.py", "omega",
            replaced("not any((f not in S.arrows and fl <= S.arrows for f, fl in covered))", "True"), CONE_TESTS),

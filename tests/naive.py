@@ -572,6 +572,8 @@ def naive_validate_category(objects, morphisms, identity, compose, hom_bound):
             raise DanglingReference(f"compose entry for non-composable pair ({g!r}, {f!r})")
         if src[gf] != src[f] or tgt[gf] != tgt[g]:
             raise DanglingReference(f"composite {gf!r} of ({g!r}, {f!r}) should go {src[f]!r} -> {tgt[g]!r}")
+        if (g, f) in table and table[(g, f)] != gf:
+            raise DanglingReference(f"compose entry ({g!r}, {f!r}) is listed twice, as {table[(g, f)]!r} and {gf!r}")
         table[(g, f)] = gf
 
     for g in mors:

@@ -620,6 +620,12 @@ JSON_VALUES = st.recursive(
         | st.dictionaries(TEXT, inner, max_size=4)
         | st.lists(st.lists(TEXT, min_size=1, max_size=3), max_size=4)
         | st.lists(st.lists(TEXT, min_size=2, max_size=2), max_size=4)
+        # records of strings that share one key set, and objects of
+        # non-empty string objects: the writer's other bulk shapes
+        | st.lists(TEXT, min_size=1, max_size=3, unique=True).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, TEXT)), min_size=1, max_size=4)
+        )
+        | st.dictionaries(TEXT, st.dictionaries(TEXT, TEXT, min_size=1, max_size=4), min_size=1, max_size=4)
     ),
     max_leaves=30,
 )
@@ -647,6 +653,22 @@ def test_the_writer_hands_other_values_to_json_dumps(value):
     assert serialize_document(value) == indented_dumps(value)
 
 
+@pytest.mark.parametrize("value", [
+    # rows: unequal lengths, and an int among the strings
+    [["a", "b"], ["c"]],
+    [["a", 1], ["b", "c"]],
+    # records: one missing a key, and an int value
+    [{"name": "f", "src": "a", "tgt": "b"}, {"name": "g", "src": "a"}],
+    [{"name": "f", "src": "a"}, {"name": "g", "src": 1}],
+    # objects of objects: an empty one, and an int value
+    {"f": {"x": "y"}, "g": {}},
+    {"f": {"x": "y", "z": "w"}, "g": {"x": 1}},
+])
+def test_a_value_that_misses_a_bulk_shape_by_one_member_is_written_as_json_dumps_writes_it(value):
+    assert serialize_document(value) == indented_dumps(value)
+    assert serialize_document({"outer": [value, value]}) == indented_dumps({"outer": [value, value]})
+
+
 def test_the_writer_matches_json_dumps_on_every_gallery_fixture():
     docs = gallery_documents()
     assert len(docs) == 33
@@ -669,3 +691,12 @@ def test_the_writer_matches_json_dumps_on_a_64_object_lattice():
     text = serialize_document(doc)
     assert text == indented_dumps(doc)
     assert document_digest(doc) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    psh = {
+        "schema": 1, "kind": "presheaf", "name": "psh6", "base": "lattice6",
+        "values": {u: [f"{u}.{i}" for i in range(len(u) + 1)] for u in C.objects},
+        "restrictions": {
+            m: {f"{C.tgt[m]}.{i}": f"{C.src[m]}.{min(i, len(C.src[m]))}" for i in range(len(C.tgt[m]) + 1)}
+            for m in C.morphisms if not C.is_identity(m)
+        },
+    }
+    assert serialize_document(psh) == indented_dumps(psh)

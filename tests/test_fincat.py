@@ -14,6 +14,7 @@ from sheafkit.errors import (
     MissingComposite,
     NotNatural,
     UnknownObject,
+    WorkbenchError,
 )
 from sheafkit.fincat import (
     arrow_category,
@@ -31,7 +32,7 @@ from sheafkit.fincat import (
 
 from sheafkit.documents import load_documents
 
-from naive import naive_hom, naive_into, naive_naturals, presheaves_isomorphic
+from naive import naive_hom, naive_into, naive_naturals, naive_validate_category, presheaves_isomorphic
 from randgen import random_poset
 
 
@@ -100,6 +101,13 @@ def parallel_pair_rows():
     return mors, rows
 
 
+def raised(build, *args):
+    """The class and message of the error that ``build`` raises."""
+    with pytest.raises(WorkbenchError) as err:
+        build(*args)
+    return type(err.value), str(err.value)
+
+
 def test_a_pair_listed_with_two_composites_is_refused():
     mors, rows = parallel_pair_rows()
     identities = {"u": "id", "v": "idv"}
@@ -107,6 +115,58 @@ def test_a_pair_listed_with_two_composites_is_refused():
     assert C.compose("f", "id") == "f"
     with pytest.raises(DanglingReference, match=r"\('f', 'id'\) is listed twice, as 'f' and 'g'"):
         validate_category(["u", "v"], mors, identities, rows + [(("f", "id"), "g")])
+    # right after each entry whose composite, f or g, has a parallel twin
+    for i, ((g, f), gf) in enumerate(rows):
+        if gf not in ("f", "g"):
+            continue
+        twin = "g" if gf == "f" else "f"
+        args = (["u", "v"], mors, identities, rows[:i + 1] + [((g, f), twin)] + rows[i + 1:])
+        got = raised(validate_category, *args)
+        assert got == raised(naive_validate_category, *args, 64)
+        assert got == (DanglingReference, f"compose entry ({g!r}, {f!r}) is listed twice, as {gf!r} and {twin!r}")
+
+
+def lattice_tables():
+    """The lattice of subsets of abcdef, 64 objects and 729 arrows, as raw
+    tables with its 4,096 compose entries as a sorted list of rows."""
+    opens = ["".join(p for i, p in enumerate("abcdef") if mask >> i & 1) for mask in range(64)]
+    C = poset_category(opens, lambda a, b: set(a) <= set(b), name=lambda a, b: f"{a}<{b}")
+    mors = [(m, C.src[m], C.tgt[m]) for m in C.morphisms]
+    return C, (list(C.objects), mors, dict(C.identity), sorted(C.table.items()))
+
+
+def corruptions(C, row):
+    """Each way to break the compose entry ``row`` of C, as (case, rows that replace it)."""
+    (g, f), gf = row
+    # an arrow from f's source that g cannot follow, so that g∘f keeps its ends
+    f2 = next(m for m in C.morphisms if C.src[m] == C.src[f] and C.tgt[m] != C.src[g])
+    wrong = next(m for m in C.morphisms if (C.src[m], C.tgt[m]) != (C.src[f], C.tgt[g]))
+    return {
+        "unknown g": [(("nope", f), gf)],
+        "unknown f": [((g, "nope"), gf)],
+        "unknown g∘f": [((g, f), "nope")],
+        "not composable": [((g, f2), gf)],
+        "wrong ends": [((g, f), wrong)],
+        "conflicting duplicate": [row, ((g, f), wrong)],
+    }
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_a_bad_compose_entry_of_the_64_object_lattice_raises_what_the_oracle_raises(at):
+    C, (objects, mors, identities, rows) = lattice_tables()
+    i = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[at]
+    for case, bad in corruptions(C, rows[i]).items():
+        args = (objects, mors, identities, rows[:i] + bad + rows[i + 1:])
+        got = raised(validate_category, *args)
+        assert got == raised(naive_validate_category, *args, 64), case
+        assert got[0] is DanglingReference, case
+
+
+def test_an_exact_duplicate_compose_entry_of_the_64_object_lattice_is_one_entry():
+    C, (objects, mors, identities, rows) = lattice_tables()
+    for i in (0, len(rows) // 2, len(rows) - 1):
+        D = validate_category(objects, mors, identities, rows[:i + 1] + rows[i:])
+        assert D.table == C.table and len(D.table) == 4096
 
 
 # -- hom and into indexes ----------------------------------------------------------

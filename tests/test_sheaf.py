@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheafkit import sheaf
 from sheafkit.documents import load_documents
 from sheafkit.errors import DanglingReference, IncompatibleFamily, NoSuchFamily, NotASheafHere, SemanticError
 from sheafkit.fincat import (
@@ -279,6 +280,38 @@ def test_is_sheaf_matches_the_walk_over_every_listed_sieve(seed):
     for G in (F, sheafify(F, J)[0]):
         assert is_sheaf(G, J) == naive_is_sheaf(G, J)
         assert under_bounds(lambda b: is_sheaf(G, J, b)) == under_bounds(lambda b: naive_is_sheaf(G, J, b))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_maximal_sieves_are_decided_without_a_search(seed):
+    """Under the trivial topology every L(u) is the maximal sieve, which
+    holds id_u: the report is the walk's, at every bound, and no matching
+    family is searched for."""
+    rng = random.Random(seed)
+    C = random_poset(rng)
+    F = random_presheaf(rng, C)
+    J = trivial_topology(C)
+    expected = naive_is_sheaf(F, J)
+    refusals = under_bounds(lambda b: naive_is_sheaf(F, J, b))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sheaf, "natural_index_families", None)
+        assert is_sheaf(F, J) == expected and expected.ok
+        assert under_bounds(lambda b: is_sheaf(F, J, b)) == refusals
+
+
+def test_a_failing_open_cover_site_walks_past_its_maximal_sieves():
+    """const2 fails L({a,b}), which is not maximal, so every listed sieve is
+    walked: the maximal ones are decided without a search, the sieve of
+    {a} and {b} by one, and the report is the walk's."""
+    site = discrete2_site()
+    F, J = const2_presheaf(site), site.topology
+    C = site.category
+    assert J.least[D2] == pieces_sieve(site)
+    assert all(maximal_sieve(C, u) in J.covers[u] for u in C.objects)
+    report = is_sheaf(F, J)
+    assert report == naive_is_sheaf(F, J)
+    assert [(fail.at, fail.sieve, fail.kind) for fail in report.failures] == [(D2, pieces_sieve(site), "gluing")]
 
 
 def test_a_table_failing_the_guard_is_walked():
